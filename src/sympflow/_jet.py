@@ -19,6 +19,16 @@ Mixed partials commute, so the pullback of a cotangent placed on ``xa`` is
 the exact parameter/input gradient of the corresponding first directional
 derivative, and a cotangent on ``xab`` differentiates the mixed second
 directional derivative.  Everything is batched over the leading axis.
+
+The jet is bilinear, which lets one sweep stand in for several.  For a
+scalar V and a direction a, the first output ``d_a V = <grad V, a>`` is
+linear in a, so the single pullback of ``xa = 1`` returns ``grad V`` on the
+direction (``g_in.xa``) and ``Hess V a`` on the point (``g_in.x0``).  With
+a = [v; 1] on the input [q; t] that is the input gradient and ``Hess V v +
+d_t grad V`` at once: a shear layer's update and its time derivative.  An
+input ``xab = c`` adds ``<grad V, c>`` to the mixed output, so one pullback
+of ``xab = 1`` differentiates ``<b, Hess V a> + <grad V, c>``, a sum of a
+second-order and a first-order quantity with independent weights.
 """
 
 from __future__ import annotations
@@ -71,7 +81,9 @@ def _tanh_forward(x: Jet) -> Jet:
     s1 = 1.0 - y0 * y0
     ya = None if x.xa is None else s1 * x.xa
     yb = None if x.xb is None else s1 * x.xb
-    yab = _madd(None, (s1, x.xab), (-2.0 * y0 * s1, x.xa, x.xb))
+    yab = _madd(None, (s1, x.xab))
+    if x.xa is not None and x.xb is not None:
+        yab = _madd(yab, (-2.0 * y0 * s1, x.xa, x.xb))
     return Jet(y0, ya, yb, yab)
 
 
@@ -98,9 +110,13 @@ def chain_forward(weights, x: Jet):
 def _tanh_backward(z: Jet, a0: np.ndarray, g: Jet) -> Jet:
     # Derivatives of tanh expressed through the activation value a0:
     #   s1 = 1 - a0^2,  s2 = -2 a0 s1,  s3 = -2 s1^2 + 4 a0^2 s1.
+    # s2 and s3 are formed only when a cotangent needs them.
     s1 = 1.0 - a0 * a0
-    s2 = -2.0 * a0 * s1
-    s3 = -2.0 * s1 * s1 + 4.0 * (a0 * a0) * s1
+    s2 = s3 = None
+    if g.xa is not None or g.xb is not None or g.xab is not None:
+        s2 = -2.0 * a0 * s1
+    if g.xab is not None and z.xa is not None and z.xb is not None:
+        s3 = -2.0 * s1 * s1 + 4.0 * (a0 * a0) * s1
     gx0 = _madd(
         None,
         (s1, g.x0),

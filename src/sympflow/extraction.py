@@ -9,7 +9,10 @@ Hamiltonian, the composed map is itself a Hamiltonian flow.  The pair
 and the full model's Hamiltonian aggregates the pairs from the last layer to
 the first, each evaluated at the point pulled back through the inverses of
 the later pairs.  ``extract`` evaluates the closed-form sum; its gradient is
-assembled by one reverse sweep over the inverse chain.
+assembled by one reverse sweep over the inverse chain.  A pair's tap and its
+inverse read the same points, so each potential is swept once per time in
+each pass: 4 sweeps per pair forward and 4 back, 3 each for the first pair,
+whose inverse is never needed.
 
 The extracted Hamiltonian is defined up to an additive function of time
 alone; this module fixes the representative produced by the recursion, with
@@ -22,7 +25,7 @@ import numpy as np
 
 from . import potential as pot
 from .errors import DimensionError
-from .model import SympFlowModel, _p_layer_b, _q_layer_b
+from .model import SympFlowModel, _p_layer_b, _q_layer_b, _shear, _shear_vjp
 from .validation import as_phase_points, check_finite_scalar
 
 __all__ = [
@@ -40,14 +43,24 @@ def _check_pair_index(model: SympFlowModel, i: int, allow_plus_one: bool = False
         raise DimensionError(f"layer index must be in [1, {top}], got {i}")
 
 
-def _pair_ham_b(vq, vp, t, x: np.ndarray) -> np.ndarray:
+def _pair_b(vq, vp, t, y: np.ndarray, last: bool):
+    """Pair Hamiltonian at y, the points its potentials read, and the inverse pair.
+
+    The pair reads Vp at p and Vq at the shifted point s = q - (grad Vp(t, p)
+    - grad Vp(0, p)), which is also the position of the inverse pair's
+    output; the sweep of Vq at (t, s) yields both d_t Vq and the inverse
+    shear's grad Vq.  Returns ``(H, (s, p), inverse pair of y or None when
+    last)``.
+    """
     d = vq.d
-    q, p = x[:, :d], x[:, d:]
-    gp_t, vtp = pot.grad_time_b(vp, t, p)
-    gp_0, _ = pot.grad_time_b(vp, 0.0, p)
-    q_shift = q - (gp_t - gp_0)
-    _, vtq = pot.grad_time_b(vq, t, q_shift)
-    return vtp + vtq
+    q, p = y[:, :d], y[:, d:]
+    delta_p, _, vtp = _shear(vp, t, p)
+    s = q - delta_p
+    if last:
+        vtq = pot.jet_grad_b(vq, t, s)[0][:, d]
+        return vtp + vtq, (s, p), None
+    delta_q, _, vtq = _shear(vq, t, s)
+    return vtp + vtq, (s, p), np.concatenate([s, p + delta_q], axis=1)
 
 
 def _tail_inverse_b(model: SympFlowModel, i: int, t, x: np.ndarray) -> np.ndarray:
@@ -59,15 +72,21 @@ def _tail_inverse_b(model: SympFlowModel, i: int, t, x: np.ndarray) -> np.ndarra
     return x
 
 
-def _extract_b(model: SympFlowModel, t, x: np.ndarray) -> np.ndarray:
+def _extract_tape(model: SympFlowModel, t, x: np.ndarray):
+    """Extracted Hamiltonian values and the points (s, p) read by each pair, pair 1 first."""
     total = np.zeros(x.shape[0])
+    tape = []
     y = x
     for i in range(model.n_layers, 0, -1):
         vq, vp = model.layers[i - 1]
-        total += _pair_ham_b(vq, vp, t, y)
-        if i > 1:
-            y = _q_layer_b(vq, t, _p_layer_b(vp, t, y, sign=-1.0), sign=-1.0)
-    return total
+        val, points, y = _pair_b(vq, vp, t, y, last=i == 1)
+        total += val
+        tape.append(points)
+    return total, tape[::-1]
+
+
+def _extract_b(model: SympFlowModel, t, x: np.ndarray) -> np.ndarray:
+    return _extract_tape(model, t, x)[0]
 
 
 def pair_hamiltonian(model: SympFlowModel, i: int, t, x) -> float:
@@ -76,7 +95,7 @@ def pair_hamiltonian(model: SympFlowModel, i: int, t, x) -> float:
     xb, _ = as_phase_points(np.asarray(x, dtype=float), 2 * model.d)
     t = check_finite_scalar(t, "t")
     vq, vp = model.layers[i - 1]
-    return float(_pair_ham_b(vq, vp, t, xb)[0])
+    return float(_pair_b(vq, vp, t, xb, last=True)[0][0])
 
 
 def tail_inverse(model: SympFlowModel, i: int, t, x):
@@ -96,92 +115,36 @@ def extract(model: SympFlowModel, t, x) -> float:
     return float(vals[0]) if single else vals
 
 
-def _pair_ham_vjp(vq, vp, t, y: np.ndarray, c: np.ndarray):
-    """Pullback of per-point weights c on the pair Hamiltonian.
+def _extract_pullback(model: SympFlowModel, t, tape, c: np.ndarray):
+    """Gradient of sum_i c_i * extract(model, t, x_i) from the tape of :func:`_extract_tape`.
 
-    Returns ``(gy, gtheta_q, gtheta_p)``.
+    Walks the pairs from the first (deepest) to the last with the cotangent
+    w on the pair's output; each potential takes one fused pullback per
+    time, with c on its time partial and w on its shear.  Returns ``(gx,
+    gtheta)``.
     """
-    d = vq.d
-    q, p = y[:, :d], y[:, d:]
-    gp_t, _ = pot.grad_time_b(vp, t, p)
-    gp_0, _ = pot.grad_time_b(vp, 0.0, p)
-    q_shift = q - (gp_t - gp_0)
-
-    gin_q, gth_q = pot.time_partial_vjp(vq, t, q_shift, c)
-    weighted_mq = gin_q[:, :d]  # c * d_t grad Vq at the shifted point
-    gin_p, gth_p = pot.time_partial_vjp(vp, t, p, c)
-
-    # The shifted point depends on p through the momentum shear update.
-    gin_t, gA = pot.grad_input_vjp(vp, t, p, weighted_mq)
-    gin_0, gB = pot.grad_input_vjp(vp, 0.0, p, weighted_mq)
-
-    gq = weighted_mq
-    gp = gin_p[:, :d] - (gin_t[:, :d] - gin_0[:, :d])
-    return np.concatenate([gq, gp], axis=1), gth_q, gth_p - (gA - gB)
-
-
-def _inv_pair_vjp(vq, vp, t, y_in: np.ndarray, w: np.ndarray):
-    """Pullback through one inverse pair z = inv_q(inv_p(y_in)).
-
-    Returns ``(w_in, gtheta_q, gtheta_p)`` given the cotangent w on z.
-    """
-    d = vq.d
-    mid = _p_layer_b(vp, t, y_in, sign=-1.0)  # state between the two inverses
-    wq, wp = w[:, :d], w[:, d:]
-
-    # inv_q: z_p = mid_p + (grad Vq(t, mid_q) - grad Vq(0, mid_q))
-    gin_t, gA = pot.grad_input_vjp(vq, t, mid[:, :d], wp)
-    gin_0, gB = pot.grad_input_vjp(vq, 0.0, mid[:, :d], wp)
-    wq_mid = wq + (gin_t[:, :d] - gin_0[:, :d])
-    gth_q = gA - gB
-
-    # inv_p: mid_q = y_q - (grad Vp(t, y_p) - grad Vp(0, y_p))
-    gin_t, gA = pot.grad_input_vjp(vp, t, y_in[:, d:], wq_mid)
-    gin_0, gB = pot.grad_input_vjp(vp, 0.0, y_in[:, d:], wq_mid)
-    wp_in = wp - (gin_t[:, :d] - gin_0[:, :d])
-    gth_p = -(gA - gB)
-    return np.concatenate([wq_mid, wp_in], axis=1), gth_q, gth_p
+    d = model.d
+    grads = []
+    w = None
+    for (vq, vp), (s, p) in zip(model.layers, tape):
+        wq, wp = (None, None) if w is None else (w[:, :d], w[:, d:])
+        gs, _, gth_q = _shear_vjp(vq, t, s, w=wp, wt=c)
+        ws = gs if wq is None else wq + gs
+        gp, _, gth_p = _shear_vjp(vp, t, p, w=-ws, wt=c)
+        w = np.concatenate([ws, gp if wp is None else wp + gp], axis=1)
+        grads += [gth_q, gth_p]
+    return w, np.concatenate(grads)
 
 
 def extract_vjp(model: SympFlowModel, t, x: np.ndarray, c: np.ndarray):
     """Gradient of sum_i c_i * extract(model, t, x_i) in x and in the parameters.
 
-    One reverse sweep over the inverse chain; returns ``(gx (B, 2d), gtheta)``
-    with gtheta flattened in the model's canonical parameter order.
+    One forward sweep over the inverse chain, then one reverse sweep;
+    returns ``(gx (B, 2d), gtheta)`` with gtheta flattened in the model's
+    canonical parameter order.
     """
-    L = model.n_layers
-    # Forward sweep: y[L + 1] = x, y[i] = pair_i^{-1}(y[i + 1]).
-    ys = {L + 1: x}
-    for i in range(L, 1, -1):
-        vq, vp = model.layers[i - 1]
-        ys[i] = _q_layer_b(vq, t, _p_layer_b(vp, t, ys[i + 1], sign=-1.0), sign=-1.0)
-
-    gth = {}
-
-    def add(key, val):
-        gth[key] = gth.get(key, 0) + val
-
-    # Deepest tap: pair 1 reads y[2].
-    vq, vp = model.layers[0]
-    w, gq1, gp1 = _pair_ham_vjp(vq, vp, t, ys[2], c)
-    add((0, "q"), gq1)
-    add((0, "p"), gp1)
-    # Walk back up: push through pair_j^{-1}, then add the tap at y[j + 1].
-    for j in range(2, L + 1):
-        vq, vp = model.layers[j - 1]
-        w, gq_inv, gp_inv = _inv_pair_vjp(vq, vp, t, ys[j + 1], w)
-        add((j - 1, "q"), gq_inv)
-        add((j - 1, "p"), gp_inv)
-        gy, gq_tap, gp_tap = _pair_ham_vjp(vq, vp, t, ys[j + 1], c)
-        w = w + gy
-        add((j - 1, "q"), gq_tap)
-        add((j - 1, "p"), gp_tap)
-
-    pieces = []
-    for idx, (nq, np_) in enumerate(model.layers):
-        pieces.append(np.asarray(gth.get((idx, "q"), np.zeros(nq.n_params))))
-        pieces.append(np.asarray(gth.get((idx, "p"), np.zeros(np_.n_params))))
-    return w, np.concatenate(pieces)
+    _, tape = _extract_tape(model, t, x)
+    return _extract_pullback(model, t, tape, c)
 
 
 def extract_gradient(model: SympFlowModel, t, x, mode: str = "exact", fd_step: float = 1e-5):

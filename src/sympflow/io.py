@@ -128,25 +128,51 @@ def save_dataset(dataset: TrajectoryDataset, out_dir) -> None:
     (out / "meta.json").write_text(json.dumps(meta) + "\n")
 
 
-def load_dataset(in_dir) -> TrajectoryDataset:
-    src = Path(in_dir)
-    ics_rows = (src / "ics.csv").read_text().strip().split("\n")
-    ics = np.array([[float(v) for v in line.split(",")[1:]] for line in ics_rows[1:]])
-    sample_rows = (src / "samples.csv").read_text().strip().split("\n")
-    traj, ts, ys = [], [], []
-    for line in sample_rows[1:]:
+def _read_table(path: Path, lead: list, prefix: str):
+    """Rows of a dataset CSV with header ``lead..., prefix_1..prefix_n``.
+
+    Returns ``(n, ids, values)``: the trailing column count, the integer
+    first column and the remaining columns as floats.  A wrong header, a row
+    with another column count or an unparsable entry raises
+    :class:`ConfigError` naming the file and the line.
+    """
+    lines = path.read_text().strip().split("\n")
+    header = lines[0].split(",")
+    n = len(header) - len(lead)
+    if n < 1 or header != lead + [f"{prefix}_{i + 1}" for i in range(n)]:
+        want = ",".join(lead) + f",{prefix}_1..{prefix}_n"
+        raise ConfigError(f"{path}:1: header must be {want}, got {lines[0]!r}")
+    ids, values = [], []
+    for lineno, line in enumerate(lines[1:], start=2):
         parts = line.split(",")
-        traj.append(int(parts[0]))
-        ts.append(float(parts[1]))
-        ys.append([float(v) for v in parts[2:]])
+        if len(parts) != len(header):
+            raise ConfigError(f"{path}:{lineno}: expected {len(header)} columns, got {len(parts)}")
+        try:
+            ids.append(int(parts[0]))
+            values.append([float(v) for v in parts[1:]])
+        except ValueError as exc:
+            raise ConfigError(f"{path}:{lineno}: {exc}") from exc
+    return n, ids, np.array(values, dtype=float).reshape(len(values), len(header) - 1)
+
+
+def load_dataset(in_dir) -> TrajectoryDataset:
+    """Read a dataset written by :func:`save_dataset`; headers and row widths are checked."""
+    src = Path(in_dir)
+    n_ics, _, ics = _read_table(src / "ics.csv", ["traj_id"], "x")
+    n_samples, traj, samples = _read_table(src / "samples.csv", ["traj_id", "t"], "y")
+    if n_samples != n_ics:
+        raise ConfigError(
+            f"{src / 'samples.csv'}:1: {n_samples} state columns, but ics.csv has {n_ics}"
+        )
+    ts = samples[:, 0]
     meta_path = src / "meta.json"
     meta = json.loads(meta_path.read_text()) if meta_path.exists() else {}
     return TrajectoryDataset(
         ics=ics,
         sample_traj=np.array(traj, dtype=int),
-        sample_t=np.array(ts),
-        sample_y=np.array(ys),
-        delta_t=float(meta.get("delta_t", max(ts) if ts else 1.0)),
+        sample_t=ts,
+        sample_y=samples[:, 1:],
+        delta_t=float(meta.get("delta_t", ts.max() if ts.size else 1.0)),
         noise_std=float(meta.get("noise_std", 0.0)),
         seed=meta.get("seed"),
     )

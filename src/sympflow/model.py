@@ -13,6 +13,11 @@ the update depends on is untouched.
 
 All operations accept a single point of shape ``(2d,)`` or a batch
 ``(B, 2d)`` and are pure; ``t`` may be a scalar or a length-B array.
+
+One chain of shears (``_chain_b``) serves the flow map, its time derivative
+and its Jacobian by optionally carrying a tangent, and one pullback
+(``_chain_vjp``) serves them all; each shear sweeps its potential once at t
+and once at 0.
 """
 
 from __future__ import annotations
@@ -127,23 +132,68 @@ def symplectic_matrix(d: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _shear_delta(net: PotentialNet, t, y: np.ndarray) -> np.ndarray:
-    """grad V(t, y) - grad V(0, y) for the half-state y the net reads."""
-    g_t, _ = pot.grad_time_b(net, t, y)
-    g_0, _ = pot.grad_time_b(net, 0.0, y)
-    return g_t - g_0
+def _shear(net: PotentialNet, t, y: np.ndarray, vy=None, dt=None):
+    """The shear update of the net reading the half-state y, and its tangent.
+
+    Returns ``(delta, ddelta, vt)``: ``delta = grad V(t, y) - grad V(0, y)``;
+    ``ddelta``, when the tangent vy of y is given, is the derivative of delta
+    along (vy, dt) in (y, t), i.e. ``Hess V(t, y) vy + dt d_t grad V(t, y) -
+    Hess V(0, y) vy`` (None otherwise); ``vt = d_t V(t, y)``.  One sweep per
+    time: the pullback that yields grad V also yields the tangent term.
+    """
+    d = net.d
+    gt, ht = pot.jet_grad_b(net, t, y, (vy, dt))
+    g0, h0 = pot.jet_grad_b(net, 0.0, y, (vy, None))
+    ddelta = None if vy is None else ht[:, :d] - h0[:, :d]
+    return gt[:, :d] - g0[:, :d], ddelta, gt[:, d]
+
+
+def _shear_vjp(net: PotentialNet, t, y: np.ndarray, w=None, vy=None, wv=None, dt=None, wt=None):
+    """Pullback through :func:`_shear`: cotangents w on delta, wv on ddelta, wt on vt.
+
+    Returns ``(gy, gvy, gtheta)``, the gradients of ``<w, delta> + <wv,
+    ddelta> + <wt, vt>`` in y, in vy (None without a tangent) and in the
+    net's parameters.  One sweep per time: the jet carries a = [vy, dt],
+    b = [wv, 0] and the cross term c = [w, wt], so its mixed output is that
+    whole sum.  The sweep at time 0 is skipped when only wt is given.
+    """
+    d = net.d
+    gy, gv, gth = pot.jet_vjp(net, t, y, (vy, dt), (wv, None), (w, wt))
+    if w is not None or wv is not None:
+        gy0, gv0, gth0 = pot.jet_vjp(net, 0.0, y, (vy, None), (wv, None), (w, None))
+        gy, gth = gy - gy0, gth - gth0
+        gv = None if gv is None else gv - gv0
+    return gy[:, :d], None if gv is None else gv[:, :d], gth
+
+
+def _halves(d, momentum):
+    """(read, write, sign) of a shear.
+
+    The position shear moves p by -delta(q), the momentum shear q by +delta(p).
+    """
+    if momentum:
+        return slice(d, None), slice(None, d), 1.0
+    return slice(None, d), slice(d, None), -1.0
+
+
+def _shear_step(net, t, x, v=None, dt=None, momentum=False, sign=1.0):
+    """Apply one shear (sign -1: its inverse) to x and, when given, to the tangent v."""
+    read, write, s = _halves(net.d, momentum)
+    delta, ddelta, _ = _shear(net, t, x[:, read], None if v is None else v[:, read], dt)
+    x = x.copy()
+    x[:, write] += (s * sign) * delta
+    if v is not None:
+        v = v.copy()
+        v[:, write] += (s * sign) * ddelta
+    return x, v
 
 
 def _q_layer_b(net, t, x, sign=1.0):
-    d = net.d
-    q, p = x[:, :d], x[:, d:]
-    return np.concatenate([q, p - sign * _shear_delta(net, t, q)], axis=1)
+    return _shear_step(net, t, x, sign=sign)[0]
 
 
 def _p_layer_b(net, t, x, sign=1.0):
-    d = net.d
-    q, p = x[:, :d], x[:, d:]
-    return np.concatenate([q + sign * _shear_delta(net, t, p), p], axis=1)
+    return _shear_step(net, t, x, momentum=True, sign=sign)[0]
 
 
 def _layer_op(net, t, x, kernel):
@@ -185,15 +235,56 @@ def invert_p_layer(net: PotentialNet, t, x):
 
 
 # ---------------------------------------------------------------------------
-# Full map.
+# Full map: one chain of shears, optionally carrying a tangent and recording
+# the input of every shear, and its pullback.
 # ---------------------------------------------------------------------------
 
 
-def _forward_b(model: SympFlowModel, t, x: np.ndarray) -> np.ndarray:
+def _chain_b(model: SympFlowModel, t, x: np.ndarray, v=None, dt=None, tape=None):
+    """Push x, and the tangent v when given, through every shear; returns (x, v).
+
+    With ``dt=1`` and v = 0 the tangent leaves as d/dt of the flow; with
+    ``dt=None`` it leaves as the Jacobian applied to v.  When ``tape`` is a
+    list, the input ``(x, v)`` of every shear is appended to it.
+    """
     for vq, vp in model.layers:
-        x = _q_layer_b(vq, t, x)
-        x = _p_layer_b(vp, t, x)
-    return x
+        for net, momentum in ((vq, False), (vp, True)):
+            if tape is not None:
+                tape.append((x, v))
+            x, v = _shear_step(net, t, x, v, dt, momentum)
+    return x, v
+
+
+def _chain_vjp(model: SympFlowModel, t, tape, wx: np.ndarray, wv=None, dt=None):
+    """Pull cotangents wx on x and wv on v back through a taped :func:`_chain_b`.
+
+    ``dt`` must be the one the tape was recorded with.  Returns ``(gx,
+    gtheta)`` with gtheta flat in the model's canonical parameter order.
+    """
+    nets = [net for pair in model.layers for net in pair]
+    grads = [None] * len(nets)
+    for k in range(len(nets) - 1, -1, -1):
+        x, v = tape[k]
+        read, write, s = _halves(model.d, k % 2 == 1)
+        gy, gv, grads[k] = _shear_vjp(
+            nets[k],
+            t,
+            x[:, read],
+            s * wx[:, write],
+            None if v is None else v[:, read],
+            None if wv is None else s * wv[:, write],
+            dt,
+        )
+        wx = wx.copy()
+        wx[:, read] += gy
+        if wv is not None:
+            wv = wv.copy()
+            wv[:, read] += gv
+    return wx, np.concatenate(grads)
+
+
+def _forward_b(model: SympFlowModel, t, x: np.ndarray) -> np.ndarray:
+    return _chain_b(model, t, x)[0]
 
 
 def forward(model: SympFlowModel, t, x):
@@ -206,22 +297,7 @@ def forward(model: SympFlowModel, t, x):
 
 def _time_derivative_b(model: SympFlowModel, t, x: np.ndarray) -> np.ndarray:
     """Exact d/dt of the composition via tangent propagation through layers."""
-    d = model.d
-    v = np.zeros_like(x)
-    for vq, vp in model.layers:
-        q, p = x[:, :d], x[:, d:]
-        # position shear: explicit time partial plus Hessian difference acting
-        # on the incoming q-velocity
-        dg = pot.mixed_b(vq, t, q)
-        hv = pot.hvp_b(vq, t, q, v[:, :d]) - pot.hvp_b(vq, 0.0, q, v[:, :d])
-        v = np.concatenate([v[:, :d], v[:, d:] - dg - hv], axis=1)
-        x = np.concatenate([q, p - _shear_delta(vq, t, q)], axis=1)
-        q, p = x[:, :d], x[:, d:]
-        dg = pot.mixed_b(vp, t, p)
-        hv = pot.hvp_b(vp, t, p, v[:, d:]) - pot.hvp_b(vp, 0.0, p, v[:, d:])
-        v = np.concatenate([v[:, :d] + dg + hv, v[:, d:]], axis=1)
-        x = np.concatenate([q + _shear_delta(vp, t, p), p], axis=1)
-    return v
+    return _chain_b(model, t, x, np.zeros_like(x), 1.0)[1]
 
 
 def time_derivative(model: SympFlowModel, t, x, mode: str = "exact", fd_step: float = 1e-4):
@@ -239,21 +315,6 @@ def time_derivative(model: SympFlowModel, t, x, mode: str = "exact", fd_step: fl
     return out[0] if single else out
 
 
-def _tangents_b(model: SympFlowModel, t, x: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Push tangent vectors v through the layer chain at fixed t."""
-    d = model.d
-    for vq, vp in model.layers:
-        q, p = x[:, :d], x[:, d:]
-        hv = pot.hvp_b(vq, t, q, v[:, :d]) - pot.hvp_b(vq, 0.0, q, v[:, :d])
-        v = np.concatenate([v[:, :d], v[:, d:] - hv], axis=1)
-        x = np.concatenate([q, p - _shear_delta(vq, t, q)], axis=1)
-        q, p = x[:, :d], x[:, d:]
-        hv = pot.hvp_b(vp, t, p, v[:, d:]) - pot.hvp_b(vp, 0.0, p, v[:, d:])
-        v = np.concatenate([v[:, :d] + hv, v[:, d:]], axis=1)
-        x = np.concatenate([q + _shear_delta(vp, t, p), p], axis=1)
-    return v
-
-
 def jacobian(model: SympFlowModel, t, x) -> np.ndarray:
     """Exact Jacobian of x -> forward(model, t, x), assembled column by column.
 
@@ -266,6 +327,5 @@ def jacobian(model: SympFlowModel, t, x) -> np.ndarray:
     t = check_finite_scalar(t, "t")
     n = 2 * model.d
     pts = np.repeat(xb, n, axis=0)
-    tangents = np.eye(n)
-    cols = _tangents_b(model, t, pts, tangents)
+    cols = _chain_b(model, t, pts, np.eye(n))[1]
     return cols.T.copy()

@@ -167,11 +167,21 @@ def flatten_param_grads(g_params) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # Batched kernels.  t is a scalar or (B,), q is (B, d); directions are pairs
-# (dq, dt) with dq of shape (B, d) or None and dt a scalar or None.
+# (dq, dt) on the input u = [q; t], with dq of shape (B, d) or None and dt a
+# scalar, a (B,) array or None.  A pair of two Nones is no direction at all.
+#
+# Two sweeps serve every quantity.  ``jet_grad_b`` pushes one direction a and
+# pulls back the cotangent 1 on d_a V: since d_a V = <grad_u V, a> is
+# bilinear, that one pullback returns grad_u V (on the direction, gin.xa)
+# and Hess_u V a (on the point, gin.x0).  ``jet_vjp`` pushes a, b and the
+# cross term c; the mixed output of the jet is then
+#     F = <b, Hess_u V a> + <c, grad_u V>
+# and pulling back 1 on it gives the parameter gradient of any such sum of a
+# second-order and a first-order quantity in one sweep.
 # ---------------------------------------------------------------------------
 
 
-def _u_jet(net: PotentialNet, t, q: np.ndarray, da=None, db=None) -> Jet:
+def _u_jet(net: PotentialNet, t, q: np.ndarray, da=None, db=None, dab=None) -> Jet:
     B, d = q.shape
     if d != net.d:
         raise DimensionError(f"q must have {net.d} columns, got {d}")
@@ -179,7 +189,7 @@ def _u_jet(net: PotentialNet, t, q: np.ndarray, da=None, db=None) -> Jet:
     u0 = np.concatenate([q, tcol[:, None]], axis=1)
 
     def direction(dirpair):
-        if dirpair is None:
+        if dirpair is None or (dirpair[0] is None and dirpair[1] is None):
             return None
         dq, dt = dirpair
         dq = np.zeros((B, d)) if dq is None else np.asarray(dq, dtype=float)
@@ -190,11 +200,11 @@ def _u_jet(net: PotentialNet, t, q: np.ndarray, da=None, db=None) -> Jet:
         )
         return np.concatenate([dq, dtc], axis=1)
 
-    return Jet(u0, direction(da), direction(db))
+    return Jet(u0, direction(da), direction(db), direction(dab))
 
 
-def _forward(net, t, q, da=None, db=None):
-    return chain_forward(net.weights, _u_jet(net, t, q, da, db))
+def _forward(net, t, q, da=None, db=None, dab=None):
+    return chain_forward(net.weights, _u_jet(net, t, q, da, db, dab))
 
 
 def _ones(B):
@@ -205,38 +215,55 @@ def value_b(net: PotentialNet, t, q: np.ndarray) -> np.ndarray:
     return _forward(net, t, q)[-1].x0[:, 0]
 
 
+def jet_grad_b(net: PotentialNet, t, q: np.ndarray, a=None):
+    """grad_u V and grad_u d_a V at u = [q; t] from one sweep, each (B, d+1).
+
+    Without a direction the second is None and the sweep carries the value
+    only.
+    """
+    jets = _forward(net, t, q, da=a)
+    B = q.shape[0]
+    if jets[0].xa is None:
+        gin, _ = chain_backward(net.weights, jets, Jet(x0=_ones(B)), with_params=False)
+        return gin.x0, None
+    gin, _ = chain_backward(net.weights, jets, Jet(xa=_ones(B)), with_params=False)
+    return gin.xa, gin.x0
+
+
+def jet_vjp(net: PotentialNet, t, q: np.ndarray, a=None, b=None, c=None):
+    """Pullback of F = <b, Hess_u V a> + <c, grad_u V>, summed over the batch.
+
+    Returns ``(gu, ga, gtheta)``: grad_u F (B, d+1), dF/da = Hess_u V b
+    (B, d+1; None without b) and the flat parameter gradient.
+    """
+    jets = _forward(net, t, q, da=a, db=b, dab=c)
+    gin, gp = chain_backward(net.weights, jets, Jet(xab=_ones(q.shape[0])))
+    return gin.x0, gin.xa, flatten_param_grads(gp)
+
+
 def grad_time_b(net: PotentialNet, t, q: np.ndarray):
     """Input gradient and time partial in one reverse sweep: (g (B,d), vt (B,))."""
-    jets = _forward(net, t, q)
-    gin, _ = chain_backward(net.weights, jets, Jet(x0=_ones(q.shape[0])), with_params=False)
-    return gin.x0[:, : net.d].copy(), gin.x0[:, net.d].copy()
+    g, _ = jet_grad_b(net, t, q)
+    return g[:, : net.d].copy(), g[:, net.d].copy()
 
 
 def hvp_b(net: PotentialNet, t, q: np.ndarray, v: np.ndarray) -> np.ndarray:
-    jets = _forward(net, t, q, da=(v, None))
-    gin, _ = chain_backward(net.weights, jets, Jet(xa=_ones(q.shape[0])), with_params=False)
-    return gin.x0[:, : net.d].copy()
+    return jet_grad_b(net, t, q, (v, None))[1][:, : net.d].copy()
 
 
 def mixed_b(net: PotentialNet, t, q: np.ndarray) -> np.ndarray:
     """d/dt of the input gradient, shape (B, d)."""
-    jets = _forward(net, t, q, da=(None, 1.0))
-    gin, _ = chain_backward(net.weights, jets, Jet(xa=_ones(q.shape[0])), with_params=False)
-    return gin.x0[:, : net.d].copy()
+    return jet_grad_b(net, t, q, (None, 1.0))[1][:, : net.d].copy()
 
 
 def hvp_time_b(net: PotentialNet, t, q: np.ndarray, v: np.ndarray) -> np.ndarray:
     """d/dt of the Hessian-vector product (d_t Hess) v, shape (B, d)."""
-    jets = _forward(net, t, q, da=(v, None), db=(None, 1.0))
-    gin, _ = chain_backward(net.weights, jets, Jet(xab=_ones(q.shape[0])), with_params=False)
-    return gin.x0[:, : net.d].copy()
+    return jet_vjp(net, t, q, (v, None), (None, 1.0))[0][:, : net.d].copy()
 
 
 def third_contraction_b(net: PotentialNet, t, q, v: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Third-derivative contraction T[v, w]_k = sum_ij d^3 V/dq_k dq_i dq_j v_i w_j."""
-    jets = _forward(net, t, q, da=(v, None), db=(w, None))
-    gin, _ = chain_backward(net.weights, jets, Jet(xab=_ones(q.shape[0])), with_params=False)
-    return gin.x0[:, : net.d].copy()
+    return jet_vjp(net, t, q, (v, None), (w, None))[0][:, : net.d].copy()
 
 
 def value_vjp(net: PotentialNet, t, q: np.ndarray, cot: np.ndarray):
@@ -247,28 +274,24 @@ def value_vjp(net: PotentialNet, t, q: np.ndarray, cot: np.ndarray):
 
 
 def time_partial_vjp(net: PotentialNet, t, q: np.ndarray, cot: np.ndarray):
-    jets = _forward(net, t, q, da=(None, 1.0))
-    gin, gp = chain_backward(net.weights, jets, Jet(xa=cot[:, None]))
-    return gin.x0, flatten_param_grads(gp)
+    gu, _, g = jet_vjp(net, t, q, c=(None, cot))
+    return gu, g
 
 
 def grad_input_vjp(net: PotentialNet, t, q: np.ndarray, W: np.ndarray):
     """Pullback of <W_i, grad_q V_i> summed over the batch.
 
-    The per-point weight vector W doubles as the tangent direction, so the
-    returned input gradients are ``[Hess(t,q) W, <m, W>]`` per point and the
-    flat vector is the exact parameter gradient of the weighted sum.
+    The returned input gradients are ``[Hess(t,q) W, <m, W>]`` per point and
+    the flat vector is the exact parameter gradient of the weighted sum.
     """
-    jets = _forward(net, t, q, da=(W, None))
-    gin, gp = chain_backward(net.weights, jets, Jet(xa=_ones(q.shape[0])))
-    return gin.x0, flatten_param_grads(gp)
+    gu, _, g = jet_vjp(net, t, q, c=(W, None))
+    return gu, g
 
 
 def mixed_vjp(net: PotentialNet, t, q: np.ndarray, W: np.ndarray):
     """Pullback of <W_i, d_t grad_q V_i>; input grads are [(d_t Hess) W, ...]."""
-    jets = _forward(net, t, q, da=(None, 1.0), db=(W, None))
-    gin, gp = chain_backward(net.weights, jets, Jet(xab=_ones(q.shape[0])))
-    return gin.x0, flatten_param_grads(gp)
+    gu, _, g = jet_vjp(net, t, q, (None, 1.0), (W, None))
+    return gu, g
 
 
 def hvp_vjp(net: PotentialNet, t, q: np.ndarray, v: np.ndarray, W: np.ndarray):
@@ -278,11 +301,8 @@ def hvp_vjp(net: PotentialNet, t, q: np.ndarray, v: np.ndarray, W: np.ndarray):
     point, the gradient Hess W with respect to the contracted vector v, and
     the flat parameter gradient.
     """
-    jets = _forward(net, t, q, da=(v, None), db=(W, None))
-    gin, gp = chain_backward(net.weights, jets, Jet(xab=_ones(q.shape[0])))
-    gq = gin.x0[:, : net.d]
-    gv = gin.xa[:, : net.d]
-    return gq, gv, flatten_param_grads(gp)
+    gu, ga, g = jet_vjp(net, t, q, (v, None), (W, None))
+    return gu[:, : net.d], ga[:, : net.d], g
 
 
 # ---------------------------------------------------------------------------
@@ -305,9 +325,7 @@ def value(net: PotentialNet, t, q) -> float:
 def time_partial(net: PotentialNet, t, q) -> float:
     """Exact dV/dt at (t, q)."""
     t, qb = _point(net, t, q)
-    jets = _forward(net, t, qb)
-    gin, _ = chain_backward(net.weights, jets, Jet(x0=_ones(1)), with_params=False)
-    return float(gin.x0[0, net.d])
+    return float(grad_time_b(net, t, qb)[1][0])
 
 
 def grad_input(net: PotentialNet, t, q) -> np.ndarray:

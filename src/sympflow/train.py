@@ -11,7 +11,15 @@ Four objectives are supported:
   energy along the map.
 
 Gradients are assembled by hand from the layer-level pullbacks; every term
-is validated against central finite differences in the test suite.  The
+is validated against central finite differences in the test suite.
+
+For the shear-layer model each potential is swept once per time (t and 0)
+in each pass.  The forward pass pushes the direction [v; 1] and pulls back
+1 on the directional derivative; the jet is bilinear, so that one pullback
+yields both grad V (the shear update) and Hess V v + d_t grad V (its time
+derivative).  The backward pass reuses the per-shear states of the forward
+pass, not its jets, and folds the cotangents on state and velocity into the
+mixed output of one second-order sweep (see :mod:`sympflow._jet`).  The
 regimes are: ``residual_only`` (residual loss), ``regularized`` (residual
 plus matching/energy term), ``mixed`` (regularized phase then a residual
 fine-tune), and ``supervised``.
@@ -24,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import extraction, mlp, model as sfm, potential as pot
+from . import extraction, mlp, model as sfm
 from .errors import ConfigError, DimensionError, TrainingDivergedError
 from .integrate import TrajectoryDataset
 from .model import SympFlowModel
@@ -83,6 +91,13 @@ class TrainConfig:
             raise ConfigError("derivative_mode must be 'exact' or 'fd'")
         if self.layers < 1 or self.hidden < 1:
             raise ConfigError("layers and hidden must be positive")
+        if self.batch_collocation < 1 or self.batch_matching < 1:
+            raise ConfigError("batch_collocation and batch_matching must be positive")
+        try:
+            box = np.asarray(self.omega, dtype=float)
+            as_box(box, box.shape[0] if box.ndim == 2 else 1)
+        except ValueError as exc:
+            raise ConfigError(f"omega: {exc}") from exc
 
 
 @dataclass
@@ -257,137 +272,11 @@ def total_loss(
 # ---------------------------------------------------------------------------
 
 
-def _sf_zero_grads(model_obj):
-    return [np.zeros(n.n_params) for vq, vp in model_obj.layers for n in (vq, vp)]
-
-
-def _sf_flat(grads):
-    return np.concatenate(grads)
-
-
-def _sf_forward_states(model_obj, t, x):
-    """Forward pass retaining the input of every shear layer."""
-    d = model_obj.d
-    states = []
-    for vq, vp in model_obj.layers:
-        states.append(x)
-        q, p = x[:, :d], x[:, d:]
-        x = np.concatenate([q, p - sfm._shear_delta(vq, t, q)], axis=1)
-        states.append(x)
-        q, p = x[:, :d], x[:, d:]
-        x = np.concatenate([q + sfm._shear_delta(vp, t, p), p], axis=1)
-    return x, states
-
-
 def _sf_forward_vjp(model_obj, t, x, W):
-    """Pullback of cotangents W through the full layer chain.
-
-    Returns ``(gx, gtheta_flat)``.
-    """
-    d = model_obj.d
-    _, states = _sf_forward_states(model_obj, t, x)
-    grads = _sf_zero_grads(model_obj)
-    w = W
-    for i in range(model_obj.n_layers - 1, -1, -1):
-        vq, vp = model_obj.layers[i]
-        x_mid = states[2 * i + 1]
-        x_in = states[2 * i]
-        wq, wp = w[:, :d], w[:, d:]
-        # momentum shear: q' = q + (grad Vp(t,p) - grad Vp(0,p))
-        gin_t, gA = pot.grad_input_vjp(vp, t, x_mid[:, d:], wq)
-        gin_0, gB = pot.grad_input_vjp(vp, 0.0, x_mid[:, d:], wq)
-        grads[2 * i + 1] += gA - gB
-        wp = wp + (gin_t[:, :d] - gin_0[:, :d])
-        # position shear: p' = p - (grad Vq(t,q) - grad Vq(0,q))
-        gin_t, gA = pot.grad_input_vjp(vq, t, x_in[:, :d], wp)
-        gin_0, gB = pot.grad_input_vjp(vq, 0.0, x_in[:, :d], wp)
-        grads[2 * i] += -(gA - gB)
-        wq = wq - (gin_t[:, :d] - gin_0[:, :d])
-        w = np.concatenate([wq, wp], axis=1)
-    return w, _sf_flat(grads)
-
-
-def _sf_velocity_states(model_obj, t, x):
-    """Forward x- and v-chains with the per-layer inputs retained."""
-    d = model_obj.d
-    v = np.zeros_like(x)
-    xs, vs = [], []
-    for vq, vp in model_obj.layers:
-        xs.append(x)
-        vs.append(v)
-        q, p = x[:, :d], x[:, d:]
-        dg = pot.mixed_b(vq, t, q)
-        hv = pot.hvp_b(vq, t, q, v[:, :d]) - pot.hvp_b(vq, 0.0, q, v[:, :d])
-        v = np.concatenate([v[:, :d], v[:, d:] - dg - hv], axis=1)
-        x = np.concatenate([q, p - sfm._shear_delta(vq, t, q)], axis=1)
-        xs.append(x)
-        vs.append(v)
-        q, p = x[:, :d], x[:, d:]
-        dg = pot.mixed_b(vp, t, p)
-        hv = pot.hvp_b(vp, t, p, v[:, d:]) - pot.hvp_b(vp, 0.0, p, v[:, d:])
-        v = np.concatenate([v[:, :d] + dg + hv, v[:, d:]], axis=1)
-        x = np.concatenate([q + sfm._shear_delta(vp, t, p), p], axis=1)
-    return x, v, xs, vs
-
-
-def _sf_velocity_vjp(model_obj, t, x, Wx, Wv):
-    """Joint pullback of cotangents on (forward, time_derivative).
-
-    The velocity chain reads the state chain, so cotangents on it feed the
-    state cotangent through third-order contractions of the potentials.
-    Returns ``(gx, gtheta_flat)``.
-    """
-    d = model_obj.d
-    _, _, xs, vs = _sf_velocity_states(model_obj, t, x)
-    grads = _sf_zero_grads(model_obj)
-    wx, wv = Wx, Wv
-    for i in range(model_obj.n_layers - 1, -1, -1):
-        vq, vp = model_obj.layers[i]
-        x_mid, v_mid = xs[2 * i + 1], vs[2 * i + 1]
-        x_in, v_in = xs[2 * i], vs[2 * i]
-
-        # momentum shear backward
-        p_mid = x_mid[:, d:]
-        vp_mid = v_mid[:, d:]
-        wq, wp = wx[:, :d], wx[:, d:]
-        wvq, wvp = wv[:, :d], wv[:, d:]
-        gin_t, gA = pot.grad_input_vjp(vp, t, p_mid, wq)
-        gin_0, gB = pot.grad_input_vjp(vp, 0.0, p_mid, wq)
-        gm, gC = pot.mixed_vjp(vp, t, p_mid, wvq)
-        gq_t, gv_t, gD = pot.hvp_vjp(vp, t, p_mid, vp_mid, wvq)
-        gq_0, gv_0, gE = pot.hvp_vjp(vp, 0.0, p_mid, vp_mid, wvq)
-        grads[2 * i + 1] += (gA - gB) + gC + (gD - gE)
-        wp = (
-            wp
-            + (gin_t[:, :d] - gin_0[:, :d])
-            + gm[:, :d]
-            + (gq_t - gq_0)
-        )
-        wvp = wvp + (gv_t - gv_0)
-        wx = np.concatenate([wq, wp], axis=1)
-        wv = np.concatenate([wvq, wvp], axis=1)
-
-        # position shear backward
-        q_in = x_in[:, :d]
-        vq_in = v_in[:, :d]
-        wq, wp = wx[:, :d], wx[:, d:]
-        wvq, wvp = wv[:, :d], wv[:, d:]
-        gin_t, gA = pot.grad_input_vjp(vq, t, q_in, wp)
-        gin_0, gB = pot.grad_input_vjp(vq, 0.0, q_in, wp)
-        gm, gC = pot.mixed_vjp(vq, t, q_in, wvp)
-        gq_t, gv_t, gD = pot.hvp_vjp(vq, t, q_in, vq_in, wvp)
-        gq_0, gv_0, gE = pot.hvp_vjp(vq, 0.0, q_in, vq_in, wvp)
-        grads[2 * i] += -(gA - gB) - gC - (gD - gE)
-        wq = (
-            wq
-            - (gin_t[:, :d] - gin_0[:, :d])
-            - gm[:, :d]
-            - (gq_t - gq_0)
-        )
-        wvq = wvq - (gv_t - gv_0)
-        wx = np.concatenate([wq, wp], axis=1)
-        wv = np.concatenate([wvq, wvp], axis=1)
-    return wx, _sf_flat(grads)
+    """Pullback of cotangents W through the flow map: ``(gx, gtheta_flat)``."""
+    tape = []
+    sfm._chain_b(model_obj, t, x, tape=tape)
+    return sfm._chain_vjp(model_obj, t, tape, W)
 
 
 # ---------------------------------------------------------------------------
@@ -413,10 +302,15 @@ def _grad_residual(model_obj, points, sys, mode):
     t, x = points
     B = len(t)
     is_sf = isinstance(model_obj, SympFlowModel)
+    h = 1e-4
     if is_sf:
-        x_out, v_out, _, _ = _sf_velocity_states(model_obj, t, x)
+        # The exact mode tapes the time-derivative chain, the fd mode the
+        # flow map alone; either tape serves the pullback below.
+        tape = []
+        dt = 1.0 if mode == "exact" else None
+        v0 = np.zeros_like(x) if mode == "exact" else None
+        x_out, v_out = sfm._chain_b(model_obj, t, x, v0, dt, tape)
         if mode == "fd":
-            h = 1e-4
             v_out = (sfm._forward_b(model_obj, t + h, x) - sfm._forward_b(model_obj, t - h, x)) / (2 * h)
     else:
         x_out = mlp._forward_b(model_obj, t, x)
@@ -430,18 +324,16 @@ def _grad_residual(model_obj, points, sys, mode):
     Wx = -np.einsum("bij,bi->bj", jac, Wv)
     if is_sf:
         if mode == "exact":
-            _, g = _sf_velocity_vjp(model_obj, t, x, Wx, Wv)
+            _, g = sfm._chain_vjp(model_obj, t, tape, Wx, Wv, dt)
         else:
-            h = 1e-4
             _, g_plus = _sf_forward_vjp(model_obj, t + h, x, Wv)
             _, g_minus = _sf_forward_vjp(model_obj, t - h, x, Wv)
-            _, g_x = _sf_forward_vjp(model_obj, t, x, Wx)
+            _, g_x = sfm._chain_vjp(model_obj, t, tape, Wx)
             g = (g_plus - g_minus) / (2 * h) + g_x
     else:
         if mode == "exact":
             _, g_v = mlp.time_derivative_vjp(model_obj, t, x, Wv)
         else:
-            h = 1e-4
             _, g_plus = mlp.forward_vjp(model_obj, t + h, x, Wv)
             _, g_minus = mlp.forward_vjp(model_obj, t - h, x, Wv)
             g_v = (g_plus - g_minus) / (2 * h)
@@ -452,10 +344,10 @@ def _grad_residual(model_obj, points, sys, mode):
 
 def _grad_ham_match(model_obj, points, sys):
     t, x = points
-    vals = extraction._extract_b(model_obj, t, x)
+    vals, tape = extraction._extract_tape(model_obj, t, x)
     err = vals - sys.hamiltonian(x)
     value = float(np.mean(err**2))
-    _, g = extraction.extract_vjp(model_obj, t, x, (2.0 / len(t)) * err)
+    _, g = extraction._extract_pullback(model_obj, t, tape, (2.0 / len(t)) * err)
     return value, g
 
 

@@ -58,6 +58,40 @@ def test_dataset_roundtrip(tmp_path):
     assert loaded.delta_t == ds.delta_t
 
 
+def _saved_dataset(tmp_path):
+    ds = generate_dataset(Sho(), [-1.2, 1.2], 2, 3, 1.0, seed=9)
+    sio.save_dataset(ds, tmp_path / "data")
+    return tmp_path / "data"
+
+
+def test_dataset_truncated_row_names_file_and_line(tmp_path):
+    data = _saved_dataset(tmp_path)
+    lines = (data / "samples.csv").read_text().splitlines()
+    lines[2] = lines[2].rsplit(",", 1)[0]  # drop the last column of the second sample
+    (data / "samples.csv").write_text("\n".join(lines) + "\n")
+    with pytest.raises(ConfigError, match=r"samples\.csv:3: expected 4 columns, got 3"):
+        sio.load_dataset(data)
+
+
+def test_dataset_bad_header_rejected(tmp_path):
+    data = _saved_dataset(tmp_path)
+    text = (data / "ics.csv").read_text()
+    (data / "ics.csv").write_text(text.replace("x_2", "p_1", 1))
+    with pytest.raises(ConfigError, match=r"ics\.csv:1: header"):
+        sio.load_dataset(data)
+
+
+def test_dataset_column_counts_must_agree(tmp_path):
+    data = _saved_dataset(tmp_path)
+    rows = [line.split(",") for line in (data / "ics.csv").read_text().splitlines()]
+    rows[0].append("x_3")
+    for row in rows[1:]:
+        row.append("0.5")
+    (data / "ics.csv").write_text("\n".join(",".join(r) for r in rows) + "\n")
+    with pytest.raises(ConfigError, match=r"samples\.csv:1: 2 state columns, but ics\.csv has 3"):
+        sio.load_dataset(data)
+
+
 def test_config_rejects_unknown_keys(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"system": "sho", "bogus": 1}))

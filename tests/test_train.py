@@ -268,6 +268,22 @@ def test_adam_converges_on_quadratic():
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"batch_collocation": 0},
+        {"batch_matching": 0},
+        {"omega": (1.0, -1.0)},
+        {"omega": [(-1.0, 1.0), (0.5, 0.5)]},
+        {"omega": (0.0, float("nan"))},
+        {"omega": (0.0, 1.0, 2.0)},
+    ],
+)
+def test_config_rejects_bad_batches_and_box(kwargs):
+    with pytest.raises(ConfigError):
+        tr.TrainConfig(**kwargs)
+
+
 def test_collocation_deterministic():
     a = tr.sample_collocation([-1.2, 1.2], 1.0, 64, seed=5)
     b = tr.sample_collocation([-1.2, 1.2], 1.0, 64, seed=5)
