@@ -184,11 +184,12 @@ def _cmd_evaluate(cfg: dict, out: Path, args) -> int:
         project=_project_fn(cfg),
     )
     with open(out / "metrics.csv", "w") as fh:
-        fh.write("k,relative_error,energy_variation,skipped_error,skipped_energy\n")
+        fh.write("k,relative_error,energy_variation,skipped_error,skipped_energy,nonfinite,failed\n")
         for k in sorted(report.relative_errors):
             fh.write(
                 f"{k},{_fmt(report.relative_errors[k])},{_fmt(report.energy_variations[k])},"
-                f"{report.skipped_error[k]},{report.skipped_energy[k]}\n"
+                f"{report.skipped_error[k]},{report.skipped_energy[k]},"
+                f"{report.nonfinite[k]},{report.failed}\n"
             )
     if report.drift_times is not None:
         with open(out / "energy_drift.csv", "w") as fh:
@@ -201,6 +202,8 @@ def _cmd_evaluate(cfg: dict, out: Path, args) -> int:
         "n_samples": report.n_samples,
         "relative_errors": {str(k): v for k, v in report.relative_errors.items()},
         "energy_variations": {str(k): v for k, v in report.energy_variations.items()},
+        "nonfinite": {str(k): v for k, v in report.nonfinite.items()},
+        "failed": report.failed,
         "drift_slope": report.drift_slope,
     }
     (out / "evaluation.json").write_text(json.dumps(summary, indent=2) + "\n")

@@ -158,12 +158,16 @@ class _FlowRegressorBase:
             raise ConfigError("estimator is not fitted; call fit() first")
 
     def predict(self, X) -> np.ndarray:
-        """States at the requested times via the long-time extension."""
+        """States at the requested times via the long-time extension.
+
+        The rows that share a time are rolled out as one batch.
+        """
         self._check_fitted()
         X = self._validate_X(X, self.d_)
         out = np.empty((X.shape[0], 2 * self.d_))
-        for i, row in enumerate(X):
-            out[i] = ev.rollout(self.model_, self.delta_t, row[0], row[1:])
+        for t in np.unique(X[:, 0]):
+            rows = X[:, 0] == t
+            out[rows] = ev.rollout(self.model_, self.delta_t, t, X[rows, 1:])
         return out
 
     def rollout_path(self, x0, horizon: float, step: float = 0.1, project=None):

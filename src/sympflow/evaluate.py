@@ -2,11 +2,18 @@
 
 A model trained on the window [0, delta_t] extends to arbitrary horizons by
 composing its time-delta_t map: floor(t / delta_t) full windows followed by
-the remainder map.  The metrics compare such rollouts against the reference
-integrator: average relative state error and average relative energy
-variation over sampled initial conditions, energy-drift series along single
-trajectories, a log-log drift-growth slope, and Poincare sections for the
-chaotic benchmark.
+the remainder map.  A rollout maps a whole (B, 2d) batch of states at once.
+The metrics compare such rollouts against the reference integrator: average
+relative state error and average relative energy variation over sampled
+initial conditions, energy-drift series along single trajectories, a
+log-log drift-growth slope, and Poincare sections for the chaotic benchmark.
+
+``evaluate_model`` solves the references of all initial conditions in one
+batched integration and rolls them out as one batch, window by window; both
+metrics at a requested k are taken from the same states.  Rows are
+independent, so a reference solve that fails (say, an orbit that escapes
+and blows up) drops its row only, and a model state that turns non-finite
+is left out of the means from that k on; the report counts both.
 """
 
 from __future__ import annotations
@@ -19,9 +26,9 @@ import numpy as np
 from . import mlp as mlpmod
 from . import model as sfm
 from .errors import DimensionError
-from .integrate import integrate
+from .integrate import _sample_rows, integrate  # noqa: F401 (integrate: re-exported)
 from .systems import HamiltonianSystem
-from .validation import as_box, as_float_array
+from .validation import as_box, as_float_array, as_phase_points
 
 __all__ = [
     "RolloutSpec",
@@ -63,6 +70,15 @@ class RolloutSpec:
 
 @dataclass
 class MetricReport:
+    """Per-k metrics over the sampled initial conditions.
+
+    ``failed`` counts the initial conditions whose reference solve failed;
+    they are left out of every metric.  ``nonfinite[k]`` counts the model
+    states that were not finite after k windows; they are left out of the
+    means at k and later.  ``skipped_*[k]`` count near-zero references and
+    initial energies.
+    """
+
     n_samples: int
     relative_errors: dict = field(default_factory=dict)
     energy_variations: dict = field(default_factory=dict)
@@ -71,31 +87,41 @@ class MetricReport:
     drift_times: np.ndarray | None = None
     drift_values: np.ndarray | None = None
     drift_slope: float = float("nan")
+    failed: int = 0
+    nonfinite: dict = field(default_factory=dict)
+
+
+def _windows(model_obj, delta_t, k, x, project):
+    """k window maps of the batch x, each followed by ``project``."""
+    for _ in range(k):
+        x = _forward_b(model_obj, delta_t, x)
+        if project is not None:
+            x = project(x)
+    return x
 
 
 def rollout(model_obj, delta_t: float, t: float, x0, project=None):
     """Extended flow: floor(t/delta_t) window maps, then the remainder map.
 
-    ``project`` (optional) is applied after every window application, for
-    models operating on the augmented dissipative phase space.
+    ``x0`` is one state (2d,) or a batch (B, 2d), mapped as one batch.
+    ``project`` (optional) is applied to the (B, 2d) batch after every
+    window application, for models operating on the augmented dissipative
+    phase space.
     """
     if delta_t <= 0:
         raise DimensionError(f"delta_t must be positive, got {delta_t}")
     t = float(t)
     if t < 0:
         raise DimensionError(f"t must be nonnegative, got {t}")
-    x = as_float_array(x0, "x0").copy()
+    x, single = as_phase_points(x0, 2 * model_obj.d, "x0")
     k = int(np.floor(t / delta_t))
     rem = t - delta_t * k
-    for _ in range(k):
-        x = _forward_b(model_obj, delta_t, x[None, :])[0]
-        if project is not None:
-            x = project(x)
+    x = _windows(model_obj, delta_t, k, x.copy(), project)
     if rem > 0.0:
-        x = _forward_b(model_obj, rem, x[None, :])[0]
+        x = _forward_b(model_obj, rem, x)
         if project is not None:
             x = project(x)
-    return x
+    return x[0] if single else x
 
 
 def rollout_path(model_obj, spec: RolloutSpec, project=None):
@@ -143,13 +169,18 @@ def avg_relative_error(
 ) -> float:
     """Mean of |psi(k dt, x_i) - ref(k dt, x_i)| / |ref(k dt, x_i)| over the box.
 
-    Samples with reference norm below 1e-12 are skipped (and logged).
-    ``ref_states``/``ics`` allow reuse of precomputed references.
+    Samples with reference norm below 1e-12 are skipped (and logged), and so
+    are samples whose reference solve failed.  ``ref_states``/``ics`` allow
+    reuse of precomputed references.
     """
     if n_samples < 1 or k < 1:
         raise DimensionError("need n_samples >= 1 and k >= 1")
-    ics, ref = _references(sys, omega, n_samples, [k], delta_t, seed, ics, ref_states)
-    vals, skipped = _relative_error_at(model_obj, sys, ics, ref[k], k, delta_t, project)
+    ics, ref, failed = _references(sys, omega, n_samples, [k], delta_t, seed, ics, ref_states)
+    if failed.any():
+        log.warning("avg_relative_error: skipped %d failed reference solves", failed.sum())
+    ok = ~failed
+    refs = np.asarray(ref[k], dtype=float)[ok]
+    vals, skipped = _relative_error_at(model_obj, sys, ics[ok], refs, k, delta_t, project)
     if skipped:
         log.warning("avg_relative_error: skipped %d near-zero references", skipped)
     return vals
@@ -171,7 +202,9 @@ def avg_energy_variation(
         raise DimensionError("need n_samples >= 1 and k >= 1")
     if ics is None:
         ics = _draw_ics(sys, omega, n_samples, seed)
-    val, skipped = _energy_variation_at(model_obj, sys, ics, k, delta_t, project)
+    else:
+        ics = as_phase_points(ics, 2 * sys.d, "ics")[0]
+    val, skipped = _energy_variation(sys, ics, _windows(model_obj, delta_t, k, ics, project))
     if skipped:
         log.warning("avg_energy_variation: skipped %d near-zero energies", skipped)
     return val
@@ -184,47 +217,61 @@ def _draw_ics(sys, omega, n_samples, seed):
 
 
 def _references(sys, omega, n_samples, ks, delta_t, seed, ics=None, ref_states=None):
-    """Reference states at the requested multiples of delta_t per sample."""
+    """Reference states at the requested multiples of delta_t per sample.
+
+    All samples are solved as one batch.  Returns ``(ics, ref_states,
+    failed)``; ``failed`` marks the samples whose solve failed, and their
+    reference states are NaN.
+    """
     if ics is None:
         ics = _draw_ics(sys, omega, n_samples, seed)
+    else:
+        ics = as_phase_points(ics, 2 * sys.d, "ics")[0]
+    failed = np.zeros(len(ics), dtype=bool)
     if ref_states is None:
-        t_max = max(ks) * delta_t
-        ref_states = {k: np.empty_like(ics) for k in ks}
-        for i, x0 in enumerate(ics):
-            sol = integrate(sys, x0, t_max)
-            for k in ks:
-                ref_states[k][i] = sol(k * delta_t)
-    return ics, ref_states
+        times = np.broadcast_to(np.asarray(ks, dtype=float) * delta_t, (len(ics), len(ks)))
+        states, errors = _sample_rows(sys, ics, times)
+        failed[list(errors)] = True
+        ref_states = {k: states[:, j] for j, k in enumerate(ks)}
+    return ics, ref_states, failed
+
+
+def _relative_error(pred, refs):
+    """Mean of |pred - ref| / |ref| over the rows with |ref| >= 1e-12.
+
+    Returns ``(mean, skipped)``, skipped counting the other rows; the mean is
+    NaN when there are no rows at all.
+    """
+    if not len(refs):
+        return float("nan"), 0
+    norm = np.linalg.norm(refs, axis=1)
+    near_zero = norm < 1e-12
+    if near_zero.all():
+        raise DimensionError("all reference states were near zero")
+    ok = ~near_zero
+    errs = np.linalg.norm(pred[ok] - refs[ok], axis=1) / norm[ok]
+    return float(np.mean(errs)), int(near_zero.sum())
+
+
+def _energy_variation(sys, x0, pred):
+    """Mean of |H(pred) - H(x0)| / |H(x0)| over the rows with |H(x0)| >= 1e-12.
+
+    Returns ``(mean, skipped)``, skipped counting the other rows; the mean is
+    NaN when there are no rows at all.
+    """
+    if not len(x0):
+        return float("nan"), 0
+    e0 = sys.hamiltonian(x0)
+    near_zero = np.abs(e0) < 1e-12
+    if near_zero.all():
+        raise DimensionError("all initial energies were near zero")
+    ok = ~near_zero
+    vals = np.abs(sys.hamiltonian(pred[ok]) - e0[ok]) / np.abs(e0[ok])
+    return float(np.mean(vals)), int(near_zero.sum())
 
 
 def _relative_error_at(model_obj, sys, ics, refs, k, delta_t, project):
-    num = []
-    skipped = 0
-    for x0, ref in zip(ics, refs):
-        norm = np.linalg.norm(ref)
-        if norm < 1e-12:
-            skipped += 1
-            continue
-        pred = rollout(model_obj, delta_t, k * delta_t, x0, project=project)
-        num.append(np.linalg.norm(pred - ref) / norm)
-    if not num:
-        raise DimensionError("all reference states were near zero")
-    return float(np.mean(num)), skipped
-
-
-def _energy_variation_at(model_obj, sys, ics, k, delta_t, project):
-    vals = []
-    skipped = 0
-    h0 = sys.hamiltonian(ics)
-    for x0, e0 in zip(ics, np.atleast_1d(h0)):
-        if abs(e0) < 1e-12:
-            skipped += 1
-            continue
-        pred = rollout(model_obj, delta_t, k * delta_t, x0, project=project)
-        vals.append(abs(sys.hamiltonian(pred) - e0) / abs(e0))
-    if not vals:
-        raise DimensionError("all initial energies were near zero")
-    return float(np.mean(vals)), skipped
+    return _relative_error(_windows(model_obj, delta_t, k, ics, project), refs)
 
 
 def energy_drift_series(
@@ -302,17 +349,29 @@ def evaluate_model(
     drift_step: float = 0.1,
     project=None,
 ) -> MetricReport:
-    """Metric bundle: per-k errors and energy variations, drift series, slope."""
+    """Metric bundle: per-k errors and energy variations, drift series, slope.
+
+    Initial conditions whose reference solve fails are counted in
+    ``report.failed`` and model states that turn non-finite in
+    ``report.nonfinite[k]``; both are left out of the means and logged.
+    """
     ks = sorted(int(k) for k in ks)
-    ics, refs = _references(sys, omega, n_samples, ks, delta_t, seed)
-    report = MetricReport(n_samples=n_samples)
+    ics, refs, failed = _references(sys, omega, n_samples, ks, delta_t, seed)
+    report = MetricReport(n_samples=n_samples, failed=int(failed.sum()))
+    if report.failed:
+        log.warning("evaluate_model: %d of %d reference solves failed", report.failed, len(ics))
+    rows = np.flatnonzero(~failed)
+    x, done = ics[rows], 0
     for k in ks:
-        err, sk_e = _relative_error_at(model_obj, sys, ics, refs[k], k, delta_t, project)
-        var, sk_h = _energy_variation_at(model_obj, sys, ics, k, delta_t, project)
-        report.relative_errors[k] = err
-        report.energy_variations[k] = var
-        report.skipped_error[k] = sk_e
-        report.skipped_energy[k] = sk_h
+        x = _windows(model_obj, delta_t, k - done, x, project)
+        done = k
+        finite = np.all(np.isfinite(x), axis=1)
+        rows, x = rows[finite], x[finite]
+        report.nonfinite[k] = len(ics) - report.failed - len(rows)
+        if report.nonfinite[k]:
+            log.warning("evaluate_model: %d non-finite model states after %d windows", report.nonfinite[k], k)
+        report.relative_errors[k], report.skipped_error[k] = _relative_error(x, refs[k][rows])
+        report.energy_variations[k], report.skipped_energy[k] = _energy_variation(sys, ics[rows], x)
     if drift_x0 is not None and drift_horizon is not None:
         times, vals = energy_drift_series(
             model_obj, sys, drift_x0, drift_horizon, drift_step, delta_t, project=project

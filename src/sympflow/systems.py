@@ -86,7 +86,10 @@ class Sho(HamiltonianSystem):
         return np.stack([self.k * x[:, 0], x[:, 1] / self.m], axis=1)
 
     def _vector_field(self, x):
-        return np.stack([x[:, 1] / self.m, -self.k * x[:, 0]], axis=1)
+        out = np.empty(x.shape)
+        out[:, 0] = x[:, 1] / self.m
+        out[:, 1] = -self.k * x[:, 0]
+        return out
 
     def _vf_jacobian(self, x):
         J = np.array([[0.0, 1.0 / self.m], [-self.k, 0.0]])
@@ -110,10 +113,12 @@ class HenonHeiles(HamiltonianSystem):
         )
 
     def _vector_field(self, x):
-        qx, qy, px, py = x.T
-        return np.stack(
-            [px, py, -qx - 2.0 * qx * qy, -(qy + qx * qx - qy * qy)], axis=1
-        )
+        qx, qy = x[:, 0], x[:, 1]
+        out = np.empty(x.shape)
+        out[:, :2] = x[:, 2:]
+        out[:, 2] = -qx - 2.0 * qx * qy
+        out[:, 3] = -(qy + qx * qx - qy * qy)
+        return out
 
     def _vf_jacobian(self, x):
         qx, qy = x[:, 0], x[:, 1]
@@ -167,15 +172,12 @@ class DampedAugmented(HamiltonianSystem):
     def _vector_field(self, x):
         qa, qb, pa, pb = x.T
         c = self.lam / (2.0 * self.m)
-        return np.stack(
-            [
-                pa / self.m + c * (qa - qb),
-                -pb / self.m - c * (qa - qb),
-                -c * (pa - pb) - self.k * qa,
-                c * (pa - pb) + self.k * qb,
-            ],
-            axis=1,
-        )
+        out = np.empty(x.shape)
+        out[:, 0] = pa / self.m + c * (qa - qb)
+        out[:, 1] = -pb / self.m - c * (qa - qb)
+        out[:, 2] = -c * (pa - pb) - self.k * qa
+        out[:, 3] = c * (pa - pb) + self.k * qb
+        return out
 
     def _vf_jacobian(self, x):
         c = self.lam / (2.0 * self.m)

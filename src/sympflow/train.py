@@ -216,8 +216,13 @@ def loss_residual(model_obj, points, sys: HamiltonianSystem, mode: str = "exact"
     x = np.atleast_2d(np.asarray(x, dtype=float))
     if t.size == 0:
         raise DimensionError("empty collocation batch")
-    v = _time_derivative_any(model_obj, t, x, mode)
-    rhs = sys.vector_field(_forward_any(model_obj, t, x))
+    if isinstance(model_obj, SympFlowModel) and mode == "exact":
+        # The tangent chain carries the flow map along with its time derivative.
+        x_out, v = sfm._chain_b(model_obj, t, x, np.zeros_like(x), 1.0)
+    else:
+        x_out = _forward_any(model_obj, t, x)
+        v = _time_derivative_any(model_obj, t, x, mode)
+    rhs = sys.vector_field(x_out)
     return float(np.mean(np.sum((v - rhs) ** 2, axis=1)))
 
 

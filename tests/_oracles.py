@@ -214,3 +214,111 @@ def sf_regularized_loss_and_grad(model, sys, residual_batch, matching_batch):
     _, g_match = extract_vjp(model, t, x, (2.0 / len(t)) * err)
     parts = {"residual": residual, "matching": matching}
     return residual + matching, g_res + g_match, parts
+
+
+# ---------------------------------------------------------------------------
+# Scalar DOPRI5 and per-row metrics.  The package steps a (B, 2d) batch with
+# one stepper and rolls all initial conditions out together; these loops
+# solve and roll out one state at a time and serve as the references.
+# ---------------------------------------------------------------------------
+
+
+def _scalar_initial_step(f, t0, y0, f0, rtol, atol):
+    scale = atol + rtol * np.abs(y0)
+    d0 = np.sqrt(np.mean((y0 / scale) ** 2))
+    d1 = np.sqrt(np.mean((f0 / scale) ** 2))
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    y1 = y0 + h0 * f0
+    f1 = f(t0 + h0, y1)
+    d2 = np.sqrt(np.mean(((f1 - f0) / scale) ** 2)) / h0
+    if max(d1, d2) <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** 0.2
+    return min(100 * h0, h1)
+
+
+def integrate_scalar(sys_or_f, x0, t_end, rtol=1e-10, atol=1e-12, fixed_step=None, max_steps=10_000_000):
+    """One state at a time: the DOPRI5 loop with the package's tableau and controller."""
+    from sympflow.errors import IntegrationError
+    from sympflow.integrate import _A, _B5, _C, _E, DenseSolution
+    from sympflow.systems import HamiltonianSystem
+
+    if isinstance(sys_or_f, HamiltonianSystem):
+        f = lambda t, y: sys_or_f.vector_field(y)  # noqa: E731
+    else:
+        f = sys_or_f
+    y = np.asarray(x0, dtype=float).copy()
+    t = 0.0
+    k7 = f(t, y)
+    ts, ys, fs = [t], [y.copy()], [k7.copy()]
+    n_steps = n_rejected = 0
+    if fixed_step is not None:
+        h = float(fixed_step)
+    else:
+        h = min(_scalar_initial_step(f, t, y, k7, rtol, atol), t_end)
+    err_prev = 1.0
+    K = np.empty((7, y.size))
+    while t < t_end:
+        if fixed_step is None and h < 1e-14 * t_end:
+            raise IntegrationError(f"step size underflow at t={t:.6g} (h={h:.3g}); problem too stiff")
+        h = min(h, t_end - t)
+        K[0] = k7
+        for i in range(1, 6):
+            K[i] = f(t + _C[i] * h, y + h * (_A[i, :i] @ K[:i]))
+        y_new = y + h * (_B5[:6] @ K[:6])
+        K[6] = f(t + h, y_new)
+        if fixed_step is None:
+            err_vec = h * (_E @ K)
+            scale = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
+            err = np.sqrt(np.mean((err_vec / scale) ** 2))
+            if err > 1.0:
+                n_rejected += 1
+                h *= max(0.2, min(1.0, 0.9 * err ** (-0.2)))
+                continue
+            fac = 0.9 * (err + 1e-16) ** (-0.7 / 5.0) * (err_prev + 1e-16) ** (0.4 / 5.0)
+            err_prev = max(err, 1e-16)
+            h_next = h * min(5.0, max(0.2, fac))
+        else:
+            h_next = h
+        t = t + h
+        y = y_new
+        k7 = K[6].copy()
+        ts.append(t)
+        ys.append(y.copy())
+        fs.append(k7.copy())
+        n_steps += 1
+        if n_steps > max_steps:
+            raise IntegrationError(f"exceeded {max_steps} steps at t={t:.6g}")
+        h = h_next
+    return DenseSolution(np.array(ts), np.array(ys), np.array(fs), n_steps, n_rejected)
+
+
+def relative_error_rows(model, ics, refs, k, delta_t, project=None):
+    """Mean relative error after k windows, one rollout per row: (mean, skipped)."""
+    from sympflow import evaluate as ev
+
+    vals, skipped = [], 0
+    for x0, ref in zip(ics, refs):
+        norm = np.linalg.norm(ref)
+        if norm < 1e-12:
+            skipped += 1
+            continue
+        pred = ev.rollout(model, delta_t, k * delta_t, x0, project=project)
+        vals.append(np.linalg.norm(pred - ref) / norm)
+    return float(np.mean(vals)), skipped
+
+
+def energy_variation_rows(model, sys, ics, k, delta_t, project=None):
+    """Mean relative energy variation after k windows, one rollout per row: (mean, skipped)."""
+    from sympflow import evaluate as ev
+
+    vals, skipped = [], 0
+    for x0 in ics:
+        e0 = sys.hamiltonian(x0)
+        if abs(e0) < 1e-12:
+            skipped += 1
+            continue
+        pred = ev.rollout(model, delta_t, k * delta_t, x0, project=project)
+        vals.append(abs(sys.hamiltonian(pred) - e0) / abs(e0))
+    return float(np.mean(vals)), skipped

@@ -302,3 +302,24 @@ def test_cli_seed_override(tmp_path):
         ["generate-data", "--config", cfg, "--out", str(out2), "--seed", "6"]
     ) == 0
     assert (out1 / "ics.csv").read_text() != (out2 / "ics.csv").read_text()
+
+
+def test_cli_evaluate_writes_failed_and_nonfinite_counts(tmp_path):
+    # Henon-Heiles on (-0.5, 0.5)^4, seed 0: the third sampled orbit escapes
+    # and its reference solve fails at t = 13.2, before 15 windows.
+    ckpt = tmp_path / "model.json"
+    sio.save_checkpoint(sfm.random_sympflow(2, 1, np.random.default_rng(0), h=3), ckpt)
+    cfg = _write_cfg(
+        tmp_path,
+        "eval.json",
+        {"system": "henon_heiles", "omega": [-0.5, 0.5], "delta_t": 1.0, "n_eval_samples": 4, "k_steps": [1, 15], "seed": 0},
+    )
+    out = tmp_path / "eval"
+    assert cli_dispatch(["evaluate", "--config", cfg, "--out", str(out), "--checkpoint", str(ckpt)]) == 0
+    rows = (out / "metrics.csv").read_text().strip().split("\n")
+    assert rows[0] == "k,relative_error,energy_variation,skipped_error,skipped_energy,nonfinite,failed"
+    assert [r.split(",")[0] for r in rows[1:]] == ["1", "15"]
+    assert all(r.split(",")[-2:] == ["0", "1"] for r in rows[1:])
+    summary = json.loads((out / "evaluation.json").read_text())
+    assert summary["failed"] == 1
+    assert summary["nonfinite"] == {"1": 0, "15": 0}

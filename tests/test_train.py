@@ -356,3 +356,27 @@ def test_train_mixed_regime_phases():
     assert report.epochs_run == 5
     assert len(report.loss_history["matching"]) == 3  # matching only in phase one
     assert len(report.loss_history["residual"]) == 5
+
+
+def test_exact_residual_loss_runs_the_shear_chain_once(monkeypatch):
+    from sympflow import potential as pot
+
+    model = sfm.random_sympflow(2, 3, np.random.default_rng(4), h=5)
+    rng = np.random.default_rng(5)
+    t, x = rng.uniform(0, 1, 16), rng.uniform(-0.5, 0.5, (16, 4))
+    sys = HenonHeiles()
+    v = sfm._time_derivative_b(model, t, x)
+    resid = v - sys.vector_field(sfm._forward_b(model, t, x))
+    want = float(np.mean(np.sum(resid**2, axis=1)))
+    sweeps = []
+    chain_forward = pot.chain_forward
+
+    def counted(*args, **kwargs):
+        sweeps.append(1)
+        return chain_forward(*args, **kwargs)
+
+    monkeypatch.setattr(pot, "chain_forward", counted)
+    got = tr.loss_residual(model, (t, x), sys)
+    # one sweep at t and one at 0 per potential net: 2 nets per layer, 3 layers
+    assert len(sweeps) == 12
+    assert got == pytest.approx(want, rel=1e-12)
