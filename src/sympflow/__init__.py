@@ -31,6 +31,7 @@ from .errors import (
     DimensionError,
     IntegrationError,
     KindMismatchError,
+    StaleJetError,
     TrainingDivergedError,
     UnsupportedSystemError,
 )

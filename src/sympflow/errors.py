@@ -21,6 +21,10 @@ class IntegrationError(RuntimeError):
     """The adaptive integrator failed, e.g. step size underflow on a stiff problem."""
 
 
+class StaleJetError(RuntimeError):
+    """A pullback was given jets that a later sweep on the same thread has overwritten."""
+
+
 class TrainingDivergedError(RuntimeError):
     """Training produced a non-finite loss.
 

@@ -127,31 +127,33 @@ def rollout(model_obj, delta_t: float, t: float, x0, project=None):
 def rollout_path(model_obj, spec: RolloutSpec, project=None):
     """Sampled rollout at t = 0, step, 2 step, ..., horizon.
 
-    Within each window the remainder evaluations run as one batch from the
-    current base point; every sample agrees with an individual ``rollout``
-    call at that time.  Returns ``(times, states)``.
+    Each window makes one batched map from its base point, with per-row
+    times: the window's remainder samples and, unless it is the last window,
+    the next base point at ``delta_t``.  Every sample agrees with an
+    individual ``rollout`` call at that time.  Returns ``(times, states)``.
     """
     n = int(np.floor(spec.horizon / spec.step + 1e-9))
     times = np.arange(n + 1) * spec.step
     base = as_float_array(spec.x0, "x0").copy()
     window = np.floor(times / spec.delta_t).astype(int)
+    last = window.max()
     out = np.empty((times.size, base.size))
-    for k in range(window.max() + 1):
-        sel = window == k
-        if np.any(sel):
-            rem = times[sel] - spec.delta_t * k
-            states = np.broadcast_to(base, (int(sel.sum()), base.size)).copy()
-            pos = rem > 0
-            if np.any(pos):
-                mapped = _forward_b(model_obj, rem[pos], states[pos])
-                if project is not None:
-                    mapped = project(mapped)
-                states[pos] = mapped
-            out[sel] = states
-        if k < window.max():
-            base = _forward_b(model_obj, spec.delta_t, base[None, :])[0]
+    for k in range(last + 1):
+        sel = np.flatnonzero(window == k)
+        rem = times[sel] - spec.delta_t * k
+        out[sel] = base
+        pos = rem > 0
+        rows, t = sel[pos], rem[pos]
+        if k < last:
+            t = np.append(t, spec.delta_t)
+        if t.size:
+            states = np.broadcast_to(base, (t.size, base.size)).copy()
+            mapped = _forward_b(model_obj, t, states)
             if project is not None:
-                base = project(base)
+                mapped = project(mapped)
+            out[rows] = mapped[: rows.size]
+            if k < last:
+                base = mapped[-1]
     return times, out
 
 
@@ -170,8 +172,9 @@ def avg_relative_error(
     """Mean of |psi(k dt, x_i) - ref(k dt, x_i)| / |ref(k dt, x_i)| over the box.
 
     Samples with reference norm below 1e-12 are skipped (and logged), and so
-    are samples whose reference solve failed.  ``ref_states``/``ics`` allow
-    reuse of precomputed references.
+    are samples whose reference solve failed and samples whose model state
+    is not finite.  ``ref_states``/``ics`` allow reuse of precomputed
+    references.
     """
     if n_samples < 1 or k < 1:
         raise DimensionError("need n_samples >= 1 and k >= 1")
@@ -197,14 +200,19 @@ def avg_energy_variation(
     project=None,
     ics=None,
 ) -> float:
-    """Mean of |H(psi(k dt, x_i)) - H(x_i)| / |H(x_i)| over sampled x_i."""
+    """Mean of |H(psi(k dt, x_i)) - H(x_i)| / |H(x_i)| over sampled x_i.
+
+    Samples whose model state is not finite are left out (and logged).
+    """
     if n_samples < 1 or k < 1:
         raise DimensionError("need n_samples >= 1 and k >= 1")
     if ics is None:
         ics = _draw_ics(sys, omega, n_samples, seed)
     else:
         ics = as_phase_points(ics, 2 * sys.d, "ics")[0]
-    val, skipped = _energy_variation(sys, ics, _windows(model_obj, delta_t, k, ics, project))
+    pred = _windows(model_obj, delta_t, k, ics, project)
+    finite = _finite_rows(pred, "avg_energy_variation", k)
+    val, skipped = _energy_variation(sys, ics[finite], pred[finite])
     if skipped:
         log.warning("avg_energy_variation: skipped %d near-zero energies", skipped)
     return val
@@ -270,8 +278,19 @@ def _energy_variation(sys, x0, pred):
     return float(np.mean(vals)), int(near_zero.sum())
 
 
+def _finite_rows(x, who, k):
+    """Mask of the rows of x that are finite; the others are counted in the log."""
+    finite = np.all(np.isfinite(x), axis=1)
+    n = len(x) - int(np.count_nonzero(finite))
+    if n:
+        log.warning("%s: %d non-finite model states after %d windows", who, n, k)
+    return finite
+
+
 def _relative_error_at(model_obj, sys, ics, refs, k, delta_t, project):
-    return _relative_error(_windows(model_obj, delta_t, k, ics, project), refs)
+    pred = _windows(model_obj, delta_t, k, ics, project)
+    finite = _finite_rows(pred, "avg_relative_error", k)
+    return _relative_error(pred[finite], refs[finite])
 
 
 def energy_drift_series(

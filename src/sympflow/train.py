@@ -446,9 +446,9 @@ def train(
     if config.regime == "mixed":
         phases.append(("residual_only", config.fine_tune_epochs))
 
+    current = _with_params(model_obj, params)
     for phase_regime, n_epochs in phases:
         for _ in range(n_epochs):
-            current = _with_params(model_obj, params)
             if phase_regime == "supervised":
                 n = dataset.n_samples
                 b = min(config.batch_collocation, n)
@@ -490,15 +490,17 @@ def train(
                 )
             report.record(total=value, **parts)
             params, state = adam_step(params, grad, state, lr=config.learning_rate)
+            # One model per step serves the checkpoint and the next epoch.
+            current = _with_params(model_obj, params)
             report.epochs_run += 1
             if (
                 checkpoint_fn is not None
                 and config.checkpoint_every > 0
                 and report.epochs_run % config.checkpoint_every == 0
             ):
-                checkpoint_fn(report.epochs_run, _with_params(model_obj, params))
+                checkpoint_fn(report.epochs_run, current)
 
-    trained = _with_params(model_obj, params)
+    trained = current
     report.wall_clock_s = _time.perf_counter() - start
     if report.loss_history.get("total"):
         report.final_loss = report.loss_history["total"][-1]

@@ -1,5 +1,7 @@
 """Rollout, metrics, drift slope, and Poincare section extraction."""
 
+import logging
+
 import numpy as np
 import pytest
 
@@ -138,6 +140,39 @@ def test_avg_energy_variation_zero_for_exact_flow(monkeypatch):
     _patch_exact(monkeypatch, s)
     var = ev.avg_energy_variation(_ExactFlowStandIn(s), s, [-1.2, 1.2], 10, 3, 1.0, seed=4)
     assert var < 1e-10
+
+
+def _identity_except_first(ics):
+    """Stand-in for ``_forward_b``: the identity map, NaN for the first sample."""
+
+    def forward(m, t, x):
+        out = x.copy()
+        out[x[:, 0] == ics[0, 0]] = np.nan
+        return out
+
+    return forward
+
+
+def test_avg_energy_variation_leaves_a_diverged_sample_out(monkeypatch, caplog):
+    s = Sho()
+    ics = ev._draw_ics(s, [-1.2, 1.2], 5, 2)
+    monkeypatch.setattr(ev, "_forward_b", _identity_except_first(ics))
+    with caplog.at_level(logging.WARNING, logger="sympflow.evaluate"):
+        var = ev.avg_energy_variation(None, s, [-1.2, 1.2], 5, 2, 1.0, ics=ics)
+    assert var == 0.0
+    assert "avg_energy_variation: 1 non-finite model states after 2 windows" in caplog.text
+
+
+def test_avg_relative_error_leaves_a_diverged_sample_out(monkeypatch, caplog):
+    s = Sho()
+    ics = ev._draw_ics(s, [-1.2, 1.2], 5, 2)
+    monkeypatch.setattr(ev, "_forward_b", _identity_except_first(ics))
+    with caplog.at_level(logging.WARNING, logger="sympflow.evaluate"):
+        err = ev.avg_relative_error(None, s, [-1.2, 1.2], 5, 2, 1.0, ics=ics)
+    rest = ev.avg_relative_error(None, s, [-1.2, 1.2], 4, 2, 1.0, ics=ics[1:])
+    assert np.isfinite(err)
+    assert err == pytest.approx(rest, rel=1e-12)
+    assert "avg_relative_error: 1 non-finite model states after 2 windows" in caplog.text
 
 
 def test_metric_resummation_oracle(model):
