@@ -66,9 +66,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import StaleJetError
+from .errors import DimensionError, StaleJetError
 
-__all__ = ["Jet", "chain_forward", "chain_backward"]
+__all__ = ["Jet", "chain_forward", "chain_backward", "flatten", "unflatten"]
 
 
 @dataclass
@@ -326,3 +326,22 @@ def chain_backward(weights, jets, g_out: Jet, with_params: bool = True):
             g_params[k] = gp
         idx -= 1
     return g, g_params
+
+
+def flatten(pairs) -> np.ndarray:
+    """One vector of ``(A, b)`` pairs, each A row-major and then its b.
+
+    This is the package's canonical parameter order, for weights and for the
+    ``g_params`` of :func:`chain_backward` alike.
+    """
+    return np.concatenate([c for A, b in pairs for c in (A.ravel(), b)])
+
+
+def unflatten(vec, like) -> list:
+    """A copy of a :func:`flatten` vector, split into pairs shaped like ``like``."""
+    sizes = [n for A, b in like for n in (A.size, b.size)]
+    vec = np.array(vec, dtype=float)
+    if vec.shape != (sum(sizes),):
+        raise DimensionError(f"parameter vector must have length {sum(sizes)}, got {vec.shape}")
+    parts = np.split(vec, np.cumsum(sizes)[:-1])
+    return [(parts[2 * i].reshape(A.shape), parts[2 * i + 1]) for i, (A, _) in enumerate(like)]

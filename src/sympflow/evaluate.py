@@ -48,9 +48,8 @@ log = logging.getLogger(__name__)
 
 
 def _forward_b(model_obj, t, x):
-    if isinstance(model_obj, sfm.SympFlowModel):
-        return sfm._forward_b(model_obj, t, x)
-    return mlpmod._forward_b(model_obj, t, x)
+    """The window map of either model kind, looked up per call."""
+    return {"sympflow": sfm, "mlp": mlpmod}[model_obj.kind]._forward_b(model_obj, t, x)
 
 
 @dataclass(frozen=True)

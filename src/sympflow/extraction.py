@@ -25,8 +25,8 @@ import numpy as np
 
 from . import potential as pot
 from .errors import DimensionError
-from .model import SympFlowModel, _p_layer_b, _q_layer_b, _shear, _shear_vjp
-from .validation import as_phase_points, check_finite_scalar
+from .model import SympFlowModel, _shear, _shear_step, _shear_vjp
+from .validation import _central, as_phase_points, check_finite_scalar
 
 __all__ = [
     "pair_hamiltonian",
@@ -67,8 +67,8 @@ def _tail_inverse_b(model: SympFlowModel, i: int, t, x: np.ndarray) -> np.ndarra
     """Inverse of the composition of layer pairs i..L (1-based, i = L+1 is identity)."""
     for j in range(model.n_layers - 1, i - 2, -1):
         vq, vp = model.layers[j]
-        x = _p_layer_b(vp, t, x, sign=-1.0)
-        x = _q_layer_b(vq, t, x, sign=-1.0)
+        x = _shear_step(vp, t, x, momentum=True, sign=-1.0)[0]
+        x = _shear_step(vq, t, x, sign=-1.0)[0]
     return x
 
 
@@ -157,10 +157,8 @@ def extract_gradient(model: SympFlowModel, t, x, mode: str = "exact", fd_step: f
         gx = np.zeros_like(xb)
         for k in range(xb.shape[1]):
             e = np.zeros_like(xb)
-            e[:, k] = fd_step
-            gx[:, k] = (_extract_b(model, t, xb + e) - _extract_b(model, t, xb - e)) / (
-                2.0 * fd_step
-            )
+            e[:, k] = 1.0
+            gx[:, k] = _central(lambda s: _extract_b(model, t, xb + s * e), 0.0, fd_step)
     else:
         raise ValueError(f"unknown gradient mode {mode!r}")
     return gx[0] if single else gx

@@ -1,11 +1,14 @@
 """Checkpoints, dataset CSV files, and config parsing.
 
 Checkpoint format: a JSON object with ``magic: "sympflow-ckpt-v1"``,
-``kind`` ("sympflow" or "mlp"), ``d``, ``L``, ``h``, ``seed``, and
-``params``: base64 of the IEEE-754 little-endian float64 parameter vector in
-canonical order (per net A1 row-major, b1, A2, b2, A3, b3; nets ordered
-Vq_1, Vp_1, ..., Vq_L, Vp_L; MLP affine layers in order).  Round-trips are
-bit-exact.
+``kind`` ("sympflow" or "mlp"), ``d``, ``L``, ``h`` (the hidden width),
+``seed``, and ``params``: base64 of the IEEE-754 little-endian float64
+parameter vector in canonical order (per net A1 row-major, b1, A2, b2, A3,
+b3; nets ordered Vq_1, Vp_1, ..., Vq_L, Vp_L; MLP affine layers in order).
+Saving reads the model's ``kind`` attribute and loading the stored one;
+either looks the kind's kernel module up in ``_KINDS``, whose
+``params_to_vector`` and ``model_with_params`` do the rest.  Round-trips
+are bit-exact.
 
 Datasets are two CSV files: ``ics.csv`` (header ``traj_id,x_1..x_{2d}``) and
 ``samples.csv`` (header ``traj_id,t,y_1..y_{2d}``), floats written with 17
@@ -38,6 +41,12 @@ __all__ = [
 
 MAGIC = "sympflow-ckpt-v1"
 
+# The kernel module and the zero-model constructor of each model kind.
+_KINDS = {
+    "sympflow": (sfm, sfm.zero_sympflow),
+    "mlp": (mlpmod, mlpmod.zero_mlp_flow),
+}
+
 
 def _encode(vec: np.ndarray) -> str:
     return base64.b64encode(np.ascontiguousarray(vec, dtype="<f8").tobytes()).decode("ascii")
@@ -49,28 +58,18 @@ def _decode(blob: str) -> np.ndarray:
 
 def save_checkpoint(model_obj, path, seed: int = 0) -> None:
     """Write the model to a JSON checkpoint (bit-exact round trip)."""
-    if isinstance(model_obj, sfm.SympFlowModel):
-        payload = {
-            "magic": MAGIC,
-            "kind": "sympflow",
-            "d": model_obj.d,
-            "L": model_obj.n_layers,
-            "h": model_obj.h,
-            "seed": int(seed),
-            "params": _encode(sfm.params_to_vector(model_obj)),
-        }
-    elif isinstance(model_obj, mlpmod.MlpFlowModel):
-        payload = {
-            "magic": MAGIC,
-            "kind": "mlp",
-            "d": model_obj.d,
-            "L": model_obj.n_layers,
-            "h": model_obj.hidden,
-            "seed": int(seed),
-            "params": _encode(mlpmod.params_to_vector(model_obj)),
-        }
-    else:
+    kind = getattr(model_obj, "kind", None)
+    if kind not in _KINDS:
         raise CheckpointError(f"cannot checkpoint object of type {type(model_obj).__name__}")
+    payload = {
+        "magic": MAGIC,
+        "kind": kind,
+        "d": model_obj.d,
+        "L": model_obj.n_layers,
+        "h": model_obj.h,
+        "seed": int(seed),
+        "params": _encode(_KINDS[kind][0].params_to_vector(model_obj)),
+    }
     Path(path).write_text(json.dumps(payload) + "\n")
 
 
@@ -83,7 +82,7 @@ def load_checkpoint(path, expect_kind: str | None = None):
     if not isinstance(payload, dict) or payload.get("magic") != MAGIC:
         raise CheckpointError(f"{path} is not a {MAGIC} checkpoint")
     kind = payload.get("kind")
-    if kind not in ("sympflow", "mlp"):
+    if kind not in _KINDS:
         raise CheckpointError(f"unknown checkpoint kind {kind!r}")
     if expect_kind is not None and kind != expect_kind:
         raise KindMismatchError(f"expected a {expect_kind} checkpoint, found {kind}")
@@ -92,15 +91,11 @@ def load_checkpoint(path, expect_kind: str | None = None):
         vec = _decode(payload["params"])
     except (KeyError, ValueError) as exc:
         raise CheckpointError(f"malformed checkpoint {path}: {exc}") from exc
-    if kind == "sympflow":
-        skeleton = sfm.zero_sympflow(d, L, h=h)
-        if vec.size != sfm.param_count(skeleton):
-            raise CheckpointError("parameter vector length does not match the header")
-        return sfm.model_with_params(skeleton, vec)
-    skeleton = mlpmod.zero_mlp_flow(d, L, hidden=h)
-    if vec.size != mlpmod.param_count(skeleton):
+    kernels, zero = _KINDS[kind]
+    skeleton = zero(d, L, h)
+    if vec.size != kernels.param_count(skeleton):
         raise CheckpointError("parameter vector length does not match the header")
-    return mlpmod.model_with_params(skeleton, vec)
+    return kernels.model_with_params(skeleton, vec)
 
 
 def _fmt(x: float) -> str:

@@ -9,12 +9,13 @@ symplectic; it exists as the comparison model.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
-from ._jet import Jet, chain_backward, chain_forward
+from ._jet import Jet, chain_backward, chain_forward, flatten, unflatten
 from .errors import DimensionError
-from .validation import as_phase_points
+from .validation import _central, as_phase_points, check_time
 
 __all__ = [
     "MlpFlowModel",
@@ -30,6 +31,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class MlpFlowModel:
+    kind: ClassVar[str] = "mlp"
+
     d: int
     weights: tuple[tuple[np.ndarray, np.ndarray], ...]  # (A_k, b_k) per affine map
     hidden: int = 10
@@ -52,6 +55,10 @@ class MlpFlowModel:
     @property
     def n_layers(self) -> int:
         return len(self.weights)
+
+    @property
+    def h(self) -> int:
+        return self.hidden
 
     @property
     def n_params(self) -> int:
@@ -88,101 +95,76 @@ def zero_mlp_flow(d: int, n_layers: int, hidden: int = 10) -> MlpFlowModel:
 
 
 def params_to_vector(model: MlpFlowModel) -> np.ndarray:
-    pieces = []
-    for A, b in model.weights:
-        pieces.append(A.ravel())
-        pieces.append(b)
-    return np.concatenate(pieces)
+    return flatten(model.weights)
 
 
 def model_with_params(model: MlpFlowModel, vec: np.ndarray) -> MlpFlowModel:
-    vec = np.asarray(vec, dtype=float)
-    if vec.shape != (param_count(model),):
-        raise DimensionError(
-            f"parameter vector must have length {param_count(model)}, got {vec.shape}"
-        )
-    weights = []
-    ofs = 0
-    for A, b in model.weights:
-        wA = vec[ofs : ofs + A.size].reshape(A.shape)
-        ofs += A.size
-        wb = vec[ofs : ofs + b.size].copy()
-        ofs += b.size
-        weights.append((wA, wb))
-    return MlpFlowModel(model.d, tuple(weights), model.hidden)
+    return MlpFlowModel(model.d, tuple(unflatten(vec, model.weights)), model.hidden)
 
 
-def _u_jet(model, t, x, with_time_tangent=False):
-    B = x.shape[0]
-    tcol = np.broadcast_to(np.asarray(t, dtype=float), (B,))
-    u0 = np.concatenate([x, tcol[:, None]], axis=1)
+# ---------------------------------------------------------------------------
+# The model protocol shared with :mod:`sympflow.model`: ``_forward_b``,
+# ``_taped`` and ``_pullback``.  Batched kernels take x (B, 2d); t scalar or
+# (B,).
+# ---------------------------------------------------------------------------
+
+
+def _taped(model: MlpFlowModel, t, x: np.ndarray, velocity: bool = False):
+    """The flow map, its time derivative when ``velocity``, and the tape of :func:`_pullback`.
+
+    One sweep of the net over [x; t]; with ``velocity`` it carries the time
+    tangent, and d/dt = sech^2(t) net + tanh(t) d_t net.  Returns ``(x_out,
+    v or None, tape)``; the tape lives until the thread's next sweep.
+    """
+    tcol = np.broadcast_to(np.asarray(t, dtype=float), (x.shape[0],))[:, None]
+    u0 = np.concatenate([x, tcol], axis=1)
+    th = np.tanh(tcol)
     xa = None
-    if with_time_tangent:
+    if velocity:
         xa = np.zeros_like(u0)
         xa[:, -1] = 1.0
-    return Jet(u0, xa)
+    jets = chain_forward(model.weights, Jet(u0, xa))
+    net = jets[-1]
+    v = None if xa is None else (1.0 - th * th) * net.x0 + th * net.xa
+    return x + th * net.x0, v, (jets, th)
+
+
+def _pullback(model: MlpFlowModel, t, tape, wx: np.ndarray, wv=None):
+    """Pull cotangents wx on the map and wv on its time derivative back through a tape.
+
+    One pullback of ``Jet(x0=th wx + (1 - th^2) wv, xa=th wv)``, th =
+    tanh(t), through the net; the identity part adds wx to gx.  The tape
+    holds th, so ``t`` is not read again.  Returns ``(gx (B, 2d), gtheta
+    flat)``.
+    """
+    jets, th = tape
+    if wv is None:
+        g = Jet(x0=th * wx)
+    else:
+        g = Jet(x0=th * wx + (1.0 - th * th) * wv, xa=th * wv)
+    gin, gp = chain_backward(model.weights, jets, g)
+    return wx + gin.x0[:, :-1], flatten(gp)
 
 
 def _forward_b(model: MlpFlowModel, t, x: np.ndarray) -> np.ndarray:
-    jets = chain_forward(model.weights, _u_jet(model, t, x))
-    tcol = np.broadcast_to(np.asarray(t, dtype=float), (x.shape[0],))
-    return x + np.tanh(tcol)[:, None] * jets[-1].x0
+    return _taped(model, t, x)[0]
 
 
 def forward(model: MlpFlowModel, t, x):
     """x + tanh(t) * net([x; t]); exact identity at t = 0."""
     xb, single = as_phase_points(x, 2 * model.d)
-    out = _forward_b(model, t, xb)
+    out = _forward_b(model, check_time(t, xb.shape[0]), xb)
     return out[0] if single else out
-
-
-def _time_derivative_b(model: MlpFlowModel, t, x: np.ndarray) -> np.ndarray:
-    jets = chain_forward(model.weights, _u_jet(model, t, x, with_time_tangent=True))
-    tcol = np.broadcast_to(np.asarray(t, dtype=float), (x.shape[0],))
-    th = np.tanh(tcol)[:, None]
-    return (1.0 - th * th) * jets[-1].x0 + th * jets[-1].xa
 
 
 def time_derivative(model: MlpFlowModel, t, x, mode: str = "exact", fd_step: float = 1e-4):
     """Exact d/dt (sech^2(t) net + tanh(t) d_t net) or central FD."""
     xb, single = as_phase_points(x, 2 * model.d)
+    t = check_time(t, xb.shape[0])
     if mode == "exact":
-        out = _time_derivative_b(model, t, xb)
+        out = _taped(model, t, xb, velocity=True)[1]
     elif mode == "fd":
-        out = (_forward_b(model, t + fd_step, xb) - _forward_b(model, t - fd_step, xb)) / (
-            2.0 * fd_step
-        )
+        out = _central(lambda s: _forward_b(model, s, xb), t, fd_step)
     else:
         raise ValueError(f"unknown derivative mode {mode!r}")
     return out[0] if single else out
-
-
-def flatten_param_grads(g_params) -> np.ndarray:
-    pieces = []
-    for gA, gb in g_params:
-        pieces.append(gA.ravel())
-        pieces.append(gb)
-    return np.concatenate(pieces)
-
-
-def forward_vjp(model: MlpFlowModel, t, x: np.ndarray, W: np.ndarray):
-    """Pullback of per-point cotangents W through the flow map.
-
-    Returns ``(gx (B, 2d), gtheta flat)``; the identity part contributes W to
-    gx and the tanh(t) factor scales the cotangent entering the net.
-    """
-    jets = chain_forward(model.weights, _u_jet(model, t, x))
-    tcol = np.broadcast_to(np.asarray(t, dtype=float), (x.shape[0],))
-    th = np.tanh(tcol)[:, None]
-    gin, gp = chain_backward(model.weights, jets, Jet(x0=th * W))
-    return W + gin.x0[:, :-1], flatten_param_grads(gp)
-
-
-def time_derivative_vjp(model: MlpFlowModel, t, x: np.ndarray, W: np.ndarray):
-    """Pullback of cotangents on the exact time derivative."""
-    jets = chain_forward(model.weights, _u_jet(model, t, x, with_time_tangent=True))
-    tcol = np.broadcast_to(np.asarray(t, dtype=float), (x.shape[0],))
-    th = np.tanh(tcol)[:, None]
-    gout = Jet(x0=(1.0 - th * th) * W, xa=th * W)
-    gin, gp = chain_backward(model.weights, jets, gout)
-    return gin.x0[:, :-1], flatten_param_grads(gp)

@@ -16,20 +16,22 @@ All operations accept a single point of shape ``(2d,)`` or a batch
 
 One chain of shears (``_chain_b``) serves the flow map, its time derivative
 and its Jacobian by optionally carrying a tangent, and one pullback
-(``_chain_vjp``) serves them all; each shear sweeps its potential once at t
-and once at 0.
+(``_pullback``) serves the map and its time derivative; each shear sweeps
+its potential once at t and once at 0.  ``_forward_b``, ``_taped`` and
+``_pullback`` are the model protocol that :mod:`sympflow.mlp` shares.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
 from . import potential as pot
 from .errors import DimensionError
 from .potential import PotentialNet
-from .validation import as_phase_points, check_finite_scalar
+from .validation import _central, as_phase_points, check_finite_scalar, check_time
 
 __all__ = [
     "SympFlowModel",
@@ -52,6 +54,8 @@ __all__ = [
 @dataclass(frozen=True)
 class SympFlowModel:
     """L ordered pairs of potential nets (position net, momentum net)."""
+
+    kind: ClassVar[str] = "sympflow"
 
     d: int
     layers: tuple[tuple[PotentialNet, PotentialNet], ...]
@@ -93,11 +97,7 @@ def param_count(model: SympFlowModel) -> int:
 
 
 def params_to_vector(model: SympFlowModel) -> np.ndarray:
-    pieces = []
-    for vq, vp in model.layers:
-        pieces.append(pot.params_to_vector(vq))
-        pieces.append(pot.params_to_vector(vp))
-    return np.concatenate(pieces)
+    return np.concatenate([pot.params_to_vector(net) for pair in model.layers for net in pair])
 
 
 def model_with_params(model: SympFlowModel, vec: np.ndarray) -> SympFlowModel:
@@ -106,17 +106,11 @@ def model_with_params(model: SympFlowModel, vec: np.ndarray) -> SympFlowModel:
         raise DimensionError(
             f"parameter vector must have length {param_count(model)}, got {vec.shape}"
         )
-    layers = []
-    ofs = 0
-    for vq, vp in model.layers:
-        layers.append(
-            (
-                pot.net_with_params(vq, vec[ofs : ofs + vq.n_params]),
-                pot.net_with_params(vp, vec[ofs + vq.n_params : ofs + vq.n_params + vp.n_params]),
-            )
-        )
-        ofs += vq.n_params + vp.n_params
-    return SympFlowModel(model.d, tuple(layers))
+    nets, ofs = [], 0
+    for net in (n for pair in model.layers for n in pair):
+        nets.append(pot.net_with_params(net, vec[ofs : ofs + net.n_params]))
+        ofs += net.n_params
+    return SympFlowModel(model.d, tuple(zip(nets[::2], nets[1::2])))
 
 
 def symplectic_matrix(d: int) -> np.ndarray:
@@ -188,50 +182,30 @@ def _shear_step(net, t, x, v=None, dt=None, momentum=False, sign=1.0):
     return x, v
 
 
-def _q_layer_b(net, t, x, sign=1.0):
-    return _shear_step(net, t, x, sign=sign)[0]
-
-
-def _p_layer_b(net, t, x, sign=1.0):
-    return _shear_step(net, t, x, momentum=True, sign=sign)[0]
-
-
-def _layer_op(net, t, x, kernel):
+def _layer_op(net, t, x, momentum, sign):
     xb, single = as_phase_points(x, 2 * net.d)
-    t = _check_time(t, xb.shape[0])
-    out = kernel(net, t, xb)
+    out = _shear_step(net, check_time(t, xb.shape[0]), xb, momentum=momentum, sign=sign)[0]
     return out[0] if single else out
-
-
-def _check_time(t, batch):
-    t = np.asarray(t, dtype=float)
-    if not np.all(np.isfinite(t)):
-        raise DimensionError("t must be finite")
-    if t.ndim == 0:
-        return float(t)
-    if t.shape != (batch,):
-        raise DimensionError(f"t must be scalar or shape ({batch},), got {t.shape}")
-    return t
 
 
 def apply_q_layer(net: PotentialNet, t, x):
     """Position shear: update p from the q-potential, q untouched."""
-    return _layer_op(net, t, x, _q_layer_b)
+    return _layer_op(net, t, x, False, 1.0)
 
 
 def apply_p_layer(net: PotentialNet, t, x):
     """Momentum shear: update q from the p-potential, p untouched."""
-    return _layer_op(net, t, x, _p_layer_b)
+    return _layer_op(net, t, x, True, 1.0)
 
 
 def invert_q_layer(net: PotentialNet, t, x):
     """Exact inverse of the position shear (sign-flipped update)."""
-    return _layer_op(net, t, x, lambda n, tt, xx: _q_layer_b(n, tt, xx, sign=-1.0))
+    return _layer_op(net, t, x, False, -1.0)
 
 
 def invert_p_layer(net: PotentialNet, t, x):
     """Exact inverse of the momentum shear."""
-    return _layer_op(net, t, x, lambda n, tt, xx: _p_layer_b(n, tt, xx, sign=-1.0))
+    return _layer_op(net, t, x, True, -1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -255,12 +229,26 @@ def _chain_b(model: SympFlowModel, t, x: np.ndarray, v=None, dt=None, tape=None)
     return x, v
 
 
-def _chain_vjp(model: SympFlowModel, t, tape, wx: np.ndarray, wv=None, dt=None):
-    """Pull cotangents wx on x and wv on v back through a taped :func:`_chain_b`.
+def _taped(model: SympFlowModel, t, x: np.ndarray, velocity: bool = False):
+    """The flow map, its time derivative when ``velocity``, and the tape of :func:`_pullback`.
 
-    ``dt`` must be the one the tape was recorded with.  Returns ``(gx,
-    gtheta)`` with gtheta flat in the model's canonical parameter order.
+    Returns ``(x_out, v or None, tape)``; the tape holds the input of every
+    shear.
     """
+    tape = []
+    v0, dt = (np.zeros_like(x), 1.0) if velocity else (None, None)
+    x, v = _chain_b(model, t, x, v0, dt, tape)
+    return x, v, tape
+
+
+def _pullback(model: SympFlowModel, t, tape, wx: np.ndarray, wv=None):
+    """Pull cotangents wx on the map and wv on its time derivative back through a tape.
+
+    ``tape`` comes from :func:`_taped`; wv needs one recorded with the
+    velocity.  Returns ``(gx, gtheta)`` with gtheta flat in the model's
+    canonical parameter order.
+    """
+    dt = None if tape[0][1] is None else 1.0
     nets = [net for pair in model.layers for net in pair]
     grads = [None] * len(nets)
     for k in range(len(nets) - 1, -1, -1):
@@ -290,26 +278,18 @@ def _forward_b(model: SympFlowModel, t, x: np.ndarray) -> np.ndarray:
 def forward(model: SympFlowModel, t, x):
     """Apply the full layer composition at time t; identity at t = 0."""
     xb, single = as_phase_points(x, 2 * model.d)
-    t = _check_time(t, xb.shape[0])
-    out = _forward_b(model, t, xb)
+    out = _forward_b(model, check_time(t, xb.shape[0]), xb)
     return out[0] if single else out
-
-
-def _time_derivative_b(model: SympFlowModel, t, x: np.ndarray) -> np.ndarray:
-    """Exact d/dt of the composition via tangent propagation through layers."""
-    return _chain_b(model, t, x, np.zeros_like(x), 1.0)[1]
 
 
 def time_derivative(model: SympFlowModel, t, x, mode: str = "exact", fd_step: float = 1e-4):
     """d/dt of the flow at fixed x; exact by default, central FD when mode='fd'."""
     xb, single = as_phase_points(x, 2 * model.d)
-    t = _check_time(t, xb.shape[0])
+    t = check_time(t, xb.shape[0])
     if mode == "exact":
-        out = _time_derivative_b(model, t, xb)
+        out = _taped(model, t, xb, velocity=True)[1]
     elif mode == "fd":
-        out = (_forward_b(model, t + fd_step, xb) - _forward_b(model, t - fd_step, xb)) / (
-            2.0 * fd_step
-        )
+        out = _central(lambda s: _forward_b(model, s, xb), t, fd_step)
     else:
         raise ValueError(f"unknown derivative mode {mode!r}")
     return out[0] if single else out

@@ -23,9 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._jet import Jet, chain_backward, chain_forward
+from ._jet import Jet, chain_backward, chain_forward, flatten, unflatten
 from .errors import DimensionError
-from .validation import as_float_array, as_vector, check_finite_scalar
+from .validation import as_vector, check_finite_scalar
 
 __all__ = [
     "PotentialNet",
@@ -128,41 +128,12 @@ def zero_potential_net(d: int, h: int = 10) -> PotentialNet:
 
 
 def params_to_vector(net: PotentialNet) -> np.ndarray:
-    return np.concatenate(
-        [net.A1.ravel(), net.b1, net.A2.ravel(), net.b2, net.A3.ravel(), net.b3]
-    )
+    return flatten(net.weights)
 
 
 def net_with_params(net: PotentialNet, vec: np.ndarray) -> PotentialNet:
-    vec = np.asarray(vec, dtype=float)
-    if vec.shape != (param_count(net),):
-        raise DimensionError(
-            f"parameter vector must have length {param_count(net)}, got {vec.shape}"
-        )
-    h, d = net.h, net.d
-    parts = np.split(
-        vec,
-        np.cumsum([h * (d + 1), h, h * h, h, h]),
-    )
-    return PotentialNet(
-        d,
-        h,
-        parts[0].reshape(h, d + 1),
-        parts[1].copy(),
-        parts[2].reshape(h, h),
-        parts[3].copy(),
-        parts[4].reshape(1, h),
-        parts[5].copy(),
-    )
-
-
-def flatten_param_grads(g_params) -> np.ndarray:
-    """Concatenate per-layer (gA, gb) pairs in the canonical parameter order."""
-    pieces = []
-    for gA, gb in g_params:
-        pieces.append(gA.ravel())
-        pieces.append(gb)
-    return np.concatenate(pieces)
+    (A1, b1), (A2, b2), (A3, b3) = unflatten(vec, net.weights)
+    return PotentialNet(net.d, net.h, A1, b1, A2, b2, A3, b3)
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +209,7 @@ def jet_vjp(net: PotentialNet, t, q: np.ndarray, a=None, b=None, c=None):
     """
     jets = _forward(net, t, q, da=a, db=b, dab=c)
     gin, gp = chain_backward(net.weights, jets, Jet(xab=_ones(q.shape[0])))
-    return gin.x0, gin.xa, flatten_param_grads(gp)
+    return gin.x0, gin.xa, flatten(gp)
 
 
 def grad_time_b(net: PotentialNet, t, q: np.ndarray):
@@ -256,53 +227,11 @@ def mixed_b(net: PotentialNet, t, q: np.ndarray) -> np.ndarray:
     return jet_grad_b(net, t, q, (None, 1.0))[1][:, : net.d].copy()
 
 
-def hvp_time_b(net: PotentialNet, t, q: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """d/dt of the Hessian-vector product (d_t Hess) v, shape (B, d)."""
-    return jet_vjp(net, t, q, (v, None), (None, 1.0))[0][:, : net.d].copy()
-
-
-def third_contraction_b(net: PotentialNet, t, q, v: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Third-derivative contraction T[v, w]_k = sum_ij d^3 V/dq_k dq_i dq_j v_i w_j."""
-    return jet_vjp(net, t, q, (v, None), (w, None))[0][:, : net.d].copy()
-
-
 def value_vjp(net: PotentialNet, t, q: np.ndarray, cot: np.ndarray):
     """Pullback of per-point cotangents on V. Returns ((B, d+1) input grads, flat theta grad)."""
     jets = _forward(net, t, q)
     gin, gp = chain_backward(net.weights, jets, Jet(x0=cot[:, None]))
-    return gin.x0, flatten_param_grads(gp)
-
-
-def time_partial_vjp(net: PotentialNet, t, q: np.ndarray, cot: np.ndarray):
-    gu, _, g = jet_vjp(net, t, q, c=(None, cot))
-    return gu, g
-
-
-def grad_input_vjp(net: PotentialNet, t, q: np.ndarray, W: np.ndarray):
-    """Pullback of <W_i, grad_q V_i> summed over the batch.
-
-    The returned input gradients are ``[Hess(t,q) W, <m, W>]`` per point and
-    the flat vector is the exact parameter gradient of the weighted sum.
-    """
-    gu, _, g = jet_vjp(net, t, q, c=(W, None))
-    return gu, g
-
-
-def mixed_vjp(net: PotentialNet, t, q: np.ndarray, W: np.ndarray):
-    """Pullback of <W_i, d_t grad_q V_i>; input grads are [(d_t Hess) W, ...]."""
-    gu, _, g = jet_vjp(net, t, q, (None, 1.0), (W, None))
-    return gu, g
-
-
-def hvp_vjp(net: PotentialNet, t, q: np.ndarray, v: np.ndarray, W: np.ndarray):
-    """Pullback of <W_i, Hess(t, q_i) v_i>.
-
-    Returns ``(gq, gv, gtheta)``: the third-order contraction T[v, W] per
-    point, the gradient Hess W with respect to the contracted vector v, and
-    the flat parameter gradient.
-    """
-    gu, ga, g = jet_vjp(net, t, q, (v, None), (W, None))
-    return gu[:, : net.d], ga[:, : net.d], g
+    return gin.x0, flatten(gp)
 
 
 # ---------------------------------------------------------------------------
@@ -362,13 +291,9 @@ def param_grad(net: PotentialNet, kind: QuantityKind, t, q, cotangent) -> np.nda
             raise DimensionError(f"cotangent for {kind.value} must be a scalar")
         cot = np.broadcast_to(cot, (1,)).astype(float)
         if kind is QuantityKind.VALUE:
-            _, g = value_vjp(net, t, qb, cot)
-        else:
-            _, g = time_partial_vjp(net, t, qb, cot)
-        return g
+            return value_vjp(net, t, qb, cot)[1]
+        return jet_vjp(net, t, qb, c=(None, cot))[2]
     W = as_vector(cotangent, net.d, "cotangent")[None, :]
     if kind is QuantityKind.INPUT_GRADIENT:
-        _, g = grad_input_vjp(net, t, qb, W)
-    else:
-        _, g = mixed_vjp(net, t, qb, W)
-    return g
+        return jet_vjp(net, t, qb, c=(W, None))[2]
+    return jet_vjp(net, t, qb, (None, 1.0), (W, None))[2]

@@ -1,28 +1,24 @@
 """Losses, their exact parameter gradients, Adam, and the training regimes.
 
-Four objectives are supported:
+Four loss terms: ``supervised``, the mean squared error of the flow map
+against observed samples; ``residual``, of d/dt psi = J grad H(psi) at
+collocation points; ``matching``, the SympFlow model's extracted Hamiltonian
+against the energy; and ``energy_reg``, the MLP's drift of the energy along
+the map.  The regimes are ``residual_only``, ``regularized`` (the residual
+plus the kind's second term: matching for SympFlow, energy_reg for the MLP),
+``mixed`` (a regularized phase, then a residual fine-tune) and
+``supervised``.
 
-* supervised mean squared error between the flow map and observed samples,
-* the residual of the governing equations d/dt psi = J grad H(psi) at
-  collocation points,
-* Hamiltonian matching: the model's extracted Hamiltonian against the target
-  energy (flow models with shear layers only),
-* energy regularisation for the baseline MLP: conservation of the target
-  energy along the map.
-
-Gradients are assembled by hand from the layer-level pullbacks; every term
-is validated against central finite differences in the test suite.
-
-For the shear-layer model each potential is swept once per time (t and 0)
-in each pass.  The forward pass pushes the direction [v; 1] and pulls back
-1 on the directional derivative; the jet is bilinear, so that one pullback
-yields both grad V (the shear update) and Hess V v + d_t grad V (its time
-derivative).  The backward pass reuses the per-shear states of the forward
-pass, not its jets, and folds the cotangents on state and velocity into the
-mixed output of one second-order sweep (see :mod:`sympflow._jet`).  The
-regimes are: ``residual_only`` (residual loss), ``regularized`` (residual
-plus matching/energy term), ``mixed`` (regularized phase then a residual
-fine-tune), and ``supervised``.
+Each term is one function on the kernels that :mod:`sympflow.model` and
+:mod:`sympflow.mlp` share: ``_forward_b(m, t, x)``; ``_taped(m, t, x,
+velocity)``, which returns ``(x_out, v, tape)``; and ``_pullback(m, t, tape,
+wx, wv)``, which returns ``(gx, gtheta)``.  A term pulls its exact parameter
+gradient, when asked for it, back through the tape of its own forward pass.
+:func:`_kind` is the one place that reads the model kind, and :func:`_loss`
+the one path behind :func:`loss_and_grad`, :func:`total_loss` and the
+``loss_*`` functions.  Derivative mode ``fd`` takes the time derivative and
+its pullback as central differences in t.  Every gradient is checked against
+finite differences in the tests.
 """
 
 from __future__ import annotations
@@ -35,10 +31,8 @@ import numpy as np
 from . import extraction, mlp, model as sfm
 from .errors import ConfigError, DimensionError, TrainingDivergedError
 from .integrate import TrajectoryDataset
-from .model import SympFlowModel
-from .mlp import MlpFlowModel
 from .systems import HamiltonianSystem
-from .validation import as_box
+from .validation import _central, as_box, as_phase_points, check_time
 
 __all__ = [
     "TrainConfig",
@@ -57,6 +51,7 @@ __all__ = [
 
 REGIMES = ("residual_only", "regularized", "mixed", "supervised")
 MODEL_KINDS = ("sympflow", "mlp")
+DERIVATIVE_MODES = ("exact", "fd")
 
 
 @dataclass
@@ -87,8 +82,8 @@ class TrainConfig:
             raise ConfigError("learning_rate must be positive")
         if self.delta_t <= 0:
             raise ConfigError("delta_t must be positive")
-        if self.derivative_mode not in ("exact", "fd"):
-            raise ConfigError("derivative_mode must be 'exact' or 'fd'")
+        if self.derivative_mode not in DERIVATIVE_MODES:
+            raise ConfigError(f"derivative_mode must be one of {DERIVATIVE_MODES}")
         if self.layers < 1 or self.hidden < 1:
             raise ConfigError("layers and hidden must be positive")
         if self.batch_collocation < 1 or self.batch_matching < 1:
@@ -183,71 +178,133 @@ def adam_step(
 
 
 # ---------------------------------------------------------------------------
-# Loss values.
+# Loss terms: each returns (value, flat parameter gradient or None).
 # ---------------------------------------------------------------------------
 
-
-def _forward_any(model_obj, t, x):
-    if isinstance(model_obj, SympFlowModel):
-        return sfm._forward_b(model_obj, t, x)
-    return mlp._forward_b(model_obj, t, x)
+FD_STEP = 1e-4  # time step of the central differences of derivative mode "fd"
 
 
-def _time_derivative_any(model_obj, t, x, mode):
-    fn = sfm if isinstance(model_obj, SympFlowModel) else mlp
-    if mode == "exact":
-        return fn._time_derivative_b(model_obj, t, x)
-    h = 1e-4
-    return (fn._forward_b(model_obj, t + h, x) - fn._forward_b(model_obj, t - h, x)) / (2 * h)
+def _kind(model_obj):
+    """(kernel module, second term's name, second term), looked up per call."""
+    return {
+        "sympflow": (sfm, "matching", _matching),
+        "mlp": (mlp, "energy_reg", _energy_reg),
+    }[model_obj.kind]
 
 
-def loss_supervised(model_obj, dataset: TrajectoryDataset) -> float:
-    """Mean squared error of the flow map against the observed samples."""
-    if dataset.n_samples == 0:
-        raise DimensionError("dataset is empty")
-    pred = _forward_any(model_obj, dataset.sample_t, dataset.x0_per_sample)
-    return float(np.mean(np.sum((pred - dataset.sample_y) ** 2, axis=1)))
-
-
-def loss_residual(model_obj, points, sys: HamiltonianSystem, mode: str = "exact") -> float:
-    """Mean squared residual of d/dt psi - J grad H(psi) over (t_i, x_i)."""
+def _batch(model_obj, points, what):
     t, x = points
-    t = np.atleast_1d(np.asarray(t, dtype=float))
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    if t.size == 0:
-        raise DimensionError("empty collocation batch")
-    if isinstance(model_obj, SympFlowModel) and mode == "exact":
-        # The tangent chain carries the flow map along with its time derivative.
-        x_out, v = sfm._chain_b(model_obj, t, x, np.zeros_like(x), 1.0)
+    x, _ = as_phase_points(x, 2 * model_obj.d)
+    if x.shape[0] == 0:
+        raise DimensionError(f"empty {what} batch")
+    return check_time(t, x.shape[0]), x
+
+
+def _supervised(model_obj, samples, need_grad):
+    t, x0 = _batch(model_obj, samples[:2], "supervised")
+    k = _kind(model_obj)[0]
+    pred, _, tape = k._taped(model_obj, t, x0)
+    resid = pred - samples[2]
+    value = float(np.mean(np.sum(resid**2, axis=1)))
+    if not need_grad:
+        return value, None
+    return value, k._pullback(model_obj, t, tape, (2.0 / len(x0)) * resid)[1]
+
+
+def _residual(model_obj, points, sys, mode, need_grad):
+    t, x = _batch(model_obj, points, "collocation")
+    k = _kind(model_obj)[0]
+    exact = mode == "exact"
+    if exact:
+        x_out, v, tape = k._taped(model_obj, t, x, velocity=True)
     else:
-        x_out = _forward_any(model_obj, t, x)
-        v = _time_derivative_any(model_obj, t, x, mode)
-    rhs = sys.vector_field(x_out)
-    return float(np.mean(np.sum((v - rhs) ** 2, axis=1)))
+        v = _central(lambda s: k._forward_b(model_obj, s, x), t, FD_STEP)
+        x_out, _, tape = k._taped(model_obj, t, x)
+    resid = v - sys.vector_field(x_out)
+    value = float(np.mean(np.sum(resid**2, axis=1)))
+    if not need_grad:
+        return value, None
+    wv = (2.0 / len(x)) * resid
+    # x_out enters through -J grad H(x_out)
+    wx = -np.einsum("bij,bi->bj", sys.vector_field_jacobian(x_out), wv)
+    # The tape goes first: an MLP tape lasts only until the next sweep.
+    g = k._pullback(model_obj, t, tape, wx, wv if exact else None)[1]
+    if exact:
+        return value, g
+
+    def vjp(s):
+        return k._pullback(model_obj, s, k._taped(model_obj, s, x)[2], wv)[1]
+
+    return value, _central(vjp, t, FD_STEP) + g
 
 
-def loss_ham_match(model_obj, points, sys: HamiltonianSystem) -> float:
-    """Mean squared mismatch between the extracted Hamiltonian and H."""
-    if not isinstance(model_obj, SympFlowModel):
-        raise ConfigError("Hamiltonian matching is defined only for sympflow models")
-    t, x = points
-    t = np.atleast_1d(np.asarray(t, dtype=float))
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    if t.size == 0:
-        raise DimensionError("empty matching batch")
-    vals = extraction._extract_b(model_obj, t, x)
-    return float(np.mean((vals - sys.hamiltonian(x)) ** 2))
+def _matching(model_obj, points, sys, need_grad):
+    t, x = _batch(model_obj, points, "matching")
+    vals, tape = extraction._extract_tape(model_obj, t, x)
+    err = vals - sys.hamiltonian(x)
+    value = float(np.mean(err**2))
+    if not need_grad:
+        return value, None
+    return value, extraction._extract_pullback(model_obj, t, tape, (2.0 / len(x)) * err)[1]
 
 
-def loss_energy_reg(model_obj, points, sys: HamiltonianSystem) -> float:
-    """Mean squared drift of the target energy along the map (MLP term)."""
-    t, x = points
-    t = np.atleast_1d(np.asarray(t, dtype=float))
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    if t.size == 0:
-        raise DimensionError("empty matching batch")
-    pred = _forward_any(model_obj, t, x)
-    return float(np.mean((sys.hamiltonian(pred) - sys.hamiltonian(x)) ** 2))
+def _energy_reg(model_obj, points, sys, need_grad):
+    t, x = _batch(model_obj, points, "matching")
+    k = _kind(model_obj)[0]
+    pred, _, tape = k._taped(model_obj, t, x)
+    err = sys.hamiltonian(pred) - sys.hamiltonian(x)
+    value = float(np.mean(err**2))
+    if not need_grad:
+        return value, None
+    w = (2.0 / len(x)) * err[:, None] * sys.gradient(pred)
+    return value, k._pullback(model_obj, t, tape, w)[1]
+
+
+def _loss(model_obj, regime, sys, samples, residual_batch, matching_batch, mode, need_grad):
+    """``(value, flat gradient or None, parts)`` of a regime; samples are ``(t, x0, y)``."""
+    if regime not in REGIMES:
+        raise ConfigError(f"regime must be one of {REGIMES}, got {regime!r}")
+    if mode not in DERIVATIVE_MODES:
+        raise ConfigError(f"derivative mode must be one of {DERIVATIVE_MODES}, got {mode!r}")
+    if regime == "supervised":
+        if samples is None:
+            raise ConfigError("the supervised loss needs a dataset")
+        value, g = _supervised(model_obj, samples, need_grad)
+        return value, g, {"supervised": value}
+    if sys is None or residual_batch is None:
+        raise ConfigError(f"the {regime} loss needs a system and a residual batch")
+    value, g = _residual(model_obj, residual_batch, sys, mode, need_grad)
+    parts = {"residual": value}
+    if regime in ("regularized", "mixed"):
+        _, name, term = _kind(model_obj)
+        batch = residual_batch if matching_batch is None else matching_batch
+        parts[name], g2 = term(model_obj, batch, sys, need_grad)
+        value += parts[name]
+        if need_grad:
+            g = g + g2
+    return value, g, parts
+
+
+def _samples(dataset):
+    return None if dataset is None else (dataset.sample_t, dataset.x0_per_sample, dataset.sample_y)
+
+
+def loss_and_grad(
+    model_obj,
+    regime: str,
+    sys: HamiltonianSystem | None = None,
+    dataset: TrajectoryDataset | None = None,
+    residual_batch=None,
+    matching_batch=None,
+    mode: str = "exact",
+):
+    """Total loss with its exact parameter gradient; returns (value, grad, parts).
+
+    An unknown regime or mode, or a missing dataset, system or batch, raises
+    :class:`ConfigError`.  The matching batch defaults to the residual batch.
+    """
+    samples = _samples(dataset)
+    return _loss(model_obj, regime, sys, samples, residual_batch, matching_batch, mode, True)
 
 
 def total_loss(
@@ -259,156 +316,36 @@ def total_loss(
     matching_batch=None,
     mode: str = "exact",
 ) -> float:
-    """Dispatch the configured regime to its constituent terms."""
-    if regime == "supervised":
-        return loss_supervised(model_obj, dataset)
-    value = loss_residual(model_obj, residual_batch, sys, mode)
-    if regime in ("regularized", "mixed"):
-        batch = matching_batch if matching_batch is not None else residual_batch
-        if isinstance(model_obj, SympFlowModel):
-            value += loss_ham_match(model_obj, batch, sys)
-        else:
-            value += loss_energy_reg(model_obj, batch, sys)
-    return value
+    """The value of :func:`loss_and_grad`, without the gradient."""
+    samples = _samples(dataset)
+    return _loss(model_obj, regime, sys, samples, residual_batch, matching_batch, mode, False)[0]
 
 
-# ---------------------------------------------------------------------------
-# Gradients: shear-layer model.
-# ---------------------------------------------------------------------------
+def loss_supervised(model_obj, dataset: TrajectoryDataset) -> float:
+    """Mean squared error of the flow map against the observed samples."""
+    return total_loss(model_obj, "supervised", dataset=dataset)
 
 
-def _sf_forward_vjp(model_obj, t, x, W):
-    """Pullback of cotangents W through the flow map: ``(gx, gtheta_flat)``."""
-    tape = []
-    sfm._chain_b(model_obj, t, x, tape=tape)
-    return sfm._chain_vjp(model_obj, t, tape, W)
+def loss_residual(model_obj, points, sys: HamiltonianSystem, mode: str = "exact") -> float:
+    """Mean squared residual of d/dt psi - J grad H(psi) over (t_i, x_i)."""
+    return total_loss(model_obj, "residual_only", sys=sys, residual_batch=points, mode=mode)
 
 
-# ---------------------------------------------------------------------------
-# Loss gradients (value, flat gradient) per term.
-# ---------------------------------------------------------------------------
+def loss_ham_match(model_obj, points, sys: HamiltonianSystem) -> float:
+    """Mean squared mismatch between the extracted Hamiltonian and H."""
+    if _kind(model_obj)[1] != "matching":
+        raise ConfigError("Hamiltonian matching is defined only for sympflow models")
+    return _matching(model_obj, points, sys, False)[0]
 
 
-def _grad_supervised(model_obj, dataset: TrajectoryDataset):
-    t = dataset.sample_t
-    x0 = dataset.x0_per_sample
-    pred = _forward_any(model_obj, t, x0)
-    resid = pred - dataset.sample_y
-    value = float(np.mean(np.sum(resid**2, axis=1)))
-    W = (2.0 / len(t)) * resid
-    if isinstance(model_obj, SympFlowModel):
-        _, g = _sf_forward_vjp(model_obj, t, x0, W)
-    else:
-        _, g = mlp.forward_vjp(model_obj, t, x0, W)
-    return value, g
-
-
-def _grad_residual(model_obj, points, sys, mode):
-    t, x = points
-    B = len(t)
-    is_sf = isinstance(model_obj, SympFlowModel)
-    h = 1e-4
-    if is_sf:
-        # The exact mode tapes the time-derivative chain, the fd mode the
-        # flow map alone; either tape serves the pullback below.
-        tape = []
-        dt = 1.0 if mode == "exact" else None
-        v0 = np.zeros_like(x) if mode == "exact" else None
-        x_out, v_out = sfm._chain_b(model_obj, t, x, v0, dt, tape)
-        if mode == "fd":
-            v_out = (sfm._forward_b(model_obj, t + h, x) - sfm._forward_b(model_obj, t - h, x)) / (2 * h)
-    else:
-        x_out = mlp._forward_b(model_obj, t, x)
-        v_out = _time_derivative_any(model_obj, t, x, mode)
-    rhs = sys.vector_field(x_out)
-    resid = v_out - rhs
-    value = float(np.mean(np.sum(resid**2, axis=1)))
-    Wv = (2.0 / B) * resid
-    # x_out enters through -J grad H(x_out)
-    jac = sys.vector_field_jacobian(x_out)
-    Wx = -np.einsum("bij,bi->bj", jac, Wv)
-    if is_sf:
-        if mode == "exact":
-            _, g = sfm._chain_vjp(model_obj, t, tape, Wx, Wv, dt)
-        else:
-            _, g_plus = _sf_forward_vjp(model_obj, t + h, x, Wv)
-            _, g_minus = _sf_forward_vjp(model_obj, t - h, x, Wv)
-            _, g_x = sfm._chain_vjp(model_obj, t, tape, Wx)
-            g = (g_plus - g_minus) / (2 * h) + g_x
-    else:
-        if mode == "exact":
-            _, g_v = mlp.time_derivative_vjp(model_obj, t, x, Wv)
-        else:
-            _, g_plus = mlp.forward_vjp(model_obj, t + h, x, Wv)
-            _, g_minus = mlp.forward_vjp(model_obj, t - h, x, Wv)
-            g_v = (g_plus - g_minus) / (2 * h)
-        _, g_x = mlp.forward_vjp(model_obj, t, x, Wx)
-        g = g_v + g_x
-    return value, g
-
-
-def _grad_ham_match(model_obj, points, sys):
-    t, x = points
-    vals, tape = extraction._extract_tape(model_obj, t, x)
-    err = vals - sys.hamiltonian(x)
-    value = float(np.mean(err**2))
-    _, g = extraction._extract_pullback(model_obj, t, tape, (2.0 / len(t)) * err)
-    return value, g
-
-
-def _grad_energy_reg(model_obj, points, sys):
-    t, x = points
-    pred = mlp._forward_b(model_obj, t, x)
-    err = sys.hamiltonian(pred) - sys.hamiltonian(x)
-    value = float(np.mean(err**2))
-    W = (2.0 / len(t)) * err[:, None] * sys.gradient(pred)
-    _, g = mlp.forward_vjp(model_obj, t, x, W)
-    return value, g
-
-
-def loss_and_grad(
-    model_obj,
-    regime: str,
-    sys=None,
-    dataset=None,
-    residual_batch=None,
-    matching_batch=None,
-    mode: str = "exact",
-):
-    """Total loss with its exact parameter gradient; returns (value, grad, parts)."""
-    if regime == "supervised":
-        value, g = _grad_supervised(model_obj, dataset)
-        return value, g, {"supervised": value}
-    value, g = _grad_residual(model_obj, residual_batch, sys, mode)
-    parts = {"residual": value}
-    if regime in ("regularized", "mixed"):
-        batch = matching_batch if matching_batch is not None else residual_batch
-        if isinstance(model_obj, SympFlowModel):
-            v2, g2 = _grad_ham_match(model_obj, batch, sys)
-            parts["matching"] = v2
-        else:
-            v2, g2 = _grad_energy_reg(model_obj, batch, sys)
-            parts["energy_reg"] = v2
-        value += v2
-        g = g + g2
-    return value, g, parts
+def loss_energy_reg(model_obj, points, sys: HamiltonianSystem) -> float:
+    """Mean squared drift of the target energy along the map (MLP term)."""
+    return _energy_reg(model_obj, points, sys, False)[0]
 
 
 # ---------------------------------------------------------------------------
 # Training loop.
 # ---------------------------------------------------------------------------
-
-
-def _params_of(model_obj):
-    if isinstance(model_obj, SympFlowModel):
-        return sfm.params_to_vector(model_obj)
-    return mlp.params_to_vector(model_obj)
-
-
-def _with_params(model_obj, vec):
-    if isinstance(model_obj, SympFlowModel):
-        return sfm.model_with_params(model_obj, vec)
-    return mlp.model_with_params(model_obj, vec)
 
 
 def train(
@@ -434,55 +371,46 @@ def train(
     elif sys is None:
         raise ConfigError("unsupervised training needs a system")
 
+    k = _kind(model_obj)[0]
     rng = np.random.default_rng(config.seed)
     report = TrainReport(seed=config.seed)
     start = _time.perf_counter()
-    params = _params_of(model_obj)
+    params = k.params_to_vector(model_obj)
     state = AdamState.zeros(params.size)
-    d = model_obj.d
-    box = as_box(config.omega, 2 * d) if sys is not None else None
+    box = as_box(config.omega, 2 * model_obj.d) if sys is not None else None
+    samples = _samples(dataset)
 
     phases = [(config.regime, config.epochs)]
     if config.regime == "mixed":
         phases.append(("residual_only", config.fine_tune_epochs))
 
-    current = _with_params(model_obj, params)
+    current = k.model_with_params(model_obj, params)
     for phase_regime, n_epochs in phases:
         for _ in range(n_epochs):
+            batch = residual_batch = matching_batch = None
             if phase_regime == "supervised":
-                n = dataset.n_samples
-                b = min(config.batch_collocation, n)
-                if b < n:
-                    idx = rng.integers(0, n, size=b)
-                    batch = TrajectoryDataset(
-                        ics=dataset.ics,
-                        sample_traj=dataset.sample_traj[idx],
-                        sample_t=dataset.sample_t[idx],
-                        sample_y=dataset.sample_y[idx],
-                        delta_t=dataset.delta_t,
-                        noise_std=dataset.noise_std,
-                        seed=dataset.seed,
-                    )
-                else:
-                    batch = dataset
-                value, grad, parts = loss_and_grad(current, "supervised", dataset=batch)
+                batch = samples
+                if config.batch_collocation < len(samples[0]):
+                    idx = rng.integers(0, len(samples[0]), size=config.batch_collocation)
+                    batch = tuple(a[idx] for a in samples)
             else:
                 residual_batch = _draw_collocation(
                     rng, box, config.delta_t, config.batch_collocation
                 )
-                matching_batch = None
                 if phase_regime in ("regularized", "mixed"):
                     matching_batch = _draw_collocation(
                         rng, box, config.delta_t, config.batch_matching
                     )
-                value, grad, parts = loss_and_grad(
-                    current,
-                    phase_regime,
-                    sys=sys,
-                    residual_batch=residual_batch,
-                    matching_batch=matching_batch,
-                    mode=config.derivative_mode,
-                )
+            value, grad, parts = _loss(
+                current,
+                phase_regime,
+                sys,
+                batch,
+                residual_batch,
+                matching_batch,
+                config.derivative_mode,
+                True,
+            )
             if not np.isfinite(value) or not np.all(np.isfinite(grad)):
                 report.wall_clock_s = _time.perf_counter() - start
                 raise TrainingDivergedError(
@@ -491,7 +419,7 @@ def train(
             report.record(total=value, **parts)
             params, state = adam_step(params, grad, state, lr=config.learning_rate)
             # One model per step serves the checkpoint and the next epoch.
-            current = _with_params(model_obj, params)
+            current = k.model_with_params(model_obj, params)
             report.epochs_run += 1
             if (
                 checkpoint_fn is not None

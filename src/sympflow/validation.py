@@ -3,7 +3,8 @@
 Phase-space points are plain float arrays ``[q_1..q_d, p_1..p_d]`` of length
 ``2d``; batches stack them along the first axis.  The helpers here normalise
 user input to float64 arrays and reject shape or finiteness violations early,
-so the numerical kernels can assume clean data.
+so the numerical kernels can assume clean data.  The one central difference
+of the finite-difference modes lives here too.
 """
 
 from __future__ import annotations
@@ -18,8 +19,7 @@ __all__ = [
     "as_vector",
     "as_box",
     "check_finite_scalar",
-    "split_phase",
-    "join_phase",
+    "check_time",
 ]
 
 
@@ -35,6 +35,23 @@ def check_finite_scalar(x, name: str = "value") -> float:
     if not np.isfinite(val):
         raise DimensionError(f"{name} must be finite, got {val}")
     return val
+
+
+def check_time(t, batch: int):
+    """A finite time: a float for a scalar, else an array of shape (batch,)."""
+    t = np.asarray(t, dtype=float)
+    if not np.all(np.isfinite(t)):
+        raise DimensionError("t must be finite")
+    if t.ndim == 0:
+        return float(t)
+    if t.shape != (batch,):
+        raise DimensionError(f"t must be scalar or shape ({batch},), got {t.shape}")
+    return t
+
+
+def _central(f, t, h):
+    """Central difference (f(t + h) - f(t - h)) / 2h."""
+    return (f(t + h) - f(t - h)) / (2.0 * h)
 
 
 def as_vector(x, dim: int, name: str = "vector") -> np.ndarray:
@@ -85,11 +102,3 @@ def as_box(omega, dim: int) -> np.ndarray:
         raise DimensionError("box bounds must satisfy lo < hi in every coordinate")
     return arr
 
-
-def split_phase(x: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """Split ``[..., 2d]`` phase points into position and momentum parts."""
-    return x[..., :d], x[..., d:]
-
-
-def join_phase(q: np.ndarray, p: np.ndarray) -> np.ndarray:
-    return np.concatenate([q, p], axis=-1)

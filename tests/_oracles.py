@@ -40,6 +40,46 @@ def fd_directional(f, x, v, step):
 
 
 # ---------------------------------------------------------------------------
+# Per-quantity pullbacks and third-order contractions of a potential, each
+# from one jet pullback.
+# ---------------------------------------------------------------------------
+
+
+def time_partial_vjp(net, t, q, cot):
+    """Pullback of per-point cotangents on d_t V: (input grads, flat parameter gradient)."""
+    gu, _, g = pot.jet_vjp(net, t, q, c=(None, cot))
+    return gu, g
+
+
+def grad_input_vjp(net, t, q, W):
+    """Pullback of <W_i, grad_q V_i>; input grads are [Hess W, <d_t grad_q V, W>]."""
+    gu, _, g = pot.jet_vjp(net, t, q, c=(W, None))
+    return gu, g
+
+
+def mixed_vjp(net, t, q, W):
+    """Pullback of <W_i, d_t grad_q V_i>; input grads are [(d_t Hess) W, ...]."""
+    gu, _, g = pot.jet_vjp(net, t, q, (None, 1.0), (W, None))
+    return gu, g
+
+
+def hvp_time_b(net, t, q, v):
+    """d/dt of the Hessian-vector product (d_t Hess) v, shape (B, d)."""
+    return pot.jet_vjp(net, t, q, (v, None), (None, 1.0))[0][:, : net.d].copy()
+
+
+def third_contraction_b(net, t, q, v, w):
+    """Third-derivative contraction T[v, w]_k = sum_ij d^3 V/dq_k dq_i dq_j v_i w_j."""
+    return pot.jet_vjp(net, t, q, (v, None), (w, None))[0][:, : net.d].copy()
+
+
+def hvp_vjp(net, t, q, v, W):
+    """Pullback of <W_i, Hess(t, q_i) v_i>: (T[v, W], Hess W, flat parameter gradient)."""
+    gu, ga, g = pot.jet_vjp(net, t, q, (v, None), (W, None))
+    return gu[:, : net.d], ga[:, : net.d], g
+
+
+# ---------------------------------------------------------------------------
 # Unfused SympFlow compositions: one potential sweep per derivative quantity.
 # The package fuses these (one jet sweep per potential and time); the
 # per-quantity versions below are kept as oracles for the fused kernels.
@@ -90,11 +130,11 @@ def sf_velocity_vjp(model, t, x, Wx, Wv):
         vp_mid = v_mid[:, d:]
         wq, wp = wx[:, :d], wx[:, d:]
         wvq, wvp = wv[:, :d], wv[:, d:]
-        gin_t, gA = pot.grad_input_vjp(vp, t, p_mid, wq)
-        gin_0, gB = pot.grad_input_vjp(vp, 0.0, p_mid, wq)
-        gm, gC = pot.mixed_vjp(vp, t, p_mid, wvq)
-        gq_t, gv_t, gD = pot.hvp_vjp(vp, t, p_mid, vp_mid, wvq)
-        gq_0, gv_0, gE = pot.hvp_vjp(vp, 0.0, p_mid, vp_mid, wvq)
+        gin_t, gA = grad_input_vjp(vp, t, p_mid, wq)
+        gin_0, gB = grad_input_vjp(vp, 0.0, p_mid, wq)
+        gm, gC = mixed_vjp(vp, t, p_mid, wvq)
+        gq_t, gv_t, gD = hvp_vjp(vp, t, p_mid, vp_mid, wvq)
+        gq_0, gv_0, gE = hvp_vjp(vp, 0.0, p_mid, vp_mid, wvq)
         grads[2 * i + 1] += (gA - gB) + gC + (gD - gE)
         wp = wp + (gin_t[:, :d] - gin_0[:, :d]) + gm[:, :d] + (gq_t - gq_0)
         wvp = wvp + (gv_t - gv_0)
@@ -105,11 +145,11 @@ def sf_velocity_vjp(model, t, x, Wx, Wv):
         vq_in = v_in[:, :d]
         wq, wp = wx[:, :d], wx[:, d:]
         wvq, wvp = wv[:, :d], wv[:, d:]
-        gin_t, gA = pot.grad_input_vjp(vq, t, q_in, wp)
-        gin_0, gB = pot.grad_input_vjp(vq, 0.0, q_in, wp)
-        gm, gC = pot.mixed_vjp(vq, t, q_in, wvp)
-        gq_t, gv_t, gD = pot.hvp_vjp(vq, t, q_in, vq_in, wvp)
-        gq_0, gv_0, gE = pot.hvp_vjp(vq, 0.0, q_in, vq_in, wvp)
+        gin_t, gA = grad_input_vjp(vq, t, q_in, wp)
+        gin_0, gB = grad_input_vjp(vq, 0.0, q_in, wp)
+        gm, gC = mixed_vjp(vq, t, q_in, wvp)
+        gq_t, gv_t, gD = hvp_vjp(vq, t, q_in, vq_in, wvp)
+        gq_0, gv_0, gE = hvp_vjp(vq, 0.0, q_in, vq_in, wvp)
         grads[2 * i] += -(gA - gB) - gC - (gD - gE)
         wq = wq - (gin_t[:, :d] - gin_0[:, :d]) - gm[:, :d] - (gq_t - gq_0)
         wvq = wvq - (gv_t - gv_0)
@@ -150,11 +190,11 @@ def _pair_ham_vjp(vq, vp, t, y, c):
     d = vq.d
     q, p = y[:, :d], y[:, d:]
     q_shift = q - _shear_delta(vp, t, p)
-    gin_q, gth_q = pot.time_partial_vjp(vq, t, q_shift, c)
+    gin_q, gth_q = time_partial_vjp(vq, t, q_shift, c)
     weighted_mq = gin_q[:, :d]
-    gin_p, gth_p = pot.time_partial_vjp(vp, t, p, c)
-    gin_t, gA = pot.grad_input_vjp(vp, t, p, weighted_mq)
-    gin_0, gB = pot.grad_input_vjp(vp, 0.0, p, weighted_mq)
+    gin_p, gth_p = time_partial_vjp(vp, t, p, c)
+    gin_t, gA = grad_input_vjp(vp, t, p, weighted_mq)
+    gin_0, gB = grad_input_vjp(vp, 0.0, p, weighted_mq)
     gp = gin_p[:, :d] - (gin_t[:, :d] - gin_0[:, :d])
     return np.concatenate([weighted_mq, gp], axis=1), gth_q, gth_p - (gA - gB)
 
@@ -164,12 +204,12 @@ def _inv_pair_vjp(vq, vp, t, y_in, w):
     mid = y_in.copy()
     mid[:, :d] = y_in[:, :d] - _shear_delta(vp, t, y_in[:, d:])
     wq, wp = w[:, :d], w[:, d:]
-    gin_t, gA = pot.grad_input_vjp(vq, t, mid[:, :d], wp)
-    gin_0, gB = pot.grad_input_vjp(vq, 0.0, mid[:, :d], wp)
+    gin_t, gA = grad_input_vjp(vq, t, mid[:, :d], wp)
+    gin_0, gB = grad_input_vjp(vq, 0.0, mid[:, :d], wp)
     wq_mid = wq + (gin_t[:, :d] - gin_0[:, :d])
     gth_q = gA - gB
-    gin_t, gA = pot.grad_input_vjp(vp, t, y_in[:, d:], wq_mid)
-    gin_0, gB = pot.grad_input_vjp(vp, 0.0, y_in[:, d:], wq_mid)
+    gin_t, gA = grad_input_vjp(vp, t, y_in[:, d:], wq_mid)
+    gin_0, gB = grad_input_vjp(vp, 0.0, y_in[:, d:], wq_mid)
     wp_in = wp - (gin_t[:, :d] - gin_0[:, :d])
     return np.concatenate([wq_mid, wp_in], axis=1), gth_q, -(gA - gB)
 

@@ -72,7 +72,7 @@ def test_fused_velocity_chain_matches_unfused(case):
     model, _, (t, x), _, _ = setup(case)
     x_want, v_want, _, _ = orc.sf_velocity_states(model, t, x)
     np.testing.assert_array_equal(sfm._forward_b(model, t, x), x_want)
-    close(sfm._time_derivative_b(model, t, x), v_want, "velocity")
+    close(sfm._taped(model, t, x, velocity=True)[1], v_want, "velocity")
 
 
 @settings(max_examples=40, deadline=None)

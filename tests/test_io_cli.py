@@ -1,6 +1,7 @@
 """Checkpoints, dataset files, config parsing, and the CLI surface."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,6 +31,14 @@ def test_checkpoint_roundtrip_mlp(tmp_path):
     loaded = sio.load_checkpoint(path)
     assert isinstance(loaded, mlp.MlpFlowModel)
     assert np.array_equal(mlp.params_to_vector(loaded), mlp.params_to_vector(model))
+
+
+def test_checkpoint_bytes_survive_a_round_trip(tmp_path):
+    stored = Path(__file__).resolve().parents[1] / "benchmarks" / "hh_sympflow.json"
+    payload = json.loads(stored.read_text())
+    path = tmp_path / "model.json"
+    sio.save_checkpoint(sio.load_checkpoint(stored), path, seed=payload["seed"])
+    assert path.read_bytes() == stored.read_bytes()
 
 
 def test_checkpoint_bad_magic(tmp_path):

@@ -76,37 +76,50 @@ def test_params_roundtrip(model):
     assert np.array_equal(mlp.forward(rebuilt, 0.8, x), mlp.forward(model, 0.8, x))
 
 
+def _fd_param_grad(model, f, step=1e-6):
+    theta = mlp.params_to_vector(model)
+    fd = np.zeros_like(theta)
+    for i in range(theta.size):
+        e = np.zeros_like(theta)
+        e[i] = step
+        up = f(mlp.model_with_params(model, theta + e))
+        dn = f(mlp.model_with_params(model, theta - e))
+        fd[i] = (up - dn) / (2 * step)
+    return fd
+
+
 def test_forward_vjp_fd(model):
     rng = np.random.default_rng(3)
     x = rng.uniform(-1, 1, size=(3, 2))
     t = np.array([0.2, 0.5, 0.9])
     W = rng.normal(size=(3, 2))
-    _, gtheta = mlp.forward_vjp(model, t, x, W)
-    theta = mlp.params_to_vector(model)
-    step = 1e-6
-    fd = np.zeros_like(theta)
-    for i in range(theta.size):
-        e = np.zeros_like(theta)
-        e[i] = step
-        up = np.sum(W * mlp.forward(mlp.model_with_params(model, theta + e), t, x))
-        dn = np.sum(W * mlp.forward(mlp.model_with_params(model, theta - e), t, x))
-        fd[i] = (up - dn) / (2 * step)
+    _, _, tape = mlp._taped(model, t, x)
+    _, gtheta = mlp._pullback(model, t, tape, W)
+    fd = _fd_param_grad(model, lambda m: np.sum(W * mlp.forward(m, t, x)))
     assert_close(gtheta, fd, rtol=1e-4, floor=1e-8, label="mlp forward vjp")
 
 
-def test_time_derivative_vjp_fd(model):
+def test_pullback_fd(model):
+    # Cotangents on the map and on its time derivative, pulled back at once.
     rng = np.random.default_rng(4)
     x = rng.uniform(-1, 1, size=(2, 2))
     t = np.array([0.3, 0.8])
-    W = rng.normal(size=(2, 2))
-    _, gtheta = mlp.time_derivative_vjp(model, t, x, W)
-    theta = mlp.params_to_vector(model)
+    wx, wv = rng.normal(size=(2, 2)), rng.normal(size=(2, 2))
+    x_out, v, tape = mlp._taped(model, t, x, velocity=True)
+    # The tape lasts until the next sweep, so the pullback comes first.
+    gx, gtheta = mlp._pullback(model, t, tape, wx, wv)
+    assert np.array_equal(x_out, mlp.forward(model, t, x))
+    assert np.array_equal(v, mlp.time_derivative(model, t, x))
+
+    def objective(m, xx=x):
+        return np.sum(wx * mlp.forward(m, t, xx)) + np.sum(wv * mlp.time_derivative(m, t, xx))
+
+    fd = _fd_param_grad(model, objective)
+    assert_close(gtheta, fd, rtol=1e-4, floor=1e-8, label="mlp pullback theta")
     step = 1e-6
-    fd = np.zeros_like(theta)
-    for i in range(theta.size):
-        e = np.zeros_like(theta)
+    fd_x = np.zeros_like(x)
+    for i in np.ndindex(x.shape):
+        e = np.zeros_like(x)
         e[i] = step
-        up = np.sum(W * mlp.time_derivative(mlp.model_with_params(model, theta + e), t, x))
-        dn = np.sum(W * mlp.time_derivative(mlp.model_with_params(model, theta - e), t, x))
-        fd[i] = (up - dn) / (2 * step)
-    assert_close(gtheta, fd, rtol=1e-4, floor=1e-8, label="mlp d/dt vjp")
+        fd_x[i] = (objective(model, x + e) - objective(model, x - e)) / (2 * step)
+    assert_close(gx, fd_x, rtol=1e-4, floor=1e-8, label="mlp pullback x")

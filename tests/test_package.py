@@ -1,10 +1,17 @@
-"""Package-level checks: submodules stay reachable as attributes of ``sympflow``."""
+"""Package-level checks: submodules stay reachable as attributes of ``sympflow``,
+and the two model kinds share one kernel protocol."""
 
 import importlib
+import inspect
 import pkgutil
 import sys
 
+import numpy as np
+import pytest
+
 import sympflow
+from sympflow import mlp, model
+from sympflow.errors import DimensionError
 
 
 def test_submodules_not_shadowed_by_reexports():
@@ -23,3 +30,48 @@ def test_train_and_integrate_functions_reached_through_their_modules():
 
     assert sympflow.train.train is estimators.run_training
     assert sympflow.integrate.integrate is evaluate.integrate
+
+
+# ---------------------------------------------------------------------------
+# The model protocol: both kinds expose the same module-level kernels.
+# ---------------------------------------------------------------------------
+
+PROTOCOL = (
+    "_forward_b",
+    "_taped",
+    "_pullback",
+    "params_to_vector",
+    "model_with_params",
+    "param_count",
+)
+
+MODELS = {
+    "sympflow": lambda: model.random_sympflow(1, 2, np.random.default_rng(0), h=3),
+    "mlp": lambda: mlp.random_mlp_flow(1, 2, np.random.default_rng(0), hidden=3),
+}
+
+
+def _unannotated(fn):
+    sig = inspect.signature(fn)
+    params = [p.replace(annotation=inspect.Parameter.empty) for p in sig.parameters.values()]
+    return sig.replace(parameters=params, return_annotation=inspect.Signature.empty)
+
+
+@pytest.mark.parametrize("name", PROTOCOL)
+def test_model_kinds_share_one_protocol(name):
+    assert _unannotated(getattr(model, name)) == _unannotated(getattr(mlp, name))
+
+
+def test_model_kind_attributes():
+    assert model.SympFlowModel.kind == MODELS["sympflow"]().kind == "sympflow"
+    assert mlp.MlpFlowModel.kind == MODELS["mlp"]().kind == "mlp"
+
+
+@pytest.mark.parametrize("kind", sorted(MODELS))
+@pytest.mark.parametrize("fn", ["forward", "time_derivative"])
+@pytest.mark.parametrize("t", [float("nan"), np.array([0.1, np.inf, 0.3]), np.zeros(2)])
+def test_bad_time_raises_dimension_error(kind, fn, t):
+    kernels = {"sympflow": model, "mlp": mlp}[kind]
+    x = np.zeros((3, 2))
+    with pytest.raises(DimensionError):
+        getattr(kernels, fn)(MODELS[kind](), t, x)

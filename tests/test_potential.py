@@ -7,7 +7,15 @@ from sympflow import potential as pot
 from sympflow.errors import DimensionError
 from sympflow.potential import PotentialNet, QuantityKind
 
-from _oracles import assert_close, fd_directional, fd_gradient, fd_scalar
+from _oracles import (
+    assert_close,
+    fd_directional,
+    fd_gradient,
+    fd_scalar,
+    hvp_time_b,
+    hvp_vjp,
+    third_contraction_b,
+)
 
 
 def reference_value(net, t, q):
@@ -267,7 +275,7 @@ def test_all_quantities_fd_sweep():
 
 
 def test_internal_third_order_helpers():
-    # The training passes rely on three contractions beyond the public API.
+    # Three contractions beyond the public API, kept as test oracles.
     rng = np.random.default_rng(21)
     net = pot.random_potential_net(2, rng, h=4)
     t = 0.37
@@ -275,18 +283,18 @@ def test_internal_third_order_helpers():
     v = rng.normal(size=(1, 2))
     w = rng.normal(size=(1, 2))
 
-    got = pot.hvp_time_b(net, t, q, v)[0]
+    got = hvp_time_b(net, t, q, v)[0]
     want = fd_scalar(lambda s: pot.hvp_b(net, s, q, v)[0], t, 1e-5)
     assert_close(got, want, rtol=1e-5, floor=1e-8, label="hvp_time")
 
-    got = pot.third_contraction_b(net, t, q, v, w)[0]
+    got = third_contraction_b(net, t, q, v, w)[0]
     want = fd_directional(
         lambda qq: pot.hvp_b(net, t, qq[None, :], v)[0], q[0], w[0], 1e-5
     )
     assert_close(got, want, rtol=1e-5, floor=1e-8, label="third contraction")
 
     # Parameter gradient of <w, Hess v> via the jet pullback.
-    gq, gv, gtheta = pot.hvp_vjp(net, t, q, v, w)
+    gq, gv, gtheta = hvp_vjp(net, t, q, v, w)
 
     def scalar(n):
         return float(np.dot(w[0], pot.hessian_vector_product(n, t, q[0], v[0])))

@@ -139,18 +139,44 @@ def test_total_loss_dispatch():
     assert tr.total_loss(model, "supervised", dataset=ds) == tr.loss_supervised(model, ds)
 
 
+@pytest.mark.parametrize("factory", [tiny_sympflow, tiny_mlp])
+@pytest.mark.parametrize("fn", [tr.total_loss, tr.loss_and_grad])
+@pytest.mark.parametrize(
+    "bad",
+    [
+        {"regime": "bogus"},
+        {"mode": "bogus"},
+        {"regime": "supervised", "dataset": None},
+        {"sys": None},
+        {"residual_batch": None},
+    ],
+    ids=["regime", "mode", "no-dataset", "no-system", "no-batch"],
+)
+def test_bad_loss_arguments_raise_config_error(factory, fn, bad):
+    batch = (np.array([0.2, 0.6]), np.array([[0.4, 0.1], [0.3, -0.2]]))
+    kwargs = {"regime": "regularized", "sys": Sho(), "residual_batch": batch, **bad}
+    with pytest.raises(ConfigError):
+        fn(factory(), **kwargs)
+
+
+def test_unknown_derivative_mode_raises_config_error():
+    batch = (np.array([0.2]), np.array([[0.4, 0.1]]))
+    with pytest.raises(ConfigError):
+        tr.loss_residual(tiny_mlp(), batch, Sho(), mode="central")
+
+
 # ---------------------------------------------------------------------------
 # Gradients against central finite differences (tiny models).
 # ---------------------------------------------------------------------------
 
 
 def _fd_param_grad(model_obj, loss_fn, step=1e-6):
-    if isinstance(model_obj, sfm.SympFlowModel):
-        theta = sfm.params_to_vector(model_obj)
-        rebuild = lambda v: sfm.model_with_params(model_obj, v)
-    else:
-        theta = mlp.params_to_vector(model_obj)
-        rebuild = lambda v: mlp.model_with_params(model_obj, v)
+    kernels = {"sympflow": sfm, "mlp": mlp}[model_obj.kind]
+    theta = kernels.params_to_vector(model_obj)
+
+    def rebuild(v):
+        return kernels.model_with_params(model_obj, v)
+
     g = np.zeros_like(theta)
     for i in range(theta.size):
         e = np.zeros_like(theta)
@@ -365,8 +391,8 @@ def test_exact_residual_loss_runs_the_shear_chain_once(monkeypatch):
     rng = np.random.default_rng(5)
     t, x = rng.uniform(0, 1, 16), rng.uniform(-0.5, 0.5, (16, 4))
     sys = HenonHeiles()
-    v = sfm._time_derivative_b(model, t, x)
-    resid = v - sys.vector_field(sfm._forward_b(model, t, x))
+    x_out, v, _ = sfm._taped(model, t, x, velocity=True)
+    resid = v - sys.vector_field(x_out)
     want = float(np.mean(np.sum(resid**2, axis=1)))
     sweeps = []
     chain_forward = pot.chain_forward

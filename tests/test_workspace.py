@@ -43,7 +43,7 @@ def run(sweep):
         x = rng.normal(size=(B, 2 * m.d))
         if kind == "mlp_forward":
             return (mlp._forward_b(m, t, x),)
-        return mlp.forward_vjp(m, t, x, rng.normal(size=(B, 2 * m.d)))
+        return mlp._pullback(m, t, mlp._taped(m, t, x)[2], rng.normal(size=(B, 2 * m.d)))
     net = NETS[which % len(NETS)]
     t = rng.uniform(0.0, 1.0, B)
     q = rng.normal(size=(B, net.d))
