@@ -41,6 +41,19 @@ with fresh arrays: each ufunc and ``matmul`` receives its output buffer as
 its last positional argument, and a tanh pullback updates the cotangent it
 is given in place.
 
+Layout.  Every jet component is stored column-major: a ``(B, n)`` array
+that is the transpose view of a C-contiguous ``(n, B)`` buffer, so the
+features of one row are ``B`` elements apart.  An affine map then multiplies
+feature-major, ``A @ X^T`` into the buffer behind its output, and the
+weight gradient ``g^T @ x`` reads both operands along the batch.  With one
+BLAS thread at B = 1024, h = 10 (best of 5 x 2000 calls, OpenBLAS 0.3.31 on
+a 2-core x86-64 VM) the affine product takes 11-12 us this way against
+24-26 us for ``X @ A^T`` on row-major arrays, and the weight gradient 12-13.5
+us against 13-14.5 us.  The tanh rules are elementwise and do not care.  The
+jets keep the ``(B, n)`` shape so that callers index them as before
+(``[:, :d]``, ``.x0[:, 0]``) and so that the batch size is read from
+``x0.shape[0]`` everywhere; chains accept inputs in either layout.
+
 Lifetime rule.  What leaves this module is fresh: the chain output
 ``jets[-1]``, the input gradient ``g_in`` and the parameter gradients.  The
 jets between the input and the output are the workspace's and stay valid
@@ -94,6 +107,7 @@ class _Bank:
         self.n = 0
 
     def take(self, shape):
+        """A ``shape`` array, the transpose view of a C-contiguous buffer."""
         i = self.n
         self.n = i + 1
         bufs = self.bufs
@@ -101,9 +115,9 @@ class _Bank:
             buf = bufs[i]
             if buf.shape == shape:
                 return buf
-            buf = bufs[i] = np.empty(shape)
+            buf = bufs[i] = np.empty(shape[::-1]).T
             return buf
-        buf = np.empty(shape)
+        buf = np.empty(shape[::-1]).T
         bufs.append(buf)
         return buf
 
@@ -168,16 +182,23 @@ def _madd(out, tmp, *terms, into=None):
     return acc
 
 
+def _left_matmul(M: np.ndarray, x: np.ndarray, y) -> np.ndarray:
+    """``x @ M.T`` taken as ``M @ x.T``, into ``y`` when given and fresh otherwise."""
+    if y is None:
+        return np.matmul(M, x.T).T
+    np.matmul(M, x.T, y.T)
+    return y
+
+
 def _affine_forward(A: np.ndarray, b: np.ndarray, x: Jet, out) -> Jet:
-    At = A.T
     shape = (x.x0.shape[0], A.shape[0])
-    y0 = np.matmul(x.x0, At, out(shape))
-    np.add(y0, b, y0)
+    y0 = _left_matmul(A, x.x0, out(shape))
+    np.add(y0.T, b[:, None], y0.T)
     return Jet(
         y0,
-        None if x.xa is None else np.matmul(x.xa, At, out(shape)),
-        None if x.xb is None else np.matmul(x.xb, At, out(shape)),
-        None if x.xab is None else np.matmul(x.xab, At, out(shape)),
+        None if x.xa is None else _left_matmul(A, x.xa, out(shape)),
+        None if x.xb is None else _left_matmul(A, x.xb, out(shape)),
+        None if x.xab is None else _left_matmul(A, x.xab, out(shape)),
     )
 
 
@@ -265,16 +286,18 @@ def _tanh_backward(z: Jet, a0: np.ndarray, g: Jet, out, tmp) -> Jet:
 def _affine_backward(A: np.ndarray, x: Jet, g: Jet, out, ones):
     """Pullback through x -> x A^T + b; parameter gradients when ``ones`` is given.
 
-    The bias gradient sums the cotangent over the batch as ``ones @ g.x0``,
-    a matrix-vector product: 5 us against 35 us for ``g.x0.sum(axis=0)`` at
-    1024 x 10 (the sum is reordered, so it agrees to rounding, not bitwise).
+    The bias gradient sums the cotangent over the batch as ``g.x0.T @ ones``,
+    a matrix-vector product: 4.6 us against 8 us for ``g.x0.sum(axis=0)`` at
+    1024 x 10 in this layout (the sum is reordered, so it agrees to rounding,
+    not bitwise).
     """
     shape = (x.x0.shape[0], A.shape[1])
+    At = A.T
     gx = Jet(
-        None if g.x0 is None else np.matmul(g.x0, A, out(shape)),
-        None if g.xa is None else np.matmul(g.xa, A, out(shape)),
-        None if g.xb is None else np.matmul(g.xb, A, out(shape)),
-        None if g.xab is None else np.matmul(g.xab, A, out(shape)),
+        None if g.x0 is None else _left_matmul(At, g.x0, out(shape)),
+        None if g.xa is None else _left_matmul(At, g.xa, out(shape)),
+        None if g.xb is None else _left_matmul(At, g.xb, out(shape)),
+        None if g.xab is None else _left_matmul(At, g.xab, out(shape)),
     )
     if ones is None:
         return gx, None
@@ -288,7 +311,7 @@ def _affine_backward(A: np.ndarray, x: Jet, g: Jet, out, ones):
                 gA += term
     if gA is None:
         gA = np.zeros_like(A)
-    gb = np.zeros(A.shape[0]) if g.x0 is None else ones @ g.x0
+    gb = np.zeros(A.shape[0]) if g.x0 is None else g.x0.T @ ones
     return gx, (gA, gb)
 
 

@@ -14,6 +14,8 @@ the long-time extension, so times beyond the training window are valid.
 
 from __future__ import annotations
 
+import inspect
+
 import numpy as np
 
 from . import evaluate as ev
@@ -61,21 +63,9 @@ class _FlowRegressorBase:
     # -- sklearn protocol ---------------------------------------------------
 
     def get_params(self, deep: bool = True) -> dict:
-        return {
-            "system": self.system,
-            "regime": self.regime,
-            "layers": self.layers,
-            "hidden": self.hidden,
-            "epochs": self.epochs,
-            "fine_tune_epochs": self.fine_tune_epochs,
-            "learning_rate": self.learning_rate,
-            "batch_collocation": self.batch_collocation,
-            "batch_matching": self.batch_matching,
-            "delta_t": self.delta_t,
-            "omega": self.omega,
-            "derivative_mode": self.derivative_mode,
-            "seed": self.seed,
-        }
+        """The hyperparameters, named once: the keyword arguments of ``__init__``."""
+        names = inspect.signature(type(self).__init__).parameters
+        return {name: getattr(self, name) for name in names if name != "self"}
 
     def set_params(self, **params):
         for key, val in params.items():
@@ -104,21 +94,10 @@ class _FlowRegressorBase:
         return X
 
     def _config(self) -> TrainConfig:
-        return TrainConfig(
-            model_kind=self._kind,
-            regime=self.regime,
-            epochs=self.epochs,
-            fine_tune_epochs=self.fine_tune_epochs,
-            learning_rate=self.learning_rate,
-            batch_collocation=self.batch_collocation,
-            batch_matching=self.batch_matching,
-            delta_t=self.delta_t,
-            omega=self.omega,
-            seed=self.seed,
-            derivative_mode=self.derivative_mode,
-            layers=self.layers,
-            hidden=self.hidden,
-        )
+        """Every hyperparameter but ``system`` is a :class:`TrainConfig` field."""
+        params = self.get_params()
+        del params["system"]
+        return TrainConfig(model_kind=self._kind, **params)
 
     # -- estimation ---------------------------------------------------------
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import potential as pot
-from .errors import DimensionError
+from .errors import ConfigError, DimensionError
 from .model import SympFlowModel, _shear, _shear_step, _shear_vjp
 from .validation import _central, as_phase_points, check_finite_scalar
 
@@ -160,7 +160,7 @@ def extract_gradient(model: SympFlowModel, t, x, mode: str = "exact", fd_step: f
             e[:, k] = 1.0
             gx[:, k] = _central(lambda s: _extract_b(model, t, xb + s * e), 0.0, fd_step)
     else:
-        raise ValueError(f"unknown gradient mode {mode!r}")
+        raise ConfigError(f"unknown gradient mode {mode!r}")
     return gx[0] if single else gx
 
 

@@ -14,7 +14,7 @@ from typing import ClassVar
 import numpy as np
 
 from ._jet import Jet, chain_backward, chain_forward, flatten, unflatten
-from .errors import DimensionError
+from .errors import ConfigError, DimensionError
 from .validation import _central, as_phase_points, check_time
 
 __all__ = [
@@ -116,13 +116,15 @@ def _taped(model: MlpFlowModel, t, x: np.ndarray, velocity: bool = False):
     tangent, and d/dt = sech^2(t) net + tanh(t) d_t net.  Returns ``(x_out,
     v or None, tape)``; the tape lives until the thread's next sweep.
     """
-    tcol = np.broadcast_to(np.asarray(t, dtype=float), (x.shape[0],))[:, None]
-    u0 = np.concatenate([x, tcol], axis=1)
-    th = np.tanh(tcol)
+    n, B = x.shape[1], x.shape[0]
+    u0 = np.empty((n + 1, B)).T  # the column-major layout of the sweeps
+    u0[:, :n] = x
+    u0[:, n] = t
+    th = np.tanh(u0[:, n:])
     xa = None
     if velocity:
-        xa = np.zeros_like(u0)
-        xa[:, -1] = 1.0
+        xa = np.zeros((n + 1, B)).T
+        xa[:, n] = 1.0
     jets = chain_forward(model.weights, Jet(u0, xa))
     net = jets[-1]
     v = None if xa is None else (1.0 - th * th) * net.x0 + th * net.xa
@@ -166,5 +168,5 @@ def time_derivative(model: MlpFlowModel, t, x, mode: str = "exact", fd_step: flo
     elif mode == "fd":
         out = _central(lambda s: _forward_b(model, s, xb), t, fd_step)
     else:
-        raise ValueError(f"unknown derivative mode {mode!r}")
+        raise ConfigError(f"unknown derivative mode {mode!r}")
     return out[0] if single else out

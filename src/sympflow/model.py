@@ -29,7 +29,7 @@ from typing import ClassVar
 import numpy as np
 
 from . import potential as pot
-from .errors import DimensionError
+from .errors import ConfigError, DimensionError
 from .potential import PotentialNet
 from .validation import _central, as_phase_points, check_finite_scalar, check_time
 
@@ -291,7 +291,7 @@ def time_derivative(model: SympFlowModel, t, x, mode: str = "exact", fd_step: fl
     elif mode == "fd":
         out = _central(lambda s: _forward_b(model, s, xb), t, fd_step)
     else:
-        raise ValueError(f"unknown derivative mode {mode!r}")
+        raise ConfigError(f"unknown derivative mode {mode!r}")
     return out[0] if single else out
 
 

@@ -156,22 +156,21 @@ def _u_jet(net: PotentialNet, t, q: np.ndarray, da=None, db=None, dab=None) -> J
     B, d = q.shape
     if d != net.d:
         raise DimensionError(f"q must have {net.d} columns, got {d}")
-    tcol = np.broadcast_to(np.asarray(t, dtype=float), (B,))
-    u0 = np.concatenate([q, tcol[:, None]], axis=1)
+
+    def column_major(head, tail):
+        # [head, tail] as a (B, d+1) view of a C-contiguous (d+1, B) buffer,
+        # the layout the sweeps of :mod:`sympflow._jet` work in.
+        u = np.empty((d + 1, B)).T
+        u[:, :d] = 0.0 if head is None else head
+        u[:, d] = 0.0 if tail is None else tail
+        return u
 
     def direction(dirpair):
         if dirpair is None or (dirpair[0] is None and dirpair[1] is None):
             return None
-        dq, dt = dirpair
-        dq = np.zeros((B, d)) if dq is None else np.asarray(dq, dtype=float)
-        dtc = (
-            np.zeros((B, 1))
-            if dt is None
-            else np.broadcast_to(np.asarray(dt, dtype=float), (B,))[:, None]
-        )
-        return np.concatenate([dq, dtc], axis=1)
+        return column_major(*dirpair)
 
-    return Jet(u0, direction(da), direction(db), direction(dab))
+    return Jet(column_major(q, t), direction(da), direction(db), direction(dab))
 
 
 def _forward(net, t, q, da=None, db=None, dab=None):

@@ -362,9 +362,14 @@ def train(
     ``batch_collocation`` (full batch when the dataset is smaller).  The
     mixed regime runs ``epochs`` with the matching term, then
     ``fine_tune_epochs`` with the residual term alone.  Deterministic under
-    the config seed.  Raises :class:`TrainingDivergedError` on a non-finite
-    loss.
+    the config seed.  Raises :class:`ConfigError` when the model's kind is
+    not ``config.model_kind``, and :class:`TrainingDivergedError` on a
+    non-finite loss.
     """
+    if model_obj.kind != config.model_kind:
+        raise ConfigError(
+            f"config.model_kind is {config.model_kind!r} but the model is a {model_obj.kind} model"
+        )
     if config.regime == "supervised":
         if dataset is None:
             raise ConfigError("supervised training needs a dataset")

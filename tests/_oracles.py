@@ -1,8 +1,11 @@
 """Finite-difference oracles, unfused reference compositions and tolerance helpers."""
 
+import functools
+
 import numpy as np
 
 from sympflow import potential as pot
+from sympflow._jet import Jet
 
 
 def assert_close(got, want, rtol, floor=0.0, label=""):
@@ -362,3 +365,70 @@ def energy_variation_rows(model, sys, ics, k, delta_t, project=None):
         pred = ev.rollout(model, delta_t, k * delta_t, x0, project=project)
         vals.append(abs(sys.hamiltonian(pred) - e0) / abs(e0))
     return float(np.mean(vals)), skipped
+
+
+# ---------------------------------------------------------------------------
+# Plain jet sweeps.  The package keeps every jet as the transpose view of a
+# C-contiguous (n, B) buffer and reuses a per-thread workspace; these take
+# x @ A.T on fresh row-major arrays and are the reference for both.
+# ---------------------------------------------------------------------------
+
+
+def _sum_of_products(*terms):
+    """Sum of the products whose factors are all present; None if there are none."""
+    total = None
+    for term in terms:
+        if all(f is not None for f in term):
+            p = functools.reduce(np.multiply, term)
+            total = p if total is None else total + p
+    return total
+
+
+def rowmajor_chain_forward(weights, x):
+    """``[input, z_1, a_1, ..., z_K]`` as in ``chain_forward``, each array fresh."""
+    jets, cur = [x], x
+    for k, (A, b) in enumerate(weights):
+        z = Jet(*(None if c is None else c @ A.T for c in cur.components()))
+        z.x0 = z.x0 + b
+        jets.append(z)
+        if k != len(weights) - 1:
+            a0 = np.tanh(z.x0)
+            s1 = 1.0 - a0 * a0
+            s2 = -2.0 * a0 * s1
+            cur = Jet(
+                a0,
+                _sum_of_products((s1, z.xa)),
+                _sum_of_products((s1, z.xb)),
+                _sum_of_products((s1, z.xab), (s2, z.xa, z.xb)),
+            )
+            jets.append(cur)
+    return jets
+
+
+def rowmajor_chain_backward(weights, jets, g, with_params=True):
+    """``(g_in, g_params)`` as in ``chain_backward``, through the tape of the oracle."""
+    grads, idx = [], len(jets) - 1
+    for k in range(len(weights) - 1, -1, -1):
+        if k != len(weights) - 1:
+            z, a0 = jets[idx - 1], jets[idx].x0
+            s1 = 1.0 - a0 * a0
+            s2 = -2.0 * a0 * s1
+            s3 = -2.0 * s1 * s1 + 4.0 * a0 * a0 * s1
+            g = Jet(
+                _sum_of_products(
+                    (s1, g.x0), (s2, z.xa, g.xa), (s2, z.xb, g.xb),
+                    (s2, z.xab, g.xab), (s3, z.xa, z.xb, g.xab),
+                ),
+                _sum_of_products((s1, g.xa), (s2, z.xb, g.xab)),
+                _sum_of_products((s1, g.xb), (s2, z.xa, g.xab)),
+                _sum_of_products((s1, g.xab)),
+            )
+            idx -= 1
+        A, x = weights[k][0], jets[idx - 1]
+        gA = sum((gc.T @ xc for gc, xc in zip(g.components(), x.components())
+                  if gc is not None and xc is not None), np.zeros_like(A))
+        gb = np.zeros(A.shape[0]) if g.x0 is None else g.x0.sum(axis=0)
+        grads.insert(0, (gA, gb))
+        g = Jet(*(None if c is None else c @ A for c in g.components()))
+        idx -= 1
+    return g, grads if with_params else None

@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 
 import sympflow
-from sympflow import mlp, model
-from sympflow.errors import DimensionError
+from sympflow import extraction, mlp, model
+from sympflow.errors import ConfigError, DimensionError
 
 
 def test_submodules_not_shadowed_by_reexports():
@@ -75,3 +75,17 @@ def test_bad_time_raises_dimension_error(kind, fn, t):
     x = np.zeros((3, 2))
     with pytest.raises(DimensionError):
         getattr(kernels, fn)(MODELS[kind](), t, x)
+
+
+@pytest.mark.parametrize(
+    "fn",
+    [
+        lambda mode: model.time_derivative(MODELS["sympflow"](), 0.3, np.zeros(2), mode=mode),
+        lambda mode: mlp.time_derivative(MODELS["mlp"](), 0.3, np.zeros(2), mode=mode),
+        lambda mode: extraction.extract_gradient(MODELS["sympflow"](), 0.3, np.zeros(2), mode=mode),
+    ],
+    ids=["model.time_derivative", "mlp.time_derivative", "extraction.extract_gradient"],
+)
+def test_unknown_mode_raises_config_error(fn):
+    with pytest.raises(ConfigError, match="unknown .* mode 'bogus'"):
+        fn("bogus")

@@ -341,6 +341,17 @@ def test_train_zero_epochs_returns_unchanged():
     assert report.loss_history == {}
 
 
+@pytest.mark.parametrize(
+    "model, kind",
+    [(tiny_mlp(21), "sympflow"), (tiny_sympflow(21), "mlp")],
+    ids=["mlp-as-sympflow", "sympflow-as-mlp"],
+)
+def test_train_rejects_a_model_of_another_kind(model, kind):
+    cfg = tr.TrainConfig(model_kind=kind, regime="residual_only", epochs=2, batch_collocation=4)
+    with pytest.raises(ConfigError, match="model_kind"):
+        tr.train(model, cfg, sys=Sho())
+
+
 def test_train_deterministic_under_seed():
     cfg = tr.TrainConfig(
         regime="regularized", epochs=5, batch_collocation=8, batch_matching=8, seed=33,
