@@ -9,11 +9,11 @@ initial conditions, energy-drift series along single trajectories, a
 log-log drift-growth slope, and Poincare sections for the chaotic benchmark.
 
 ``evaluate_model`` solves the references of all initial conditions in one
-batched integration and rolls them out as one batch, window by window; both
-metrics at a requested k are taken from the same states.  Rows are
-independent, so a reference solve that fails (say, an orbit that escapes
-and blows up) drops its row only, and a model state that turns non-finite
-is left out of the means from that k on; the report counts both.
+batched DOP853 integration and rolls them out as one batch, window by
+window; both metrics at a requested k are taken from the same states.  Rows
+are independent, so a reference solve that fails (say, an orbit that
+escapes and blows up) drops its row only, and a model state that turns
+non-finite is left out of the means from that k on; the report counts both.
 """
 
 from __future__ import annotations

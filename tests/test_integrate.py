@@ -5,7 +5,7 @@ import pytest
 
 from sympflow import integrate as itg
 from sympflow import systems as sy
-from sympflow.errors import DimensionError, IntegrationError
+from sympflow.errors import ConfigError, DimensionError, IntegrationError
 
 
 def test_sho_return_map():
@@ -57,17 +57,25 @@ def test_stiffness_error():
         itg.integrate(f, np.array([1.0]), 2.0)
 
 
-def test_fixed_step_empirical_order():
-    # Step halving on the oscillator: the propagated solution is 5th order.
+def _fixed_step_order(method, steps, t_end):
+    # Step halving on the oscillator.
     s = sy.Sho()
     x0 = np.array([1.0, 0.0])
-    t_end = 1.0
     errs = []
-    for h in (0.1, 0.05):
-        sol = itg.integrate(s, x0, t_end, fixed_step=h)
+    for h in steps:
+        sol = itg.integrate(s, x0, t_end, fixed_step=h, method=method)
         errs.append(np.max(np.abs(sol.ys[-1] - sy.analytic_solution(s, x0, t_end))))
-    order = np.log2(errs[0] / errs[1])
-    assert order >= 4.5
+    return np.log2(errs[0] / errs[1])
+
+
+def test_fixed_step_empirical_order():
+    # The propagated solution of DOPRI5 is 5th order.
+    assert _fixed_step_order("dopri5", (0.1, 0.05), 1.0) >= 4.5
+
+
+def test_fixed_step_empirical_order_dop853():
+    # 8th order; these steps keep both errors (8e-10, 3e-12) far above round-off.
+    assert _fixed_step_order("dop853", (0.5, 0.25), 4.0) >= 7.5
 
 
 def test_sample_states():
@@ -126,3 +134,58 @@ def test_generate_dataset_rejects_bad_args():
         itg.generate_dataset(sy.Sho(), [-1.0, 1.0], 5, 5, -1.0)
     with pytest.raises(DimensionError):
         itg.generate_dataset(sy.Sho(), [1.0, -1.0], 5, 5, 1.0)
+
+
+def test_nonfinite_or_nonpositive_end_time_raises_up_front():
+    for t_end in (np.nan, np.inf, 0.0, -1.0):
+        with pytest.raises(DimensionError, match="t_end"):
+            itg.integrate(sy.Sho(), np.array([1.0, 0.0]), t_end)
+
+
+@pytest.mark.parametrize("name", ["rtol", "atol", "fixed_step"])
+def test_nan_tolerance_or_fixed_step_raises_up_front(name):
+    with pytest.raises(DimensionError, match=name):
+        itg.integrate(sy.Sho(), np.array([1.0, 0.0]), 1.0, **{name: np.nan})
+
+
+def test_generate_dataset_rejects_a_nonfinite_window():
+    for delta_t in (np.nan, np.inf):
+        with pytest.raises(DimensionError, match="delta_t"):
+            itg.generate_dataset(sy.Sho(), [-1.0, 1.0], 5, 5, delta_t)
+
+
+def test_unknown_method_is_a_config_error():
+    with pytest.raises(ConfigError, match="method"):
+        itg.integrate(sy.Sho(), np.array([1.0, 0.0]), 1.0, method="rk4")
+
+
+# Bound Henon-Heiles, the oscillator and the damped system, against SciPy's
+# DOP853 at a far tighter tolerance.  The controllers differ, so states are
+# compared within tolerance, not step for step; the cubic Hermite dense output
+# of DOPRI5 is the looser of the two.
+SCIPY_TOL = {"dop853": 2e-10, "dopri5": 1e-8}
+SCIPY_CASES = [
+    (sy.Sho(m=1.3, k=0.7), np.array([1.0, -0.4]), 10.0),
+    (sy.HenonHeiles(), np.array([0.2, -0.15, 0.1, 0.22]), 20.0),
+    (sy.DampedAugmented(lam=0.5), sy.embed_physical(1.0, 0.3), 10.0),
+]
+
+
+@pytest.mark.parametrize("method", ["dop853", "dopri5"])
+@pytest.mark.parametrize("case", range(len(SCIPY_CASES)), ids=["sho", "henon_heiles", "damped"])
+def test_final_and_dense_states_match_scipy_dop853(method, case):
+    scipy_integrate = pytest.importorskip("scipy.integrate")
+    s, x0, t_end = SCIPY_CASES[case]
+    ref = scipy_integrate.solve_ivp(
+        lambda t, y: s.vector_field(y), (0.0, t_end), x0, method="DOP853", rtol=1e-13, atol=1e-15,
+        dense_output=True,
+    )
+    assert ref.success
+    sol = itg.integrate(s, x0, t_end, method=method)
+    times = np.linspace(0.0, t_end, 97)
+    tol = SCIPY_TOL[method] * np.max(np.abs(ref.y))
+    assert np.max(np.abs(sol.ys[-1] - ref.y[:, -1])) < tol
+    assert np.max(np.abs(sol(times) - ref.sol(times).T)) < tol
+    got, errors = itg._sample_rows(s, x0[None], times[None, ::-1], method=method)
+    assert errors == {}
+    assert np.max(np.abs(got[0] - ref.sol(times[::-1]).T)) < tol

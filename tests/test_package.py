@@ -3,7 +3,9 @@ and the two model kinds share one kernel protocol."""
 
 import importlib
 import inspect
+import os
 import pkgutil
+import subprocess
 import sys
 
 import numpy as np
@@ -23,6 +25,19 @@ def test_submodules_not_shadowed_by_reexports():
         if getattr(sympflow, name) is not sys.modules["sympflow." + name]:
             shadowed.append(name)
     assert shadowed == [], f"package attributes shadow submodules: {shadowed}"
+
+
+def test_import_loads_no_scipy():
+    # SciPy serves the tests as an oracle only; the package must not need it.
+    code = (
+        "import pkgutil, sys, importlib, sympflow\n"
+        "for info in pkgutil.iter_modules(sympflow.__path__):\n"
+        "    importlib.import_module('sympflow.' + info.name)\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(sympflow.__file__)))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_train_and_integrate_functions_reached_through_their_modules():
