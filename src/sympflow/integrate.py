@@ -1,25 +1,21 @@
 """Reference integration and trajectory datasets.
 
-One batched stepper runs either of two embedded Runge-Kutta pairs of
-Dormand and Prince, each given by its tableau:
+One batched stepper runs DOP853, the 8th-order embedded Runge-Kutta pair of
+Dormand and Prince in the form of Hairer, Nørsett and Wanner (*Solving ODEs
+I*, §II.10, and Hairer's ``dop853.f``): twelve stages per step, a combined
+5th/3rd-order error estimate, a PI step-size controller scaled to order 8,
+Hairer's starting-step heuristic, and a 7th-order continuous extension that
+costs three more field calls on each step it serves.  Defaults are tight
+(rtol 1e-10, atol 1e-12) because the solutions serve as ground truth for the
+learned models; a fixed-step mode bypasses the controller for
+convergence-order studies.
 
-- ``"dop853"`` (the default): the 8th-order pair of Hairer, Nørsett and
-  Wanner (*Solving ODEs I*, §II.10, and Hairer's ``dop853.f``), twelve
-  stages with a combined 5th/3rd-order error estimate and a 7th-order
-  continuous extension that costs three more stages per step it serves.
-- ``"dopri5"``: the classic 5(4) pair, seven stages with FSAL, and cubic
-  Hermite dense output over each step.  It is the paper's general-purpose
-  baseline and the method of the fixed-step order studies.
-
-Both use a PI step-size controller scaled to the method's order q (5 or 8)
-and Hairer's starting-step heuristic.  Defaults are tight (rtol 1e-10,
-atol 1e-12) because the solutions serve as ground truth for the learned
-models; a fixed-step mode bypasses the controller for convergence-order
-studies.  DOP853 is the default because at these tolerances it takes 7-8
-times fewer steps for twice the field calls per step (12 against 6), and
-each step also pays a fixed Python cost of 100-150 µs.  On Hénon-Heiles to
-T = 100 from (0.3, -0.3, 0.3, 0) at the defaults it takes 617 steps against
-DOPRI5's 4,815, and its largest energy error is 3.3e-12 against 6.4e-11.
+DOP853 is used rather than the 5(4) pair DOPRI5 because at these
+tolerances it takes 7-8 times fewer steps for twice the field calls per step
+(12 against 6), and each step also pays a fixed Python cost of 100-150 µs.
+On Hénon-Heiles to T = 100 from (0.3, -0.3, 0.3, 0) at the defaults it takes
+617 steps against DOPRI5's 4,815, and its largest energy error is 3.3e-12
+against 6.4e-11.
 
 The stepper advances a (B, n) batch of initial states.  Its rows are
 independent: each keeps its own time, step size, error history and counts,
@@ -28,9 +24,9 @@ leaves the others untouched.  ``integrate`` is the one-row case and builds
 the dense output of every step after the solve, in one batched pass;
 ``sample_states``, ``generate_dataset`` and the evaluation references
 interpolate each row at its requested times while it steps, and evaluate
-DOP853's extra stages only on the steps that contain such a time.  Every
-stage enters the error estimate, so one finiteness check of it per step
-catches a state that blows up, and names the time it happened.
+the extra stages only on the steps that contain such a time.  Every stage,
+the extra ones included, is checked for finiteness, so a state that blows
+up fails its row and names the time it happened.
 """
 
 from __future__ import annotations
@@ -39,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError, IntegrationError
+from .errors import DimensionError, IntegrationError
 from .systems import HamiltonianSystem
 from .validation import as_box, as_float_array
 
@@ -62,45 +58,18 @@ def _lower(*rows):
     return a
 
 
-@dataclass(frozen=True)
-class _Method:
-    """An embedded pair with stages K_0 .. K_s, where K_s = f(t + h, y_new).
-
-    ``a[s, :s]`` are the weights of y_new and ``e`` those of the error
-    estimate, over all s + 1 stages.  Rows and nodes past s are the extra
-    stages of the dense output, whose terms past the cubic Hermite ones are
-    ``h · d @ K``.  ``e3``, if set, is DOP853's 3rd-order estimate.
-    """
-
-    q: int  # the order the controller's exponents are scaled to
-    s: int
-    c: np.ndarray
-    a: np.ndarray
-    e: np.ndarray
-    d: np.ndarray
-    e3: np.ndarray | None = None
-
-
-_B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40])
-_DOPRI5 = _Method(
-    q=5,
-    s=6,
-    c=np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0]),
-    a=_lower(
-        [1 / 5],
-        [3 / 40, 9 / 40],
-        [44 / 45, -56 / 15, 32 / 9],
-        [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729],
-        [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656],
-        [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84],
-    ),
-    e=np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0]) - _B4,
-    d=np.zeros((0, 7)),
-)
-
-# DOP853, transcribed from Hairer's dop853.f.  Row 12 of the tableau holds
-# the weights of y_new; rows 13-15 are the extra stages of the dense output.
-_A853 = _lower(
+# DOP853, transcribed from Hairer's dop853.f.  A step has the stages K_0 ..
+# K_11 and K_12 = f(t + h, y_new), the next step's K_0.  Row 12 of the
+# tableau holds the weights of y_new; rows 13-15 are the extra stages of the
+# dense output.
+_S = 12
+_Q = 8  # the order the controller's exponents are scaled to
+_C = np.array([
+    0.0, 0.05260015195876773, 0.0789002279381516, 0.1183503419072274, 0.2816496580927726,
+    0.3333333333333333, 0.25, 0.3076923076923077, 0.6512820512820513, 0.6, 0.8571428571428571,
+    1.0, 1.0, 0.1, 0.2, 0.7777777777777778,
+])
+_A = _lower(
     [0.05260015195876773],
     [0.0197250569845379, 0.0591751709536137],
     [0.02958758547680685, 0, 0.08876275643042054],
@@ -128,42 +97,25 @@ _A853 = _lower(
 )
 _BHH = np.zeros(13)
 _BHH[[0, 8, 11]] = [0.2440944881889764, 0.7338466882816118, 0.022058823529411766]
-_DOP853 = _Method(
-    q=8,
-    s=12,
-    c=np.array([
-        0.0, 0.05260015195876773, 0.0789002279381516, 0.1183503419072274, 0.2816496580927726,
-        0.3333333333333333, 0.25, 0.3076923076923077, 0.6512820512820513, 0.6, 0.8571428571428571,
-        1.0, 1.0, 0.1, 0.2, 0.7777777777777778,
-    ]),
-    a=_A853,
-    e=np.array([
-        0.01312004499419488, 0, 0, 0, 0, -1.2251564463762044, -0.4957589496572502, 1.6643771824549864,
-        -0.35032884874997366, 0.3341791187130175, 0.08192320648511571, -0.022355307863886294, 0,
-    ]),
-    e3=np.append(_A853[12, :12], 0.0) - _BHH,
-    d=np.array([
-        [-8.428938276109013, 0, 0, 0, 0, 0.5667149535193777, -3.0689499459498917, 2.38466765651207,
-         2.117034582445028, -0.871391583777973, 2.2404374302607883, 0.6315787787694688,
-         -0.08899033645133331, 18.148505520854727, -9.194632392478356, -4.436036387594894],
-        [10.427508642579134, 0, 0, 0, 0, 242.28349177525817, 165.20045171727028, -374.5467547226902,
-         -22.113666853125306, 7.733432668472264, -30.674084731089398, -9.332130526430229,
-         15.697238121770845, -31.139403219565178, -9.35292435884448, 35.81684148639408],
-        [19.985053242002433, 0, 0, 0, 0, -387.0373087493518, -189.17813819516758, 527.8081592054236,
-         -11.57390253995963, 6.8812326946963, -1.0006050966910838, 0.7777137798053443,
-         -2.778205752353508, -60.19669523126412, 84.32040550667716, 11.99229113618279],
-        [-25.69393346270375, 0, 0, 0, 0, -154.18974869023643, -231.5293791760455, 357.6391179106141,
-         93.40532418362432, -37.45832313645163, 104.0996495089623, 29.8402934266605,
-         -43.53345659001114, 96.32455395918828, -39.17726167561544, -149.72683625798564],
-    ]),
-)
-_METHODS = {"dop853": _DOP853, "dopri5": _DOPRI5}
-
-
-def _method(name):
-    if name not in _METHODS:
-        raise ConfigError(f"unknown method {name!r}; expected one of {sorted(_METHODS)}")
-    return _METHODS[name]
+_E5 = np.array([
+    0.01312004499419488, 0, 0, 0, 0, -1.2251564463762044, -0.4957589496572502, 1.6643771824549864,
+    -0.35032884874997366, 0.3341791187130175, 0.08192320648511571, -0.022355307863886294, 0,
+])
+_E3 = np.append(_A[12, :12], 0.0) - _BHH  # the 3rd-order estimate
+_D = np.array([
+    [-8.428938276109013, 0, 0, 0, 0, 0.5667149535193777, -3.0689499459498917, 2.38466765651207,
+     2.117034582445028, -0.871391583777973, 2.2404374302607883, 0.6315787787694688,
+     -0.08899033645133331, 18.148505520854727, -9.194632392478356, -4.436036387594894],
+    [10.427508642579134, 0, 0, 0, 0, 242.28349177525817, 165.20045171727028, -374.5467547226902,
+     -22.113666853125306, 7.733432668472264, -30.674084731089398, -9.332130526430229,
+     15.697238121770845, -31.139403219565178, -9.35292435884448, 35.81684148639408],
+    [19.985053242002433, 0, 0, 0, 0, -387.0373087493518, -189.17813819516758, 527.8081592054236,
+     -11.57390253995963, 6.8812326946963, -1.0006050966910838, 0.7777137798053443,
+     -2.778205752353508, -60.19669523126412, 84.32040550667716, 11.99229113618279],
+    [-25.69393346270375, 0, 0, 0, 0, -154.18974869023643, -231.5293791760455, 357.6391179106141,
+     93.40532418362432, -37.45832313645163, 104.0996495089623, 29.8402934266605,
+     -43.53345659001114, 96.32455395918828, -39.17726167561544, -149.72683625798564],
+])
 
 
 def _positive(value, name):
@@ -177,8 +129,8 @@ def _positive(value, name):
 def _nested(x, y0, F):
     """``y0 + x(F0 + (1-x)(F1 + x(F2 + (1-x)(F3 + ...))))`` at step fractions x (k, 1).
 
-    F (k, terms, n) holds each step's coefficients.  Three terms are the
-    cubic Hermite interpolant of the step's ends; seven are DOP853's
+    F (k, 7, n) holds each step's coefficients.  The first three terms alone
+    are the cubic Hermite interpolant of the step's ends; all seven are the
     7th-order continuous extension.
     """
     acc = 0.0
@@ -187,42 +139,47 @@ def _nested(x, y0, F):
     return y0 + acc
 
 
-def _coefficients(m, f, t0, h, y0, y1, K):
-    """Dense-output coefficients (B, terms, n) of B accepted steps, for :func:`_nested`.
+def _coefficients(f, t0, h, y0, y1, K):
+    """Dense-output coefficients (B, 7, n) of B accepted steps, for :func:`_nested`.
 
-    K (B, s + 1, n) holds each step's stages.  The first three terms fit the
-    ends and the field there; DOP853's four more come from its extra stages.
+    K (B, 13, n) holds each step's stages.  The first three terms fit the
+    ends and the field there; the four more come from the extra stages.
+    Returns ``(F, finite)``; ``finite`` (B,) is False for a step whose
+    coefficients are not finite.
     """
     hc = h[:, None]
     dy = y1 - y0
-    F = np.empty((len(h), 3 + len(m.d), y0.shape[1]))
+    Kx = np.empty((len(h), len(_C), y0.shape[1]))
+    Kx[:, : _S + 1] = K
+    for i in range(_S + 1, len(_C)):
+        Kx[:, i] = f(t0 + _C[i] * h, y0 + hc * (_A[i, :i] @ Kx[:, :i]))
+    F = np.empty((len(h), 7, y0.shape[1]))
     F[:, 0] = dy
     F[:, 1] = hc * K[:, 0] - dy
-    F[:, 2] = 2 * dy - hc * (K[:, 0] + K[:, m.s])
-    if len(m.d):
-        Kx = np.empty((len(h), len(m.c), y0.shape[1]))
-        Kx[:, : m.s + 1] = K
-        for i in range(m.s + 1, len(m.c)):
-            Kx[:, i] = f(t0 + m.c[i] * h, y0 + hc * (m.a[i, :i] @ Kx[:, :i]))
-        F[:, 3:] = hc[:, None] * (m.d @ Kx)
-    return F
+    F[:, 2] = 2 * dy - hc * (K[:, 0] + K[:, _S])
+    F[:, 3:] = hc[:, None] * (_D @ Kx)
+    return F, np.isfinite(F).all(axis=(1, 2))
+
+
+def _dense_failure(t0):
+    return f"non-finite dense output in the step from t={t0:.6g}"
 
 
 @dataclass
 class DenseSolution:
     """Accepted step endpoints plus a polynomial over each step between them.
 
-    ``coeffs[i]`` are the nested-polynomial coefficients of step i (see
-    :func:`_nested`): 7 terms, a 7th-order continuous extension, for DOP853;
-    3 terms, the cubic Hermite interpolant, for DOPRI5.  The Hermite error
-    bound h⁴/384 · |y⁗| is far above rtol at DOP853's steps (h ≈ 0.16 on
-    Hénon-Heiles at rtol 1e-10), so DOP853 pays three more field calls per
-    step for its own extension.
+    ``coeffs[i]`` are the seven nested-polynomial coefficients of step i
+    (see :func:`_nested`), DOP853's 7th-order continuous extension.  The
+    cubic Hermite interpolant of the step's ends, which needs no more field
+    calls, has the error bound h⁴/384 · |y⁗|, far above rtol at DOP853's
+    steps (h ≈ 0.16 on Hénon-Heiles at rtol 1e-10); so each step pays three
+    more field calls for its own extension.
     """
 
     ts: np.ndarray  # (m+1,) increasing
     ys: np.ndarray  # (m+1, dim)
-    coeffs: np.ndarray  # (m, terms, dim)
+    coeffs: np.ndarray  # (m, 7, dim)
     n_steps: int = 0
     n_rejected: int = 0
 
@@ -244,10 +201,10 @@ class DenseSolution:
 def _field(sys_or_f, y):
     """``(f, f0, timed)``: the field on a batch and its value at (0, y).
 
-    ``f(t, Y)`` takes t of shape (B,).  A system's public ``vector_field`` checks the width and finiteness of y
-    once; the steps call its unchecked ``_vector_field`` and form no stage
-    times (``timed`` is False).  A callable ``f(t, y)`` takes one 1-D state
-    and is called row by row.
+    ``f(t, Y)`` takes t of shape (B,).  A system's public ``vector_field``
+    checks the width and finiteness of y once; the steps call its unchecked
+    ``_vector_field`` and form no stage times (``timed`` is False).  A
+    callable ``f(t, y)`` takes one 1-D state and is called row by row.
     """
     if isinstance(sys_or_f, HamiltonianSystem):
         f0 = sys_or_f.vector_field(y)
@@ -259,8 +216,8 @@ def _field(sys_or_f, y):
     return f, f(np.zeros(len(y)), y), True
 
 
-def _initial_step(f, t0, y0, f0, rtol, atol, q):
-    """Hairer's starting-step heuristic for a method of order q, per row."""
+def _initial_step(f, t0, y0, f0, rtol, atol):
+    """Hairer's starting-step heuristic for a method of order 8, per row."""
     scale = atol + rtol * np.abs(y0)
     d0 = np.sqrt(np.mean((y0 / scale) ** 2, axis=1))
     d1 = np.sqrt(np.mean((f0 / scale) ** 2, axis=1))
@@ -271,38 +228,35 @@ def _initial_step(f, t0, y0, f0, rtol, atol, q):
     d2 = np.sqrt(np.mean(((f1 - f0) / scale) ** 2, axis=1)) / h0
     dmax = np.maximum(d1, d2)
     flat = dmax <= 1e-15
-    h1 = np.where(flat, np.maximum(1e-6, h0 * 1e-3), (0.01 / np.where(flat, 1.0, dmax)) ** (1 / q))
+    h1 = np.where(flat, np.maximum(1e-6, h0 * 1e-3), (0.01 / np.where(flat, 1.0, dmax)) ** (1 / _Q))
     return np.minimum(100 * h0, h1)
 
 
-def _error_norm(m, K, h, scale):
-    """The scaled error of each row's step; NaN or inf where a stage is not finite.
+def _error_norm(K, h, scale):
+    """The scaled error of each row's step, ``h·‖e5‖² / sqrt(n·(‖e5‖² + 0.01‖e3‖²))``.
 
-    DOPRI5 takes the RMS norm of h · e @ K.  DOP853 combines its 5th- and
-    3rd-order estimates, ``h·‖e5‖² / sqrt(n·(‖e5‖² + 0.01‖e3‖²))``.
+    e5 and e3 are the 5th- and 3rd-order estimates over the stages K.
     """
     n = scale.shape[1]
-    if m.e3 is None:
-        return np.sqrt(np.add.reduce((h[:, None] * (m.e @ K) / scale) ** 2, axis=1) / n)
-    e5 = np.add.reduce(((m.e @ K) / scale) ** 2, axis=1)
-    e3 = np.add.reduce(((m.e3 @ K) / scale) ** 2, axis=1)
+    e5 = np.add.reduce(((_E5 @ K) / scale) ** 2, axis=1)
+    e3 = np.add.reduce(((_E3 @ K) / scale) ** 2, axis=1)
     den = np.sqrt(n * (e5 + 0.01 * e3))
     return h * e5 / np.where(den == 0.0, 1.0, den)
 
 
-def _dopri(field, y, t_end, m, rtol, atol, fixed_step, max_steps, on_accept):
-    """Step every row of y (B, n) from t = 0 to its own t_end (B,) with method m.
+def _dop853(field, y, t_end, rtol, atol, fixed_step, max_steps, on_accept):
+    """Step every row of y (B, n) from t = 0 to its own t_end (B,).
 
     ``field`` is what :func:`_field` returns for y.  Rows are independent:
     each has its own t, h, error history and step and rejection counts, and
     takes the same steps as it would alone.  After every step with an
     accepted row, ``on_accept(rows, t0, h, y0, y1, K)`` receives the accepted
     rows (indices into the batch) with the start, length and end state of
-    their steps and the stages K (rows, s + 1, n).  A row that reaches its
-    t_end leaves the live set.  So does a row that fails: a non-finite stage
-    (every stage enters the error estimate, so one finiteness check of it
-    per step sees it), a step size below 1e-14 of its span, or more than
-    max_steps steps.  Returns ``(n_steps, n_rejected, errors)``: per-row
+    their steps and the stages K (rows, 13, n).  A row that reaches its
+    t_end leaves the live set.  So does a row that fails: a stage that is
+    not finite (every stage is checked, including K_12, which has no weight
+    in the error estimate), a step size below 1e-14 of its span, or more
+    than max_steps steps.  Returns ``(n_steps, n_rejected, errors)``: per-row
     counts and a message for each failed row.
     """
     adaptive = fixed_step is None
@@ -311,7 +265,7 @@ def _dopri(field, y, t_end, m, rtol, atol, fixed_step, max_steps, on_accept):
     else:
         fixed_step = _positive(fixed_step, "fixed_step")
     f, k0, timed = field
-    q, s, c, a = m.q, m.s, m.c, m.a
+    s, c, a = _S, _C, _A
     n_steps = np.zeros(len(y), dtype=int)
     n_rejected = np.zeros(len(y), dtype=int)
     errors = {}
@@ -322,7 +276,7 @@ def _dopri(field, y, t_end, m, rtol, atol, fixed_step, max_steps, on_accept):
     y, k0, t_end = y[rows], k0[rows], t_end[rows]
     t = np.zeros(rows.size)
     if adaptive:
-        h = np.minimum(_initial_step(f, t, y, k0, rtol, atol, q), t_end)
+        h = np.minimum(_initial_step(f, t, y, k0, rtol, atol), t_end)
         h_min = 1e-14 * t_end
     else:
         h = np.full(rows.size, fixed_step)
@@ -361,15 +315,16 @@ def _dopri(field, y, t_end, m, rtol, atol, fixed_step, max_steps, on_accept):
             K[:, i] = f(t + c[i] * h if timed else t, y + hc * (a[i, :i] @ K[:, :i]))
         y_new = y + hc * (a[s, :s] @ K[:, :s])
         K[:, s] = f(t + h if timed else t, y_new)
+        finite = np.isfinite(K).all(axis=(1, 2))
         if adaptive:
             scale = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
-            err = _error_norm(m, K, h, scale)
+            err = np.where(finite, _error_norm(K, h, scale), np.nan)
             accept = err <= 1.0  # False where err is not finite
-            fac = 0.9 * (err + 1e-16) ** (-0.7 / q) * (err_prev + 1e-16) ** (0.4 / q)
+            fac = 0.9 * (err + 1e-16) ** (-0.7 / _Q) * (err_prev + 1e-16) ** (0.4 / _Q)
             h_next = h * np.minimum(5.0, np.maximum(0.2, fac))
         else:
-            err = np.add.reduce(m.e @ K, axis=1)  # read only by the finiteness check
-            accept = np.isfinite(err)
+            err = np.where(finite, 0.0, np.nan)  # read only by the finiteness check
+            accept = finite
             h_next = h
 
         if accept.all():
@@ -384,7 +339,7 @@ def _dopri(field, y, t_end, m, rtol, atol, fixed_step, max_steps, on_accept):
             reject = ~accept & ~failed
             if reject.any():  # retry with a smaller step
                 rejected += reject
-                h_next[reject] = h[reject] * np.maximum(0.2, np.minimum(1.0, 0.9 * err[reject] ** (-1 / q)))
+                h_next[reject] = h[reject] * np.maximum(0.2, np.minimum(1.0, 0.9 * err[reject] ** (-1 / _Q)))
             if accept.any():
                 on_accept(rows[accept], t[accept], h[accept], y[accept], y_new[accept], K[accept])
                 t = np.where(accept, t + h, t)
@@ -417,39 +372,39 @@ def integrate(
     atol: float = 1e-12,
     fixed_step: float | None = None,
     max_steps: int = _MAX_STEPS,
-    method: str = "dop853",
 ) -> DenseSolution:
-    """Integrate dx/dt = f(t, x) from 0 to t_end with dense output.
+    """Integrate dx/dt = f(t, x) from 0 to t_end with DOP853 and dense output.
 
     ``sys_or_f`` is a benchmark system (its vector field is used) or a
-    callable ``f(t, y)``.  ``method`` is ``"dop853"`` or ``"dopri5"``.
-    Raises :class:`DimensionError` for a t_end, tolerance or fixed step that
-    is not finite and positive, and :class:`IntegrationError` when a stage
-    turns non-finite, when the adaptive step size underflows below 1e-14 of
-    the time span, or after more than ``max_steps`` steps.
+    callable ``f(t, y)``.  Raises :class:`DimensionError` for a t_end,
+    tolerance or fixed step that is not finite and positive, and
+    :class:`IntegrationError` when a stage turns non-finite, when the
+    adaptive step size underflows below 1e-14 of the time span, or after
+    more than ``max_steps`` steps.
     """
     t_end = _positive(t_end, "t_end")
     x0 = _one_state(x0)
-    m = _method(method)
     field = _field(sys_or_f, x0[None])
     steps = []
 
     def record(rows, *step):  # step = (t0, h, y0, y1, K)
         steps.append(step)
 
-    n_steps, n_rejected, errors = _dopri(
-        field, x0[None], np.array([t_end]), m, rtol, atol, fixed_step, max_steps, record
+    n_steps, n_rejected, errors = _dop853(
+        field, x0[None], np.array([t_end]), rtol, atol, fixed_step, max_steps, record
     )
     if errors:
         raise IntegrationError(errors[0])
     t0, h, y0, y1, K = (np.concatenate(part) for part in zip(*steps))
+    coeffs, finite = _coefficients(field[0], t0, h, y0, y1, K)
+    if not finite.all():
+        raise IntegrationError(_dense_failure(t0[np.argmin(finite)]))
     ts = np.append(t0, t0[-1] + h[-1])
     ys = np.concatenate([y0, y1[-1:]])
-    coeffs = _coefficients(m, field[0], t0, h, y0, y1, K)
     return DenseSolution(ts, ys, coeffs, int(n_steps[0]), int(n_rejected[0]))
 
 
-def _sample_rows(sys_or_f, x0, times, rtol=1e-10, atol=1e-12, method="dop853"):
+def _sample_rows(sys_or_f, x0, times, rtol=1e-10, atol=1e-12):
     """States of the rows of x0 (B, n) at their own times (B, m), from one solve.
 
     Each row is stepped to its latest time, and its states are interpolated
@@ -457,13 +412,14 @@ def _sample_rows(sys_or_f, x0, times, rtol=1e-10, atol=1e-12, method="dop853"):
     step that contains a requested time gets its coefficients.  Times must
     be nonnegative.  Returns ``(states, errors)``: states has shape (B, m,
     n), and errors maps each failed row to its message; that row's states
-    are NaN.
+    are NaN.  A row also fails if the dense output of one of its steps is
+    not finite.
     """
-    m = _method(method)
     field = _field(sys_or_f, x0)
     states = np.full(times.shape + (x0.shape[1],), np.nan)
     zero = times == 0.0
     states[zero] = np.broadcast_to(x0[:, None], states.shape)[zero]
+    dense_errors = {}
 
     def interpolate(rows, t0, h, y0, y1, K):
         T = times[rows]
@@ -471,11 +427,14 @@ def _sample_rows(sys_or_f, x0, times, rtol=1e-10, atol=1e-12, method="dop853"):
         if hit.any():
             r, c = np.nonzero(hit)
             u, inv = np.unique(r, return_inverse=True)
-            F = _coefficients(m, field[0], t0[u], h[u], y0[u], y1[u], K[u])
+            F, finite = _coefficients(field[0], t0[u], h[u], y0[u], y1[u], K[u])
+            for j in u[~finite]:
+                dense_errors.setdefault(int(rows[j]), _dense_failure(t0[j]))
             x = (T[r, c] - t0[r]) / h[r]
             states[rows[r], c] = _nested(x[:, None], y0[r], F[inv])
 
-    _, _, errors = _dopri(field, x0, times.max(axis=1), m, rtol, atol, None, _MAX_STEPS, interpolate)
+    _, _, errors = _dop853(field, x0, times.max(axis=1), rtol, atol, None, _MAX_STEPS, interpolate)
+    errors.update(dense_errors)  # a dense output fails on a step before any failure of the stepper
     states[list(errors)] = np.nan
     return states, errors
 

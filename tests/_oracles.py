@@ -260,13 +260,13 @@ def sf_regularized_loss_and_grad(model, sys, residual_batch, matching_batch):
 
 
 # ---------------------------------------------------------------------------
-# Scalar DOPRI5 and DOP853, and per-row metrics.  The package steps a (B, 2d)
-# batch with one stepper and rolls all initial conditions out together; these
-# loops solve and roll out one state at a time and serve as the references.
+# Scalar DOP853 and per-row metrics.  The package steps a (B, 2d) batch with
+# one stepper and rolls all initial conditions out together; these loops
+# solve and roll out one state at a time and serve as the references.
 # ---------------------------------------------------------------------------
 
 
-def _scalar_initial_step(f, t0, y0, f0, rtol, atol, q):
+def _scalar_initial_step(f, t0, y0, f0, rtol, atol):
     scale = atol + rtol * np.abs(y0)
     d0 = np.sqrt(np.mean((y0 / scale) ** 2))
     d1 = np.sqrt(np.mean((f0 / scale) ** 2))
@@ -277,7 +277,7 @@ def _scalar_initial_step(f, t0, y0, f0, rtol, atol, q):
     if max(d1, d2) <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
-        h1 = (0.01 / max(d1, d2)) ** (1 / q)
+        h1 = (0.01 / max(d1, d2)) ** (1 / 8)
     return min(100 * h0, h1)
 
 
@@ -297,29 +297,15 @@ class ScalarSolution:
         return out[0] if np.ndim(t) == 0 else np.array(out)
 
 
-def _hermite_piece(t0, h, y0, f0, y1, f1):
-    """The cubic Hermite interpolant of one step in the classic basis."""
-
-    def at(t):
-        s = (t - t0) / h
-        return (
-            (1 + 2 * s) * (1 - s) ** 2 * y0
-            + s * (1 - s) ** 2 * h * f0
-            + s * s * (3 - 2 * s) * y1
-            + s * s * (s - 1) * h * f1
-        )
-
-    return at
-
-
-def _dop853_piece(m, f, t0, h, y0, y1, K):
+def _dop853_piece(f, t0, h, y0, y1, K):
     """DOP853's 7th-order continuous extension of one step, as in dop853.f's CONTD8."""
-    s = m.s
-    K = np.concatenate([K[: s + 1], np.empty((len(m.c) - s - 1, y0.size))])
-    for i in range(s + 1, len(m.c)):
-        K[i] = f(t0 + m.c[i] * h, y0 + h * (m.a[i, :i] @ K[:i]))
+    from sympflow.integrate import _A, _C, _D, _S
+
+    K = np.concatenate([K, np.empty((len(_C) - _S - 1, y0.size))])
+    for i in range(_S + 1, len(_C)):
+        K[i] = f(t0 + _C[i] * h, y0 + h * (_A[i, :i] @ K[:i]))
     dy = y1 - y0
-    F = [dy, h * K[0] - dy, 2 * dy - h * (K[0] + K[s])] + list(h * (m.d @ K))
+    F = [dy, h * K[0] - dy, 2 * dy - h * (K[0] + K[_S])] + list(h * (_D @ K))
 
     def at(t):
         x = (t - t0) / h
@@ -331,16 +317,17 @@ def _dop853_piece(m, f, t0, h, y0, y1, K):
     return at
 
 
-def _scalar_solve(m, sys_or_f, x0, t_end, rtol, atol, fixed_step, max_steps):
-    """One state at a time: method m's loop with the package's tableau and controller."""
+def integrate_scalar(sys_or_f, x0, t_end, rtol=1e-10, atol=1e-12, fixed_step=None, max_steps=10_000_000):
+    """One state at a time: the DOP853 loop with the package's tableau and controller."""
     from sympflow.errors import IntegrationError
+    from sympflow.integrate import _A, _C, _E3, _E5, _S
     from sympflow.systems import HamiltonianSystem
 
     if isinstance(sys_or_f, HamiltonianSystem):
         f = lambda t, y: sys_or_f.vector_field(y)  # noqa: E731
     else:
         f = lambda t, y: np.asarray(sys_or_f(t, y), dtype=float)  # noqa: E731
-    s, q = m.s, m.q
+    s, q = _S, 8
     y = np.asarray(x0, dtype=float).copy()
     t = 0.0
     f0 = f(t, y)
@@ -349,7 +336,7 @@ def _scalar_solve(m, sys_or_f, x0, t_end, rtol, atol, fixed_step, max_steps):
     if fixed_step is not None:
         h = float(fixed_step)
     else:
-        h = min(_scalar_initial_step(f, t, y, f0, rtol, atol, q), t_end)
+        h = min(_scalar_initial_step(f, t, y, f0, rtol, atol), t_end)
     err_prev = 1.0
     K = np.empty((s + 1, y.size))
     while t < t_end:
@@ -358,18 +345,15 @@ def _scalar_solve(m, sys_or_f, x0, t_end, rtol, atol, fixed_step, max_steps):
         h = min(h, t_end - t)
         K[0] = f0
         for i in range(1, s):
-            K[i] = f(t + m.c[i] * h, y + h * (m.a[i, :i] @ K[:i]))
-        y_new = y + h * (m.a[s, :s] @ K[:s])
+            K[i] = f(t + _C[i] * h, y + h * (_A[i, :i] @ K[:i]))
+        y_new = y + h * (_A[s, :s] @ K[:s])
         K[s] = f(t + h, y_new)
         if fixed_step is None:
             scale = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
-            if m.e3 is None:
-                err = np.sqrt(np.mean((h * (m.e @ K) / scale) ** 2))
-            else:
-                e5 = np.sum(((m.e @ K) / scale) ** 2)
-                e3 = np.sum(((m.e3 @ K) / scale) ** 2)
-                den = np.sqrt(y.size * (e5 + 0.01 * e3))
-                err = h * e5 / den if den > 0 else 0.0
+            e5 = np.sum(((_E5 @ K) / scale) ** 2)
+            e3 = np.sum(((_E3 @ K) / scale) ** 2)
+            den = np.sqrt(y.size * (e5 + 0.01 * e3))
+            err = h * e5 / den if den > 0 else 0.0
             if err > 1.0:
                 n_rejected += 1
                 h *= max(0.2, min(1.0, 0.9 * err ** (-1 / q)))
@@ -379,10 +363,7 @@ def _scalar_solve(m, sys_or_f, x0, t_end, rtol, atol, fixed_step, max_steps):
             h_next = h * min(5.0, max(0.2, fac))
         else:
             h_next = h
-        if m.e3 is None:
-            pieces.append(_hermite_piece(t, h, y, f0, y_new, K[s].copy()))
-        else:
-            pieces.append(_dop853_piece(m, f, t, h, y, y_new, K.copy()))
+        pieces.append(_dop853_piece(f, t, h, y, y_new, K.copy()))
         t = t + h
         y = y_new
         f0 = K[s].copy()
@@ -393,20 +374,6 @@ def _scalar_solve(m, sys_or_f, x0, t_end, rtol, atol, fixed_step, max_steps):
             raise IntegrationError(f"exceeded {max_steps} steps at t={t:.6g}")
         h = h_next
     return ScalarSolution(ts, ys, pieces, n_steps, n_rejected)
-
-
-def integrate_scalar(sys_or_f, x0, t_end, rtol=1e-10, atol=1e-12, fixed_step=None, max_steps=10_000_000):
-    """The scalar DOPRI5 loop, with cubic Hermite dense output."""
-    from sympflow.integrate import _DOPRI5
-
-    return _scalar_solve(_DOPRI5, sys_or_f, x0, t_end, rtol, atol, fixed_step, max_steps)
-
-
-def integrate_scalar_dop853(sys_or_f, x0, t_end, rtol=1e-10, atol=1e-12, fixed_step=None, max_steps=10_000_000):
-    """The scalar DOP853 loop, with its 7th-order dense output."""
-    from sympflow.integrate import _DOP853
-
-    return _scalar_solve(_DOP853, sys_or_f, x0, t_end, rtol, atol, fixed_step, max_steps)
 
 
 def relative_error_rows(model, ics, refs, k, delta_t, project=None):

@@ -1,6 +1,5 @@
-"""The batched DOPRI5/DOP853 stepper and the batched evaluation against their per-row references."""
+"""The batched DOP853 stepper and the batched evaluation against their per-row references."""
 
-import functools
 import logging
 import re
 
@@ -24,12 +23,6 @@ HH_BOUND_BOX = (-0.25, 0.25)
 # On this box three of the first four orbits drawn with seed 0 lie above the
 # escape energy and blow up before t = 100 (at t = 17.9, 13.2 and 33.0).
 HH_ESCAPE_BOX = [(-0.5, 0.5)] * 4
-# Each method with its scalar-loop oracle.
-METHODS = pytest.mark.parametrize(
-    "method, oracle",
-    [("dopri5", orc.integrate_scalar), ("dop853", orc.integrate_scalar_dop853)],
-    ids=["dopri5", "dop853"],
-)
 
 
 def _system(name, rng):
@@ -41,7 +34,6 @@ def _system(name, rng):
     return sy.DampedAugmented(lam=rng.uniform(0.0, 1.0)), (-1.0, 1.0)
 
 
-@METHODS
 @settings(max_examples=25, deadline=None)
 @given(
     name=st.sampled_from(SYSTEM_NAMES),
@@ -50,30 +42,28 @@ def _system(name, rng):
     horizon=st.floats(0.5, 5.0),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_batched_rows_match_their_one_row_solves_and_the_scalar_oracle(method, oracle, name, batch, m, horizon, seed):
+def test_batched_rows_match_their_one_row_solves_and_the_scalar_oracle(name, batch, m, horizon, seed):
     rng = np.random.default_rng(seed)
     s, (lo, hi) = _system(name, rng)
     X = rng.uniform(lo, hi, size=(batch, 2 * s.d))
     T = rng.uniform(0.0, horizon, size=(batch, m))
     T[rng.random((batch, m)) < 0.2] = 0.0
-    states, errors = itg._sample_rows(s, X, T, method=method)
+    states, errors = itg._sample_rows(s, X, T)
     assert errors == {}
     for i in range(batch):
-        one, _ = itg._sample_rows(s, X[i : i + 1], T[i : i + 1], method=method)
-        one = one[0]
+        one = itg.sample_states(s, X[i], T[i])
         assert_close(states[i], one, rtol=1e-13, floor=1e-13, label=f"row {i} in the batch")
         t_end = T[i].max()
         if t_end == 0.0:
             assert np.array_equal(one, np.broadcast_to(X[i], one.shape))
             continue
-        sol = itg.integrate(s, X[i], t_end, method=method)
-        ref = oracle(s, X[i], t_end)
+        sol = itg.integrate(s, X[i], t_end)
+        ref = orc.integrate_scalar(s, X[i], t_end)
         assert_close(sol.ys[-1], ref.ys[-1], rtol=1e-12, floor=1e-12, label="end state")
         assert_close(sol(T[i]), ref(T[i]), rtol=1e-12, floor=1e-12, label="dense output")
         assert_close(one, ref(T[i]), rtol=1e-12, floor=1e-12, label="sampled states")
 
 
-@METHODS
 @settings(max_examples=15, deadline=None)
 @given(
     name=st.sampled_from(SYSTEM_NAMES),
@@ -82,17 +72,15 @@ def test_batched_rows_match_their_one_row_solves_and_the_scalar_oracle(method, o
     layers=st.integers(1, 2),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_evaluate_model_matches_the_per_row_composition(method, oracle, name, n_samples, ks, layers, seed):
+def test_evaluate_model_matches_the_per_row_composition(name, n_samples, ks, layers, seed):
     rng = np.random.default_rng(seed)
     s, box = _system(name, rng)
     model = sfm.random_sympflow(s.d, layers, rng, h=4)
     delta_t = 0.5
-    with pytest.MonkeyPatch.context() as mp:  # the references are DOP853 unless patched
-        mp.setattr(ev, "_sample_rows", functools.partial(itg._sample_rows, method=method))
-        report = ev.evaluate_model(model, s, box, delta_t, n_samples=n_samples, ks=ks, seed=seed)
+    report = ev.evaluate_model(model, s, box, delta_t, n_samples=n_samples, ks=ks, seed=seed)
     assert report.failed == 0
     ics = ev._draw_ics(s, box, n_samples, seed)
-    sols = [oracle(s, x0, max(ks) * delta_t) for x0 in ics]
+    sols = [orc.integrate_scalar(s, x0, max(ks) * delta_t) for x0 in ics]
     for k in ks:
         refs = np.stack([sol(k * delta_t) for sol in sols])
         err, skipped_err = orc.relative_error_rows(model, ics, refs, k, delta_t)

@@ -5,7 +5,7 @@ import pytest
 
 from sympflow import integrate as itg
 from sympflow import systems as sy
-from sympflow.errors import ConfigError, DimensionError, IntegrationError
+from sympflow.errors import DimensionError, IntegrationError
 
 
 def test_sho_return_map():
@@ -57,25 +57,18 @@ def test_stiffness_error():
         itg.integrate(f, np.array([1.0]), 2.0)
 
 
-def _fixed_step_order(method, steps, t_end):
-    # Step halving on the oscillator.
+def test_fixed_step_empirical_order():
+    # Step halving on the oscillator: the propagated solution is 8th order.
+    # These steps keep both errors (8e-10, 3e-12) far above round-off.
     s = sy.Sho()
     x0 = np.array([1.0, 0.0])
+    t_end = 4.0
     errs = []
-    for h in steps:
-        sol = itg.integrate(s, x0, t_end, fixed_step=h, method=method)
+    for h in (0.5, 0.25):
+        sol = itg.integrate(s, x0, t_end, fixed_step=h)
         errs.append(np.max(np.abs(sol.ys[-1] - sy.analytic_solution(s, x0, t_end))))
-    return np.log2(errs[0] / errs[1])
-
-
-def test_fixed_step_empirical_order():
-    # The propagated solution of DOPRI5 is 5th order.
-    assert _fixed_step_order("dopri5", (0.1, 0.05), 1.0) >= 4.5
-
-
-def test_fixed_step_empirical_order_dop853():
-    # 8th order; these steps keep both errors (8e-10, 3e-12) far above round-off.
-    assert _fixed_step_order("dop853", (0.5, 0.25), 4.0) >= 7.5
+    order = np.log2(errs[0] / errs[1])
+    assert order >= 7.5
 
 
 def test_sample_states():
@@ -154,16 +147,9 @@ def test_generate_dataset_rejects_a_nonfinite_window():
             itg.generate_dataset(sy.Sho(), [-1.0, 1.0], 5, 5, delta_t)
 
 
-def test_unknown_method_is_a_config_error():
-    with pytest.raises(ConfigError, match="method"):
-        itg.integrate(sy.Sho(), np.array([1.0, 0.0]), 1.0, method="rk4")
-
-
 # Bound Henon-Heiles, the oscillator and the damped system, against SciPy's
 # DOP853 at a far tighter tolerance.  The controllers differ, so states are
-# compared within tolerance, not step for step; the cubic Hermite dense output
-# of DOPRI5 is the looser of the two.
-SCIPY_TOL = {"dop853": 2e-10, "dopri5": 1e-8}
+# compared within tolerance, not step for step.
 SCIPY_CASES = [
     (sy.Sho(m=1.3, k=0.7), np.array([1.0, -0.4]), 10.0),
     (sy.HenonHeiles(), np.array([0.2, -0.15, 0.1, 0.22]), 20.0),
@@ -171,9 +157,8 @@ SCIPY_CASES = [
 ]
 
 
-@pytest.mark.parametrize("method", ["dop853", "dopri5"])
 @pytest.mark.parametrize("case", range(len(SCIPY_CASES)), ids=["sho", "henon_heiles", "damped"])
-def test_final_and_dense_states_match_scipy_dop853(method, case):
+def test_final_and_dense_states_match_scipy_dop853(case):
     scipy_integrate = pytest.importorskip("scipy.integrate")
     s, x0, t_end = SCIPY_CASES[case]
     ref = scipy_integrate.solve_ivp(
@@ -181,11 +166,62 @@ def test_final_and_dense_states_match_scipy_dop853(method, case):
         dense_output=True,
     )
     assert ref.success
-    sol = itg.integrate(s, x0, t_end, method=method)
+    sol = itg.integrate(s, x0, t_end)
     times = np.linspace(0.0, t_end, 97)
-    tol = SCIPY_TOL[method] * np.max(np.abs(ref.y))
+    tol = 2e-10 * np.max(np.abs(ref.y))
     assert np.max(np.abs(sol.ys[-1] - ref.y[:, -1])) < tol
     assert np.max(np.abs(sol(times) - ref.sol(times).T)) < tol
-    got, errors = itg._sample_rows(s, x0[None], times[None, ::-1], method=method)
+    got, errors = itg._sample_rows(s, x0[None], times[None, ::-1])
     assert errors == {}
     assert np.max(np.abs(got[0] - ref.sol(times[::-1]).T)) < tol
+
+
+@pytest.mark.parametrize("fixed_step", [None, 0.1])
+def test_nonfinite_last_stage_is_named(fixed_step):
+    # K_12 = f(t + h, y_new) has no weight in the error estimate; a NaN there
+    # still fails the step.  The calls before it are the field at t = 0, the
+    # starting-step probe (adaptive only) and the stages K_1 .. K_11.
+    last_stage = 12 + (fixed_step is None)
+    calls = []
+
+    def f(t, y):
+        calls.append(t)
+        return np.full(2, np.nan) if len(calls) == last_stage + 1 else np.array([y[1], -y[0]])
+
+    with pytest.raises(IntegrationError, match="non-finite state at t=0"):
+        itg.integrate(f, np.array([1.0, 0.0]), 1.0, fixed_step=fixed_step)
+    assert len(calls) == last_stage + 1
+
+
+def _nan_in_one_extra_stage():
+    """An oscillator whose field is NaN only where step 1's first extra dense stage lands."""
+    sho = lambda t, y: np.array([y[1], -y[0]])  # noqa: E731
+    x0, t_end = np.array([1.0, 0.0]), 2.0
+    sol = itg.integrate(sho, x0, t_end)
+    assert sol.n_rejected == 0 and sol.n_steps > 3
+    t0, h = sol.ts[1], sol.ts[2] - sol.ts[1]
+    # Extra stage 13 sits at t0 + 0.1 h; the nearest stages of a step, at
+    # 0.079 h and 0.118 h, stay outside.
+    lo, hi = t0 + 0.09 * h, t0 + 0.11 * h
+
+    def f(t, y):
+        return np.full(2, np.nan) if lo < t < hi else sho(t, y)
+
+    return f, x0, t_end, t0 + 0.5 * h, sol
+
+
+def test_nonfinite_dense_output_fails_integrate():
+    f, x0, t_end, _, _ = _nan_in_one_extra_stage()
+    with pytest.raises(IntegrationError, match="non-finite dense output"):
+        itg.integrate(f, x0, t_end)
+
+
+def test_nonfinite_dense_output_fails_only_its_sampled_row():
+    f, x0, t_end, t_mid, sol = _nan_in_one_extra_stage()
+    # Row 0 asks for a time inside step 1; row 1 only for the end, on the last step.
+    states, errors = itg._sample_rows(f, np.stack([x0, x0]), np.array([[t_mid, t_end], [t_end, t_end]]))
+    assert list(errors) == [0] and "non-finite dense output" in errors[0]
+    assert np.isnan(states[0]).all()
+    np.testing.assert_allclose(states[1], np.stack([sol.ys[-1]] * 2), rtol=0, atol=1e-14)
+    with pytest.raises(IntegrationError, match="non-finite dense output"):
+        itg.sample_states(f, x0, [t_mid])
