@@ -361,10 +361,19 @@ def flatten(pairs) -> np.ndarray:
 
 
 def unflatten(vec, like) -> list:
-    """A copy of a :func:`flatten` vector, split into pairs shaped like ``like``."""
-    sizes = [n for A, b in like for n in (A.size, b.size)]
-    vec = np.array(vec, dtype=float)
-    if vec.shape != (sum(sizes),):
-        raise DimensionError(f"parameter vector must have length {sum(sizes)}, got {vec.shape}")
-    parts = np.split(vec, np.cumsum(sizes)[:-1])
-    return [(parts[2 * i].reshape(A.shape), parts[2 * i + 1]) for i, (A, _) in enumerate(like)]
+    """A :func:`flatten` vector split into pairs shaped like ``like``.
+
+    The pairs are views of ``vec`` when it is a contiguous float array, so
+    a write to ``vec`` shows in them; a caller that keeps them passes its
+    own copy.
+    """
+    n = sum(A.size + b.size for A, b in like)
+    vec = np.asarray(vec, dtype=float)
+    if vec.shape != (n,):
+        raise DimensionError(f"parameter vector must have length {n}, got {vec.shape}")
+    pairs, ofs = [], 0
+    for A, b in like:
+        mid = ofs + A.size
+        pairs.append((vec[ofs:mid].reshape(A.shape), vec[mid : mid + b.size]))
+        ofs = mid + b.size
+    return pairs

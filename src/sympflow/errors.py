@@ -26,7 +26,7 @@ class StaleJetError(RuntimeError):
 
 
 class TrainingDivergedError(RuntimeError):
-    """Training produced a non-finite loss.
+    """Training produced a non-finite loss, gradient or parameter vector.
 
     Carries the partial training report (``report`` attribute) for diagnosis.
     """

@@ -45,7 +45,7 @@ class MlpFlowModel:
                     f"layer expects A {(n_out, n_in)} / b {(n_out,)}, "
                     f"got {A.shape} / {b.shape}"
                 )
-            if not (np.all(np.isfinite(A)) and np.all(np.isfinite(b))):
+            if not (np.isfinite(A).all() and np.isfinite(b).all()):
                 raise DimensionError("weights contain non-finite entries")
 
     def _widths(self):
@@ -99,7 +99,17 @@ def params_to_vector(model: MlpFlowModel) -> np.ndarray:
 
 
 def model_with_params(model: MlpFlowModel, vec: np.ndarray) -> MlpFlowModel:
-    return MlpFlowModel(model.d, tuple(unflatten(vec, model.weights)), model.hidden)
+    """A model of ``model``'s shape with the parameters of a copy of ``vec``."""
+    return _model_over(model, np.array(vec, dtype=float))
+
+
+def _model_over(model: MlpFlowModel, buf: np.ndarray) -> MlpFlowModel:
+    """A model of ``model``'s shape whose weights are views of the flat float vector ``buf``.
+
+    A write to ``buf`` changes the model in place, unchecked: the caller
+    keeps ``buf`` finite.
+    """
+    return MlpFlowModel(model.d, tuple(unflatten(buf, model.weights)), model.hidden)
 
 
 # ---------------------------------------------------------------------------

@@ -101,14 +101,23 @@ def params_to_vector(model: SympFlowModel) -> np.ndarray:
 
 
 def model_with_params(model: SympFlowModel, vec: np.ndarray) -> SympFlowModel:
-    vec = np.asarray(vec, dtype=float)
-    if vec.shape != (param_count(model),):
+    """A model of ``model``'s shape with the parameters of a copy of ``vec``."""
+    return _model_over(model, np.array(vec, dtype=float))
+
+
+def _model_over(model: SympFlowModel, buf: np.ndarray) -> SympFlowModel:
+    """A model of ``model``'s shape whose weights are views of the flat float vector ``buf``.
+
+    A write to ``buf`` changes the model in place, unchecked: the caller
+    keeps ``buf`` finite.
+    """
+    if buf.shape != (param_count(model),):
         raise DimensionError(
-            f"parameter vector must have length {param_count(model)}, got {vec.shape}"
+            f"parameter vector must have length {param_count(model)}, got {buf.shape}"
         )
     nets, ofs = [], 0
     for net in (n for pair in model.layers for n in pair):
-        nets.append(pot.net_with_params(net, vec[ofs : ofs + net.n_params]))
+        nets.append(pot._net_over(net, buf[ofs : ofs + net.n_params]))
         ofs += net.n_params
     return SympFlowModel(model.d, tuple(zip(nets[::2], nets[1::2])))
 

@@ -81,7 +81,7 @@ class PotentialNet:
             arr = getattr(self, name)
             if arr.shape != want:
                 raise DimensionError(f"{name} must have shape {want}, got {arr.shape}")
-            if not np.all(np.isfinite(arr)):
+            if not np.isfinite(arr).all():
                 raise DimensionError(f"{name} contains non-finite entries")
 
     @property
@@ -132,7 +132,13 @@ def params_to_vector(net: PotentialNet) -> np.ndarray:
 
 
 def net_with_params(net: PotentialNet, vec: np.ndarray) -> PotentialNet:
-    (A1, b1), (A2, b2), (A3, b3) = unflatten(vec, net.weights)
+    """A net of ``net``'s shape with the parameters of a copy of ``vec``."""
+    return _net_over(net, np.array(vec, dtype=float))
+
+
+def _net_over(net: PotentialNet, buf: np.ndarray) -> PotentialNet:
+    """A net of ``net``'s shape whose weights are views of the flat float vector ``buf``."""
+    (A1, b1), (A2, b2), (A3, b3) = unflatten(buf, net.weights)
     return PotentialNet(net.d, net.h, A1, b1, A2, b2, A3, b3)
 
 

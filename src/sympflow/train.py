@@ -363,8 +363,18 @@ def train(
     mixed regime runs ``epochs`` with the matching term, then
     ``fine_tune_epochs`` with the residual term alone.  Deterministic under
     the config seed.  Raises :class:`ConfigError` when the model's kind is
-    not ``config.model_kind``, and :class:`TrainingDivergedError` on a
-    non-finite loss.
+    not ``config.model_kind``, and :class:`TrainingDivergedError`, carrying
+    the report of the epochs completed, on a non-finite loss, gradient or
+    updated parameter vector.
+
+    The parameters live in one flat buffer owned by this call.  The working
+    model is built once, with weights that are views of the buffer (the
+    kind's ``_model_over``), and each :func:`adam_step` is written into the
+    buffer, so no model is rebuilt or revalidated per epoch; the check of
+    the updated vector stands in for the finiteness checks a rebuild made.
+    The working model never leaves this function: ``checkpoint_fn(epoch,
+    model)`` and the return value each get a fresh ``model_with_params``
+    copy, which later epochs leave untouched.
     """
     if model_obj.kind != config.model_kind:
         raise ConfigError(
@@ -381,23 +391,32 @@ def train(
     report = TrainReport(seed=config.seed)
     start = _time.perf_counter()
     params = k.params_to_vector(model_obj)
+    current = k._model_over(model_obj, params)
     state = AdamState.zeros(params.size)
     box = as_box(config.omega, 2 * model_obj.d) if sys is not None else None
     samples = _samples(dataset)
+    stacked = None
+    if config.regime == "supervised" and config.batch_collocation < len(samples[0]):
+        # Rows [t, x0, y]: one fancy index per epoch gathers a minibatch.
+        stacked = np.column_stack(samples)
+        cut = 1 + samples[1].shape[1]
+
+    def diverged(what):
+        report.wall_clock_s = _time.perf_counter() - start
+        return TrainingDivergedError(f"non-finite {what} at epoch {report.epochs_run}", report)
 
     phases = [(config.regime, config.epochs)]
     if config.regime == "mixed":
         phases.append(("residual_only", config.fine_tune_epochs))
 
-    current = k.model_with_params(model_obj, params)
     for phase_regime, n_epochs in phases:
         for _ in range(n_epochs):
             batch = residual_batch = matching_batch = None
             if phase_regime == "supervised":
                 batch = samples
-                if config.batch_collocation < len(samples[0]):
-                    idx = rng.integers(0, len(samples[0]), size=config.batch_collocation)
-                    batch = tuple(a[idx] for a in samples)
+                if stacked is not None:
+                    rows = stacked[rng.integers(0, len(stacked), size=config.batch_collocation)]
+                    batch = (rows[:, 0], rows[:, 1:cut], rows[:, cut:])
             else:
                 residual_batch = _draw_collocation(
                     rng, box, config.delta_t, config.batch_collocation
@@ -417,24 +436,21 @@ def train(
                 True,
             )
             if not np.isfinite(value) or not np.all(np.isfinite(grad)):
-                report.wall_clock_s = _time.perf_counter() - start
-                raise TrainingDivergedError(
-                    f"non-finite loss at epoch {report.epochs_run}", report
-                )
+                raise diverged("loss")
+            new_params, state = adam_step(params, grad, state, lr=config.learning_rate)
+            if not np.all(np.isfinite(new_params)):
+                raise diverged("parameters")
+            params[:] = new_params
             report.record(total=value, **parts)
-            params, state = adam_step(params, grad, state, lr=config.learning_rate)
-            # One model per step serves the checkpoint and the next epoch.
-            current = k.model_with_params(model_obj, params)
             report.epochs_run += 1
             if (
                 checkpoint_fn is not None
                 and config.checkpoint_every > 0
                 and report.epochs_run % config.checkpoint_every == 0
             ):
-                checkpoint_fn(report.epochs_run, current)
+                checkpoint_fn(report.epochs_run, k.model_with_params(model_obj, params))
 
-    trained = current
     report.wall_clock_s = _time.perf_counter() - start
     if report.loss_history.get("total"):
         report.final_loss = report.loss_history["total"][-1]
-    return trained, report
+    return k.model_with_params(model_obj, params), report

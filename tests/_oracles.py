@@ -5,7 +5,9 @@ import functools
 import numpy as np
 
 from sympflow import potential as pot
+from sympflow import train as tr
 from sympflow._jet import Jet
+from sympflow.validation import as_box
 
 
 def assert_close(got, want, rtol, floor=0.0, label=""):
@@ -257,6 +259,56 @@ def sf_regularized_loss_and_grad(model, sys, residual_batch, matching_batch):
     _, g_match = extract_vjp(model, t, x, (2.0 / len(t)) * err)
     parts = {"residual": residual, "matching": matching}
     return residual + matching, g_res + g_match, parts
+
+
+def weight_arrays(model_obj):
+    """Every weight and bias array of a model, of either kind."""
+    if model_obj.kind == "mlp":
+        pairs = model_obj.weights
+    else:
+        pairs = [w for pair in model_obj.layers for net in pair for w in net.weights]
+    return [a for pair in pairs for a in pair]
+
+
+def train_rebuilding(model_obj, config, sys=None, dataset=None):
+    """The training loop that rebuilds the model from the parameter vector every epoch.
+
+    Same batches, losses and Adam arithmetic as :func:`sympflow.train.train`,
+    with each minibatch gathered by one fancy index per sample array.
+    Returns ``(final parameter vector, loss history)``.
+    """
+    k = tr._kind(model_obj)[0]
+    rng = np.random.default_rng(config.seed)
+    params = k.params_to_vector(model_obj)
+    state = tr.AdamState.zeros(params.size)
+    box = as_box(config.omega, 2 * model_obj.d) if sys is not None else None
+    samples = tr._samples(dataset)
+    history = {}
+    phases = [(config.regime, config.epochs)]
+    if config.regime == "mixed":
+        phases.append(("residual_only", config.fine_tune_epochs))
+    for regime, n_epochs in phases:
+        for _ in range(n_epochs):
+            current = k.model_with_params(model_obj, params)
+            batch = residual_batch = matching_batch = None
+            if regime == "supervised":
+                batch = samples
+                if config.batch_collocation < len(samples[0]):
+                    idx = rng.integers(0, len(samples[0]), size=config.batch_collocation)
+                    batch = tuple(a[idx] for a in samples)
+            else:
+                draw = functools.partial(tr._draw_collocation, rng, box, config.delta_t)
+                residual_batch = draw(config.batch_collocation)
+                if regime in ("regularized", "mixed"):
+                    matching_batch = draw(config.batch_matching)
+            value, grad, parts = tr._loss(
+                current, regime, sys, batch, residual_batch, matching_batch,
+                config.derivative_mode, True,
+            )
+            for key, val in dict(total=value, **parts).items():
+                history.setdefault(key, []).append(float(val))
+            params, state = tr.adam_step(params, grad, state, lr=config.learning_rate)
+    return params, history
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,8 @@ import sympflow
 from sympflow import extraction, mlp, model
 from sympflow.errors import ConfigError, DimensionError
 
+from _oracles import weight_arrays
+
 
 def test_submodules_not_shadowed_by_reexports():
     names = [info.name for info in pkgutil.iter_modules(sympflow.__path__)]
@@ -57,6 +59,7 @@ PROTOCOL = (
     "_pullback",
     "params_to_vector",
     "model_with_params",
+    "_model_over",
     "param_count",
 )
 
@@ -80,6 +83,32 @@ def test_model_kinds_share_one_protocol(name):
 def test_model_kind_attributes():
     assert model.SympFlowModel.kind == MODELS["sympflow"]().kind == "sympflow"
     assert mlp.MlpFlowModel.kind == MODELS["mlp"]().kind == "mlp"
+
+
+KERNELS = {"sympflow": model, "mlp": mlp}
+
+
+@pytest.mark.parametrize("kind", sorted(MODELS))
+def test_model_with_params_shares_no_memory_with_the_vector(kind):
+    k, m = KERNELS[kind], MODELS[kind]()
+    vec = 0.5 * k.params_to_vector(m)
+    want = vec.copy()
+    rebuilt = k.model_with_params(m, vec)
+    assert not any(np.shares_memory(a, vec) for a in weight_arrays(rebuilt))
+    vec[:] = np.nan
+    assert np.array_equal(k.params_to_vector(rebuilt), want)
+
+
+@pytest.mark.parametrize("kind", sorted(MODELS))
+def test_model_over_reads_its_buffer_in_place(kind):
+    k, m = KERNELS[kind], MODELS[kind]()
+    buf = k.params_to_vector(m)
+    working = k._model_over(m, buf)
+    new = 0.5 * buf
+    buf[:] = new
+    x = np.array([[0.3, -0.2], [0.1, 0.4]])
+    want = k._forward_b(k.model_with_params(m, new), 0.7, x)
+    assert np.array_equal(k._forward_b(working, 0.7, x), want)
 
 
 @pytest.mark.parametrize("kind", sorted(MODELS))

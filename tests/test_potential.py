@@ -229,6 +229,15 @@ def test_param_count_formula():
     assert pot.zero_potential_net(1, h=10).n_params == 151
 
 
+def test_net_with_params_shares_no_memory_with_the_vector(net2):
+    vec = 0.5 * pot.params_to_vector(net2)
+    want = vec.copy()
+    rebuilt = pot.net_with_params(net2, vec)
+    assert not any(np.shares_memory(a, vec) for pair in rebuilt.weights for a in pair)
+    vec[:] = np.nan
+    assert np.array_equal(pot.params_to_vector(rebuilt), want)
+
+
 def test_all_quantities_fd_sweep():
     # 100 fixed-seed triples with d in {1, 2}: every exported derivative
     # quantity matches central differences to 1e-5 relative (1e-8 floor).

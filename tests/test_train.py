@@ -6,11 +6,11 @@ import pytest
 from sympflow import mlp
 from sympflow import model as sfm
 from sympflow import train as tr
-from sympflow.errors import ConfigError, DimensionError
+from sympflow.errors import ConfigError, DimensionError, TrainingDivergedError
 from sympflow.integrate import TrajectoryDataset, generate_dataset
 from sympflow.systems import HenonHeiles, Sho
 
-from _oracles import assert_close
+from _oracles import assert_close, train_rebuilding, weight_arrays
 
 
 def tiny_sympflow(seed=0, d=1):
@@ -393,6 +393,117 @@ def test_train_mixed_regime_phases():
     assert report.epochs_run == 5
     assert len(report.loss_history["matching"]) == 3  # matching only in phase one
     assert len(report.loss_history["residual"]) == 5
+
+
+# ---------------------------------------------------------------------------
+# The loop over one parameter buffer: same numbers as a rebuild per epoch,
+# divergence caught on the parameter vector, no working model escapes.
+# ---------------------------------------------------------------------------
+
+KERNELS = {"sympflow": sfm, "mlp": mlp}
+
+LOOP_CASES = {
+    "supervised-full-batch": dict(regime="supervised", batch_collocation=16),
+    "supervised-minibatch": dict(regime="supervised", batch_collocation=5),
+    "regularized": dict(regime="regularized", batch_collocation=6, batch_matching=5),
+    "mixed-fine-tune": dict(
+        regime="mixed", epochs=3, fine_tune_epochs=2, batch_collocation=6, batch_matching=5
+    ),
+    "residual-fd": dict(regime="residual_only", derivative_mode="fd", batch_collocation=6),
+}
+
+
+def _loop_config(kind, **kwargs):
+    base = dict(model_kind=kind, epochs=4, learning_rate=1e-2, layers=2, hidden=3, seed=7)
+    return tr.TrainConfig(**{**base, **kwargs})
+
+
+@pytest.mark.parametrize("case", sorted(LOOP_CASES))
+@pytest.mark.parametrize("kind", sorted(KERNELS))
+def test_train_matches_the_rebuilding_loop_bitwise(kind, case):
+    cfg = _loop_config(kind, **LOOP_CASES[case])
+    model = tr.build_model(cfg, d=1)
+    data = dict(dataset=make_dataset()) if cfg.regime == "supervised" else dict(sys=Sho())
+    want_params, want_history = train_rebuilding(model, cfg, **data)
+    trained, report = tr.train(model, cfg, **data)
+    assert report.loss_history == want_history
+    assert np.array_equal(KERNELS[kind].params_to_vector(trained), want_params)
+    assert not np.array_equal(want_params, KERNELS[kind].params_to_vector(model))
+
+
+@pytest.mark.parametrize("kind", sorted(KERNELS))
+def test_overflowing_adam_step_raises_training_diverged(kind):
+    ds = generate_dataset(Sho(), [-1.2, 1.2], 4, 3, 1.0, seed=1)
+    cfg = _loop_config(
+        kind, regime="supervised", epochs=5, learning_rate=1e308, batch_collocation=64
+    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(TrainingDivergedError) as info:
+            tr.train(tr.build_model(cfg, d=1), cfg, dataset=ds)
+    report = info.value.report
+    assert 0 < report.epochs_run < 5
+    assert len(report.loss_history["total"]) == report.epochs_run
+
+
+@pytest.mark.parametrize("kind", sorted(KERNELS))
+def test_nonfinite_parameters_raise_training_diverged_with_the_partial_report(kind, monkeypatch):
+    step = tr.adam_step
+
+    def poisoned(params, grads, state, **kwargs):
+        new, state = step(params, grads, state, **kwargs)
+        if state.step == 3:
+            new[-1] = np.nan
+        return new, state
+
+    monkeypatch.setattr(tr, "adam_step", poisoned)
+    cfg = _loop_config(kind, regime="residual_only", epochs=5, batch_collocation=4)
+    with pytest.raises(TrainingDivergedError, match="non-finite parameters at epoch 2") as info:
+        tr.train(tr.build_model(cfg, d=1), cfg, sys=Sho())
+    report = info.value.report
+    assert report.epochs_run == 2
+    assert len(report.loss_history["total"]) == 2
+    assert report.wall_clock_s > 0
+
+
+@pytest.mark.parametrize("kind", sorted(KERNELS))
+def test_train_calls_adam_step_through_the_module_once_per_epoch(kind, monkeypatch):
+    # The benchmark tracer times Adam by wrapping ``train.adam_step``.
+    calls = []
+    step = tr.adam_step
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return step(*args, **kwargs)
+
+    monkeypatch.setattr(tr, "adam_step", counted)
+    cfg = _loop_config(kind, **LOOP_CASES["mixed-fine-tune"])
+    _, report = tr.train(tr.build_model(cfg, d=1), cfg, sys=Sho())
+    assert len(calls) == report.epochs_run == 5
+
+
+@pytest.mark.parametrize("kind", sorted(KERNELS))
+def test_checkpoints_keep_their_parameters_and_share_no_memory(kind):
+    k = KERNELS[kind]
+    cfg = _loop_config(kind, checkpoint_every=1, **LOOP_CASES["regularized"])
+    model = tr.build_model(cfg, d=1)
+    initial = k.params_to_vector(model)
+    seen = []
+
+    def checkpoint(epoch, m):
+        seen.append((m, k.params_to_vector(m)))
+
+    trained, _ = tr.train(model, cfg, sys=Sho(), checkpoint_fn=checkpoint)
+    assert len(seen) == cfg.epochs
+    for m, at_call in seen:
+        assert np.array_equal(k.params_to_vector(m), at_call)
+    assert not np.array_equal(seen[0][1], seen[1][1])
+    assert np.array_equal(seen[-1][1], k.params_to_vector(trained))
+    assert np.array_equal(k.params_to_vector(model), initial)
+    models = [model, trained] + [m for m, _ in seen]
+    for i, a in enumerate(models):
+        for b in models[i + 1 :]:
+            pairs = ((x, y) for x in weight_arrays(a) for y in weight_arrays(b))
+            assert not any(np.shares_memory(x, y) for x, y in pairs)
 
 
 def test_exact_residual_loss_runs_the_shear_chain_once(monkeypatch):
