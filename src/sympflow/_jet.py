@@ -34,12 +34,13 @@ Each thread keeps one workspace, and a sweep writes its jets into the
 buffers of the thread's previous sweep instead of into new arrays.  The
 tape (the affine outputs, the tanh values and their tangents) takes slots of
 ``_Workspace.tape`` in the order the sweep needs them; the pullback's
-cotangent jets and every temporary take slots of two work banks.  A slot is
-reallocated only when its shape changes, so the workspace holds one sweep's
-arrays and no more.  The arithmetic is the same, operation for operation, as
-with fresh arrays: each ufunc and ``matmul`` receives its output buffer as
-its last positional argument, and a tanh pullback updates the cotangent it
-is given in place.
+cotangent jets and every temporary take slots of two work banks.  Each
+bank's slots are views of one flat arena that only grows, so the workspace
+holds the largest sweep's arrays and no more, and sweeps of different sizes
+(a forward shear's 2B rows, a pullback's B) reuse it without reallocating.
+The arithmetic is the same, operation for operation, as with fresh arrays:
+each ufunc and ``matmul`` receives its output buffer as its last positional
+argument, and a tanh pullback updates the cotangent it is given in place.
 
 Layout.  Every jet component is stored column-major: a ``(B, n)`` array
 that is the transpose view of a C-contiguous ``(n, B)`` buffer, so the
@@ -98,27 +99,50 @@ class Jet:
 
 
 class _Bank:
-    """Buffers taken in order and reused slot by slot from sweep to sweep."""
+    """Buffers taken in order and reused slot by slot from sweep to sweep.
 
-    __slots__ = ("bufs", "n")
+    The slots are consecutive views of one flat arena, each padded to a
+    whole 64 bytes so that every slot is aligned as the arena is.  A slot
+    past the arena's end is a fresh array, and the arena grows to hold it
+    when the bank is next reset (``n = 0``), when none of its slots is in use
+    any more.  So the arena ends as large as the largest set of slots one
+    round takes, and rounds of different sizes alternate in it without
+    reallocating.
+    """
+
+    __slots__ = ("bufs", "spans", "n", "arena", "need")
 
     def __init__(self):
         self.bufs = []
+        self.spans = []  # (start, end) of each slot in the arena
         self.n = 0
+        self.arena = np.empty(0)
+        self.need = 0
 
     def take(self, shape):
         """A ``shape`` array, the transpose view of a C-contiguous buffer."""
         i = self.n
         self.n = i + 1
-        bufs = self.bufs
+        bufs, spans = self.bufs, self.spans
+        if i == 0 and self.need > self.arena.size:
+            self.arena = np.empty(self.need)
+            bufs.clear()
+            spans.clear()
+        start = spans[i - 1][1] if i else 0
+        if i < len(bufs) and spans[i][0] == start and bufs[i].shape == shape:
+            return bufs[i]
+        size = shape[0] * shape[1]
+        end = start + -(-size // 8) * 8
+        if end <= self.arena.size:
+            buf = self.arena[start : start + size].reshape(shape[::-1]).T
+        else:
+            buf = np.empty(shape[::-1]).T
+            self.need = max(self.need, end)
         if i < len(bufs):
-            buf = bufs[i]
-            if buf.shape == shape:
-                return buf
-            buf = bufs[i] = np.empty(shape[::-1]).T
-            return buf
-        buf = np.empty(shape[::-1]).T
-        bufs.append(buf)
+            bufs[i], spans[i] = buf, (start, end)
+        else:
+            bufs.append(buf)
+            spans.append((start, end))
         return buf
 
 
@@ -207,6 +231,8 @@ def _tanh_forward(x: Jet, out, tmp) -> Jet:
     # value, only its tangent parts.
     shape = x.x0.shape
     y0 = np.tanh(x.x0, x.x0)
+    if x.xa is None and x.xb is None and x.xab is None:
+        return Jet(y0)
     s1 = np.multiply(y0, y0, tmp(shape))
     np.subtract(1.0, s1, s1)
     ya = None if x.xa is None else np.multiply(s1, x.xa, out(shape))

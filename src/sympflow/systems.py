@@ -37,7 +37,12 @@ __all__ = [
 
 
 class HamiltonianSystem:
-    """Common interface; subclasses define the arrays on batches (B, 2d)."""
+    """Common interface; subclasses define the arrays on batches (B, 2d).
+
+    ``_vector_field(x, out=None)`` writes the field into ``out``, any (B, 2d)
+    view such as an integrator's stage slot, or into a new array.  It is
+    elementwise in the rows, so a row's value does not depend on its batch.
+    """
 
     d: int  # phase-space half dimension
 
@@ -85,10 +90,10 @@ class Sho(HamiltonianSystem):
     def _gradient(self, x):
         return np.stack([self.k * x[:, 0], x[:, 1] / self.m], axis=1)
 
-    def _vector_field(self, x):
-        out = np.empty(x.shape)
-        out[:, 0] = x[:, 1] / self.m
-        out[:, 1] = -self.k * x[:, 0]
+    def _vector_field(self, x, out=None):
+        out = np.empty(x.shape) if out is None else out
+        np.divide(x[:, 1], self.m, out[:, 0])
+        np.multiply(-self.k, x[:, 0], out[:, 1])
         return out
 
     def _vf_jacobian(self, x):
@@ -112,12 +117,12 @@ class HenonHeiles(HamiltonianSystem):
             [qx + 2.0 * qx * qy, qy + qx * qx - qy * qy, px, py], axis=1
         )
 
-    def _vector_field(self, x):
+    def _vector_field(self, x, out=None):
         qx, qy = x[:, 0], x[:, 1]
-        out = np.empty(x.shape)
+        out = np.empty(x.shape) if out is None else out
         out[:, :2] = x[:, 2:]
-        out[:, 2] = -qx - 2.0 * qx * qy
-        out[:, 3] = -(qy + qx * qx - qy * qy)
+        np.multiply(qx, -1.0 - 2.0 * qy, out[:, 2])
+        np.subtract(qy * qy - qx * qx, qy, out[:, 3])
         return out
 
     def _vf_jacobian(self, x):
@@ -169,10 +174,10 @@ class DampedAugmented(HamiltonianSystem):
             axis=1,
         )
 
-    def _vector_field(self, x):
+    def _vector_field(self, x, out=None):
         qa, qb, pa, pb = x.T
         c = self.lam / (2.0 * self.m)
-        out = np.empty(x.shape)
+        out = np.empty(x.shape) if out is None else out
         out[:, 0] = pa / self.m + c * (qa - qb)
         out[:, 1] = -pb / self.m - c * (qa - qb)
         out[:, 2] = -c * (pa - pb) - self.k * qa

@@ -91,6 +91,15 @@ def hvp_vjp(net, t, q, v, W):
 # ---------------------------------------------------------------------------
 
 
+def shear_two_sweeps(net, t, y, vy=None, dt=None):
+    """``model._shear`` from one sweep at t and one at 0: (delta, ddelta, vt)."""
+    d = net.d
+    gt, ht = pot.jet_grad_b(net, t, y, (vy, dt))
+    g0, h0 = pot.jet_grad_b(net, 0.0, y, (vy, None))
+    ddelta = None if vy is None else ht[:, :d] - h0[:, :d]
+    return gt[:, :d] - g0[:, :d], ddelta, gt[:, d]
+
+
 def _shear_delta(net, t, y):
     g_t, _ = pot.grad_time_b(net, t, y)
     g_0, _ = pot.grad_time_b(net, 0.0, y)
@@ -372,7 +381,7 @@ def _dop853_piece(f, t0, h, y0, y1, K):
 def integrate_scalar(sys_or_f, x0, t_end, rtol=1e-10, atol=1e-12, fixed_step=None, max_steps=10_000_000):
     """One state at a time: the DOP853 loop with the package's tableau and controller."""
     from sympflow.errors import IntegrationError
-    from sympflow.integrate import _A, _C, _E3, _E5, _S
+    from sympflow.integrate import _A, _C, _E53, _S
     from sympflow.systems import HamiltonianSystem
 
     if isinstance(sys_or_f, HamiltonianSystem):
@@ -402,8 +411,9 @@ def integrate_scalar(sys_or_f, x0, t_end, rtol=1e-10, atol=1e-12, fixed_step=Non
         K[s] = f(t + h, y_new)
         if fixed_step is None:
             scale = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
-            e5 = np.sum(((_E5 @ K) / scale) ** 2)
-            e3 = np.sum(((_E3 @ K) / scale) ** 2)
+            # Both estimates from one product, as the package forms them: the
+            # step size follows the last digits of this cancellation.
+            e5, e3 = np.sum(((_E53 @ K) / scale) ** 2, axis=1)
             den = np.sqrt(y.size * (e5 + 0.01 * e3))
             err = h * e5 / den if den > 0 else 0.0
             if err > 1.0:

@@ -1,8 +1,9 @@
 """The fused shear-layer sweeps against the unfused per-quantity compositions.
 
-The package evaluates every potential with one jet sweep per time and pass;
-``_oracles`` keeps the older compositions, which take one sweep per derivative
-quantity.  Both compute the same numbers, so they must agree to rounding.
+The package evaluates every potential with one jet sweep per pass, a forward
+shear at t and 0 together; ``_oracles`` keeps the older compositions, which
+take one sweep per time or per derivative quantity.  Both compute the same
+numbers, so they must agree to rounding.
 """
 
 import numpy as np
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 import _oracles as orc
 from sympflow import extraction as ext
 from sympflow import model as sfm
+from sympflow import potential as pot
 from sympflow import train as tr
 from sympflow.systems import HenonHeiles, Sho
 
@@ -71,7 +73,7 @@ def test_fused_loss_and_grad_matches_unfused(case):
 def test_fused_velocity_chain_matches_unfused(case):
     model, _, (t, x), _, _ = setup(case)
     x_want, v_want, _, _ = orc.sf_velocity_states(model, t, x)
-    np.testing.assert_array_equal(sfm._forward_b(model, t, x), x_want)
+    close(sfm._forward_b(model, t, x), x_want, "map")
     close(sfm._taped(model, t, x, velocity=True)[1], v_want, "velocity")
 
 
@@ -85,3 +87,36 @@ def test_fused_extraction_matches_unfused(case):
     gx_want, gtheta_want = orc.extract_vjp(model, t, x, c)
     close(gx, gx_want, "extract_vjp x")
     close(gtheta, gtheta_want, "extract_vjp theta")
+
+
+shear_cases = st.fixed_dictionaries(
+    {
+        "d": st.sampled_from([1, 2]),
+        "h": st.integers(1, 12),
+        "batch": st.integers(1, 40),
+        "seed": st.integers(0, 2**32 - 1),
+        "t": st.sampled_from(["zero", "scalar", "rows"]),
+        "tangent": st.booleans(),
+        "dt": st.booleans(),
+    }
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(shear_cases)
+def test_stacked_shear_matches_two_sweeps(case):
+    rng = np.random.default_rng(case["seed"])
+    d, B = case["d"], case["batch"]
+    net = pot.random_potential_net(d, rng, case["h"])
+    # Besides exactly 0, t stays away from 0: delta = g(t) - g(0) carries the
+    # rounding of g in both versions, which is not small relative to delta.
+    t = {"zero": 0.0, "scalar": rng.uniform(0.05, 1.0), "rows": rng.uniform(0.05, 1.0, size=B)}[case["t"]]
+    y = rng.uniform(-0.5, 0.5, size=(B, d))
+    vy = rng.normal(size=(B, d)) if case["tangent"] else None
+    dt = 1.0 if case["dt"] else None
+    got = sfm._shear(net, t, y, vy, dt)
+    want = orc.shear_two_sweeps(net, t, y, vy, dt)
+    for label, g, w in zip(("delta", "ddelta", "vt"), got, want):
+        assert (g is None) == (w is None), label
+        if w is not None:
+            close(g, w, label)

@@ -44,6 +44,25 @@ def test_damped_augmented_conserves_energy_and_matches_analytic():
     assert np.max(np.abs(got_qp - want)) < 1e-7
 
 
+@pytest.mark.parametrize(
+    "system, x0",
+    [
+        (sy.Sho(), [0.3, 0.2]),
+        (sy.HenonHeiles(), [0.1, -0.2, 0.15, 0.05]),
+        (sy.DampedAugmented(lam=0.5), [0.3, 0.2, -0.1, 0.4]),
+    ],
+    ids=["sho", "henon_heiles", "damped"],
+)
+def test_plain_callable_takes_the_same_steps_as_the_system(system, x0):
+    # A callable f(t, y) is called row by row on the same arithmetic as the
+    # system's field, so the two solves agree bit for bit.
+    x0 = np.array(x0)
+    want = itg.integrate(system, x0, 5.0)
+    got = itg.integrate(lambda t, y: system.vector_field(y), x0, 5.0)
+    assert (got.n_steps, got.n_rejected) == (want.n_steps, want.n_rejected)
+    assert np.array_equal(got.ys, want.ys) and np.array_equal(got.coeffs, want.coeffs)
+
+
 def test_interpolation_range_checked():
     sol = itg.integrate(sy.Sho(), np.array([1.0, 0.0]), 1.0)
     with pytest.raises(DimensionError):

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sympflow import model as sfm
 from sympflow import potential as pot
@@ -81,6 +83,26 @@ def test_forward_identity_at_zero(model2):
     x = rng.normal(size=(7, 4))
     out = sfm.forward(model2, 0.0, x)
     assert np.array_equal(out, x)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([1, 2]),
+    st.integers(1, 3),
+    st.integers(1, 12),
+    st.integers(1, 40),
+    st.integers(0, 2**32 - 1),
+)
+def test_identity_at_t0_is_bitwise(d, layers, h, B, seed):
+    # A shear sweeps each point at t and at 0 in adjacent rows of one product;
+    # at t = 0 the two rows must round alike, so every update is exactly zero.
+    # h = 1 makes a one-row product, which BLAS takes as a gemv.
+    rng = np.random.default_rng(seed)
+    model = sfm.random_sympflow(d, layers, rng, h=h)
+    x = rng.normal(size=(B, 2 * d))
+    for t in (0.0, np.zeros(B)):
+        assert np.array_equal(sfm.forward(model, t, x), x)
+    assert np.array_equal(sfm.jacobian(model, 0.0, x[0]), np.eye(2 * d))
 
 
 def test_forward_zero_weights_identity():

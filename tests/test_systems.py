@@ -72,6 +72,24 @@ def test_vector_field_jacobian_fd(system):
     assert_close(got, want, rtol=1e-6, floor=1e-9, label="vf jacobian")
 
 
+@pytest.mark.parametrize("system", ALL_SYSTEMS, ids=lambda s: type(s).__name__)
+def test_vector_field_writes_into_a_stage_slot(system):
+    # The integrator passes K[:, i] of its (B, 13, n) stage stack as out.
+    rng = np.random.default_rng(3)
+    n = 2 * system.d
+    for B in (1, 2, 7, 64):
+        x = rng.uniform(-1, 1, size=(B, n))
+        K = np.full((B, 13, n), np.nan)
+        got = system._vector_field(x, K[:, 5])
+        assert got is not None and np.shares_memory(got, K)
+        np.testing.assert_allclose(K[:, 5], system.vector_field(x), rtol=1e-15, atol=0)
+        assert np.isnan(np.delete(K, 5, axis=1)).all()
+        for i in range(B):
+            one = np.empty((1, n))
+            system._vector_field(x[i : i + 1], one)
+            assert np.array_equal(K[i, 5], one[0])
+
+
 def test_physical_limit_projection_values():
     out = sy.physical_limit_project(np.array([1.0, 0.0, 2.0, 0.0]))
     assert np.array_equal(out, np.array([0.5, 0.5, 1.0, -1.0]))

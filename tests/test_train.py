@@ -525,6 +525,6 @@ def test_exact_residual_loss_runs_the_shear_chain_once(monkeypatch):
 
     monkeypatch.setattr(pot, "chain_forward", counted)
     got = tr.loss_residual(model, (t, x), sys)
-    # one sweep at t and one at 0 per potential net: 2 nets per layer, 3 layers
-    assert len(sweeps) == 12
+    # one sweep over [t; 0] per potential net: 2 nets per layer, 3 layers
+    assert len(sweeps) == 6
     assert got == pytest.approx(want, rel=1e-12)

@@ -107,6 +107,25 @@ def test_returned_arrays_are_not_workspace_buffers():
                 assert not any(np.shares_memory(arr, buf) for buf in bufs)
 
 
+def test_sweeps_of_alternating_sizes_stop_reallocating():
+    # A forward shear sweeps 2B rows, a pullback B with more components.  A
+    # bank grows at its next reset after a round that overflowed it, so after
+    # two rounds of both the arenas hold either sweep and stay put.
+    def epoch():
+        run(("grad", 1, 128, 1, 1))
+        run(("vjp", 1, 64, 7, 2))
+
+    epoch()
+    epoch()
+    ws = _jet._workspace
+    banks = (ws.tape, *ws.work)
+    arenas = [bank.arena for bank in banks]
+    for _ in range(3):
+        epoch()
+    assert all(bank.arena is arena for bank, arena in zip(banks, arenas))
+    assert all(bank.arena.size == bank.need for bank in banks)
+
+
 def test_pullback_of_stale_jets_raises():
     net = NETS[1]
     rng = np.random.default_rng(0)
