@@ -28,7 +28,7 @@ from . import model as sfm
 from .errors import DimensionError
 from .integrate import _sample_rows, integrate  # noqa: F401 (integrate: re-exported)
 from .systems import HamiltonianSystem
-from .validation import as_box, as_float_array, as_phase_points
+from .validation import as_box, as_float_array, as_phase_points, check_finite_scalar, check_positive
 
 __all__ = [
     "RolloutSpec",
@@ -60,9 +60,9 @@ class RolloutSpec:
     x0: np.ndarray
 
     def __post_init__(self):
-        if not 0 < self.step <= self.delta_t <= self.horizon:
+        if not 0 < self.step <= self.delta_t <= self.horizon < np.inf:
             raise DimensionError(
-                "rollout needs 0 < step <= delta_t <= horizon, got "
+                "rollout needs 0 < step <= delta_t <= horizon < inf, got "
                 f"step={self.step}, delta_t={self.delta_t}, horizon={self.horizon}"
             )
 
@@ -107,9 +107,8 @@ def rollout(model_obj, delta_t: float, t: float, x0, project=None):
     window application, for models operating on the augmented dissipative
     phase space.
     """
-    if delta_t <= 0:
-        raise DimensionError(f"delta_t must be positive, got {delta_t}")
-    t = float(t)
+    delta_t = check_positive(delta_t, "delta_t")
+    t = check_finite_scalar(t, "t")
     if t < 0:
         raise DimensionError(f"t must be nonnegative, got {t}")
     x, single = as_phase_points(x0, 2 * model_obj.d, "x0")
@@ -177,6 +176,7 @@ def avg_relative_error(
     """
     if n_samples < 1 or k < 1:
         raise DimensionError("need n_samples >= 1 and k >= 1")
+    delta_t = check_positive(delta_t, "delta_t")
     ics, ref, failed = _references(sys, omega, n_samples, [k], delta_t, seed, ics, ref_states)
     if failed.any():
         log.warning("avg_relative_error: skipped %d failed reference solves", failed.sum())
@@ -205,6 +205,7 @@ def avg_energy_variation(
     """
     if n_samples < 1 or k < 1:
         raise DimensionError("need n_samples >= 1 and k >= 1")
+    delta_t = check_positive(delta_t, "delta_t")
     if ics is None:
         ics = _draw_ics(sys, omega, n_samples, seed)
     else:
@@ -373,6 +374,7 @@ def evaluate_model(
     ``report.failed`` and model states that turn non-finite in
     ``report.nonfinite[k]``; both are left out of the means and logged.
     """
+    delta_t = check_positive(delta_t, "delta_t")
     ks = sorted(int(k) for k in ks)
     ics, refs, failed = _references(sys, omega, n_samples, ks, delta_t, seed)
     report = MetricReport(n_samples=n_samples, failed=int(failed.sum()))

@@ -16,12 +16,20 @@ tolerances it takes 7-8 times fewer steps for twice the field calls per step
 defaults it takes 617 steps against DOPRI5's 4,815, and its largest energy
 error is 3.3e-12 against 6.4e-11.
 
-At one row a step costs fixed Python overhead, not arithmetic: about 70-110
-µs of stepper work plus 6-10 µs for each of its 15 Hénon-Heiles field calls,
-dense output included (best of 7 solves to T = 100 on a 2-core x86-64 VM
-whose clock speed varies).  So each stage's state is formed in place in one
-buffer, the field writes straight into the stage's slot, and both error
-estimates come from one product.
+At one row a step costs fixed Python overhead, not arithmetic: about 55 µs
+of stepper work besides its 12 Hénon-Heiles field calls of about 5 µs each
+(timed section by section, best of 21 solves to T = 100 on a 2-core x86-64
+VM whose clock speed varies).  So a step makes as few NumPy calls as it can.
+The stages are held stage-major, in one (13, B·n) buffer that is allocated
+only when the set of live rows changes: each stage's state is one product of
+its tableau row with the stages before it, written into one flat buffer,
+scaled by h repeated per component and added to y, and the field writes
+straight into the stage's row of the buffer.  The columns are padded to a
+multiple of 4: OpenBLAS forms the columns left over from groups of four
+with other arithmetic, and with the padding a row gets the same bits in any
+batch.  Both error estimates come from one product, the controller makes
+one power call, and the masks that take rows out of the batch are formed
+only on a step where one comparison says that a row can leave.
 
 The stepper advances a (B, n) batch of initial states.  Its rows are
 independent: each keeps its own time, step size, error history and counts,
@@ -43,7 +51,7 @@ import numpy as np
 
 from .errors import DimensionError, IntegrationError
 from .systems import HamiltonianSystem
-from .validation import as_box, as_float_array
+from .validation import as_box, as_float_array, check_finite_scalar, check_positive, check_positive_int
 
 __all__ = [
     "DenseSolution",
@@ -109,6 +117,9 @@ _E5 = np.array([
 ])
 _E3 = np.append(_A[12, :12], 0.0) - _BHH  # the 3rd-order estimate
 _E53 = np.stack([_E5, _E3])
+_ROWS = [_A[i, :i].copy() for i in range(_S + 1)]  # each stage's weights, contiguous
+_POWERS = np.array([[-0.7 / _Q], [0.4 / _Q]])  # the PI controller's exponents
+_FLOORS = np.array([[0.0], [2e-16]])  # and the floors of their bases
 _D = np.array([
     [-8.428938276109013, 0, 0, 0, 0, 0.5667149535193777, -3.0689499459498917, 2.38466765651207,
      2.117034582445028, -0.871391583777973, 2.2404374302607883, 0.6315787787694688,
@@ -123,14 +134,6 @@ _D = np.array([
      93.40532418362432, -37.45832313645163, 104.0996495089623, 29.8402934266605,
      -43.53345659001114, 96.32455395918828, -39.17726167561544, -149.72683625798564],
 ])
-
-
-def _positive(value, name):
-    """``value`` as a float, if it is finite and positive; else DimensionError."""
-    v = float(value)
-    if not (np.isfinite(v) and v > 0):
-        raise DimensionError(f"{name} must be finite and positive, got {value}")
-    return v
 
 
 def _nested(x, y0, F):
@@ -213,7 +216,8 @@ def _field(sys_or_f, y):
     ``vector_field`` checks the width and finiteness of y once; the steps
     call its unchecked ``_vector_field`` and form no stage times (``timed``
     is False).  A callable ``f(t, y)`` takes one 1-D state and is called row
-    by row.
+    by row; its values at t = 0 must have the shape of a state, else
+    DimensionError.
     """
     if isinstance(sys_or_f, HamiltonianSystem):
         f0 = sys_or_f.vector_field(y)
@@ -222,9 +226,11 @@ def _field(sys_or_f, y):
     def f(t, x, out):
         out[...] = np.array([sys_or_f(ti, xi) for ti, xi in zip(t, x)], dtype=float).reshape(len(x), -1)
 
-    f0 = np.empty(y.shape)
-    f(np.zeros(len(y)), y, f0)
-    return f, f0, True
+    f0 = [np.asarray(sys_or_f(0.0, xi), dtype=float) for xi in y]
+    for v in f0:
+        if v.shape != y.shape[1:]:
+            raise DimensionError(f"the field must return the state's shape {y.shape[1:]}, got {v.shape}")
+    return f, np.array(f0), True
 
 
 def _initial_step(f, t0, y0, f0, rtol, atol):
@@ -244,19 +250,27 @@ def _initial_step(f, t0, y0, f0, rtol, atol):
     return np.minimum(100 * h0, h1)
 
 
-def _error_norm(K, h, scale):
+def _error_norm(e, h, scale):
     """The scaled error of each row's step, ``h·‖e5‖² / sqrt(n·(‖e5‖² + 0.01‖e3‖²))``.
 
-    e5 and e3 are the 5th- and 3rd-order estimates over the stages K, both
-    from one product with their stacked weights.
+    e (2, R, n) holds the 5th- and 3rd-order estimates of the R rows, both
+    from one product of the stages with their stacked weights; it is
+    overwritten.  scale is (R, n).
     """
-    n = scale.shape[1]
-    e = _E53 @ K
-    e /= scale[:, None]
-    np.multiply(e, e, e)
-    e5, e3 = np.add.reduce(e, axis=2).T
-    den = np.sqrt(n * (e5 + 0.01 * e3))
-    return h * e5 / np.where(den == 0.0, 1.0, den)
+    e /= scale
+    e *= e
+    e5, e3 = np.add.reduce(e, axis=2)
+    den = e3 * 0.01
+    den += e5
+    den *= e.shape[2]
+    np.sqrt(den, den)
+    # den is 0 only where e5 is, and is at least sqrt(n·5e-324) > 1e-300
+    # elsewhere, so this floor divides 0 by a positive number and leaves
+    # every other quotient as it is.
+    den = np.maximum(den, 1e-300)
+    err = h * e5
+    err /= den
+    return err
 
 
 def _dop853(field, y, t_end, rtol, atol, fixed_step, max_steps, on_accept):
@@ -267,20 +281,21 @@ def _dop853(field, y, t_end, rtol, atol, fixed_step, max_steps, on_accept):
     takes the same steps as it would alone.  After every step with an
     accepted row, ``on_accept(rows, t0, h, y0, y1, K)`` receives the accepted
     rows (indices into the batch) with the start, length and end state of
-    their steps and the stages K (rows, 13, n).  A row that reaches its
-    t_end leaves the live set.  So does a row that fails: a stage that is
-    not finite (every stage is checked, including K_12, which has no weight
-    in the error estimate), a step size below 1e-14 of its span, or more
-    than max_steps steps.  Returns ``(n_steps, n_rejected, errors)``: per-row
-    counts and a message for each failed row.
+    their steps and the stages K (rows, 13, n); K is a view of a buffer that
+    the next step overwrites.  A row that reaches its t_end leaves the live
+    set.  So does a row that fails: a stage that is not finite (every stage
+    is checked, including K_12, which has no weight in the error estimate),
+    a step size below 1e-14 of its span, or more than max_steps steps.
+    Returns ``(n_steps, n_rejected, errors)``: per-row counts and a message
+    for each failed row.
     """
     adaptive = fixed_step is None
     if adaptive:
-        rtol, atol = _positive(rtol, "rtol"), _positive(atol, "atol")
+        rtol, atol = check_positive(rtol, "rtol"), check_positive(atol, "atol")
     else:
-        fixed_step = _positive(fixed_step, "fixed_step")
+        fixed_step = check_positive(fixed_step, "fixed_step")
     f, k0, timed = field
-    s, c, a = _S, _C, _A
+    s, c, a, n = _S, _C, _ROWS, y.shape[1]
     n_steps = np.zeros(len(y), dtype=int)
     n_rejected = np.zeros(len(y), dtype=int)
     errors = {}
@@ -288,73 +303,120 @@ def _dop853(field, y, t_end, rtol, atol, fixed_step, max_steps, on_accept):
     if not rows.size:
         return n_steps, n_rejected, errors
 
-    y, k0, t_end = y[rows], k0[rows], t_end[rows]
+    y2, k0, t_end = y[rows], k0[rows], t_end[rows]
     t = np.zeros(rows.size)
     if adaptive:
-        h = np.minimum(_initial_step(f, t, y, k0, rtol, atol), t_end)
+        h = np.minimum(_initial_step(f, t, y2, k0, rtol, atol), t_end)
         h_min = 1e-14 * t_end
     else:
         h = np.full(rows.size, fixed_step)
         h_min = np.zeros(rows.size)
-    err_prev = np.ones(rows.size)
+    # (err_prev + 1e-16)^(0.4/8), the controller's factor of the last accepted
+    # error, carried from the step that computed it; err_prev starts at 1.
+    carry = np.ones(rows.size)
     steps = np.zeros(rows.size, dtype=int)
     rejected = np.zeros(rows.size, dtype=int)
     failed = None
     passes = 0
+    K = None  # the stage buffer of the live set; None until (re)allocated
     while True:
-        keep = t < t_end
-        if failed is not None:
-            keep &= ~failed
-            failed = None
-        stuck = keep & (h < h_min)
-        if stuck.any():
-            for j in np.flatnonzero(stuck):
-                errors[int(rows[j])] = (
-                    f"step size underflow at t={t[j]:.6g} (h={h[j]:.3g}); problem too stiff"
+        h_step = np.minimum(h, t_end - t)
+        # Past the first pass only a failure, a row at its t_end (h_step <= 0)
+        # or a step size below h_min (h_step <= h < h_min <= h_floor) can end
+        # a row, so one comparison decides whether to look for them.
+        if K is None or failed is not None or h_step.min() <= h_floor:
+            keep = t < t_end
+            if failed is not None:
+                keep &= ~failed
+                failed = None
+            stuck = keep & (h < h_min)
+            if stuck.any():
+                for j in np.flatnonzero(stuck):
+                    errors[int(rows[j])] = (
+                        f"step size underflow at t={t[j]:.6g} (h={h[j]:.3g}); problem too stiff"
+                    )
+                keep &= ~stuck
+            if not keep.all():
+                n_steps[rows] = steps
+                n_rejected[rows] = rejected
+                if K is not None:
+                    k0 = slots[0]
+                rows, t, y2, h_step, h_min, k0, carry, t_end, steps, rejected = (
+                    v[keep] for v in (rows, t, y2, h_step, h_min, k0, carry, t_end, steps, rejected)
                 )
-            keep &= ~stuck
-        if not keep.all():
-            n_steps[rows] = steps
-            n_rejected[rows] = rejected
-            rows, t, y, h, h_min, k0, err_prev, t_end, steps, rejected = (
-                v[keep] for v in (rows, t, y, h, h_min, k0, err_prev, t_end, steps, rejected)
-            )
-            if not rows.size:
-                return n_steps, n_rejected, errors
+                if not rows.size:
+                    return n_steps, n_rejected, errors
+                K = None
+            if K is None:
+                # Stage-major buffers, kept until the live set changes: stage
+                # i of every row is K[i], seen by the field as the (R, n) slot
+                # slots[i] and by the callbacks through by_row (R, 13, n).
+                # Columns are padded with zeros to a multiple of 4 (see the
+                # module docstring); y is flat and padded, y2 its (R, n) view.
+                R, m = rows.size, rows.size * n
+                w = -(-m // 4) * 4
+                K = np.zeros((s + 1, w))
+                slots = [k[:m].reshape(R, n) for k in K]
+                # Stage i's weights, the stages before it, its slot and node.
+                plan = [(a[i], K[:i], slots[i], c[i]) for i in range(1, s)]
+                by_row = K[:, :m].reshape(s + 1, R, n).transpose(1, 0, 2)
+                slots[0][...] = k0  # FSAL: the field at the end of the accepted step
+                stage = np.zeros(w)
+                stage2 = stage[:m].reshape(R, n)
+                hn = np.zeros(w)  # each row's h repeated per component
+                hn2 = hn[:m].reshape(R, n)
+                est = np.empty((2, w))  # the two error estimates
+                est3 = est[:, :m].reshape(2, R, n)
+                y = np.zeros(w)
+                y[:m] = y2.reshape(-1)
+                h_floor = h_min.max()
 
-        h = np.minimum(h, t_end - t)
-        hc = h[:, None]
-        K = np.empty((rows.size, s + 1, y.shape[1]))
-        K[:, 0] = k0  # FSAL: the field at the end of the accepted step
+        h = h_step
+        hn2[...] = h[:, None]
         # Each stage's state y + h (a_i . K) is formed in place in one buffer.
-        stage = np.empty(y.shape)
-        for i in range(1, s):
-            np.matmul(a[i, :i], K[:, :i], stage)
-            stage *= hc
+        for a_i, K_i, slot, c_i in plan:
+            np.dot(a_i, K_i, stage)
+            stage *= hn
             stage += y
-            f(t + c[i] * h if timed else t, stage, K[:, i])
-        y_new = np.matmul(a[s, :s], K[:, :s])
-        y_new *= hc
+            f(t + c_i * h if timed else t, stage2, slot)
+        y_new = np.dot(a[s], K[:s])
+        y_new *= hn
         y_new += y
-        f(t + h if timed else t, y_new, K[:, s])
-        finite = np.isfinite(K).all(axis=(1, 2))
+        y_new2 = y_new[:m].reshape(R, n)
+        f(t + h if timed else t, y_new2, slots[s])
+        finite = None if np.isfinite(K).all() else np.isfinite(by_row).all(axis=(1, 2))
         if adaptive:
-            scale = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
-            err = np.where(finite, _error_norm(K, h, scale), np.nan)
-            accept = err <= 1.0  # False where err is not finite
-            fac = 0.9 * (err + 1e-16) ** (-0.7 / _Q) * (err_prev + 1e-16) ** (0.4 / _Q)
+            scale = np.maximum(np.abs(y2), np.abs(y_new2))
+            scale *= rtol
+            scale += atol
+            np.dot(_E53, K, est)
+            err = _error_norm(est3, h, scale)
+            if finite is not None:
+                err[~finite] = np.nan
+            # One power call for both of the controller's factors: the bases
+            # are err + 1e-16 and max(err + 1e-16, 2e-16), which is bit for
+            # bit max(err, 1e-16) + 1e-16, the next step's err_prev + 1e-16.
+            powers = np.maximum(err + 1e-16, _FLOORS)
+            powers **= _POWERS
+            fac = powers[0] * 0.9
+            fac *= carry
             h_next = h * np.minimum(5.0, np.maximum(0.2, fac))
+            all_accepted = err.max() <= 1.0  # False where err is not finite
         else:
-            err = np.where(finite, 0.0, np.nan)  # read only by the finiteness check
-            accept = finite
+            all_accepted = finite is None
+            if not all_accepted:
+                err = np.where(finite, 0.0, np.nan)  # read only by the finiteness check
             h_next = h
 
-        if accept.all():
-            on_accept(rows, t, h, y, y_new, K)
-            t, y, k0 = t + h, y_new, K[:, s]
-            err_prev = np.maximum(err, 1e-16)
+        if all_accepted:
+            on_accept(rows, t, h, y2, y_new2, by_row)
+            t, y, y2 = t + h, y_new, y_new2
+            K[0] = K[s]
+            if adaptive:
+                carry = powers[1]
             steps += 1
         else:
+            accept = err <= 1.0  # False where err is not finite
             failed = ~np.isfinite(err)
             for j in np.flatnonzero(failed):
                 errors[int(rows[j])] = f"non-finite state at t={t[j]:.6g}"
@@ -363,11 +425,14 @@ def _dop853(field, y, t_end, rtol, atol, fixed_step, max_steps, on_accept):
                 rejected += reject
                 h_next[reject] = h[reject] * np.maximum(0.2, np.minimum(1.0, 0.9 * err[reject] ** (-1 / _Q)))
             if accept.any():
-                on_accept(rows[accept], t[accept], h[accept], y[accept], y_new[accept], K[accept])
+                on_accept(rows[accept], t[accept], h[accept], y2[accept], y_new2[accept], by_row[accept])
                 t = np.where(accept, t + h, t)
-                y = np.where(accept[:, None], y_new, y)
-                k0 = np.where(accept[:, None], K[:, s], k0)
-                err_prev = np.where(accept, np.maximum(err, 1e-16), err_prev)
+                y = y.copy()  # y2 may be held by a callback
+                y2 = y[:m].reshape(R, n)
+                np.copyto(y2, y_new2, where=accept[:, None])
+                np.copyto(slots[0], slots[s], where=accept[:, None])
+                if adaptive:
+                    carry = np.where(accept, powers[1], carry)
                 steps += accept
         h = h_next
 
@@ -399,18 +464,20 @@ def integrate(
 
     ``sys_or_f`` is a benchmark system (its vector field is used) or a
     callable ``f(t, y)``.  Raises :class:`DimensionError` for a t_end,
-    tolerance or fixed step that is not finite and positive, and
-    :class:`IntegrationError` when a stage turns non-finite, when the
-    adaptive step size underflows below 1e-14 of the time span, or after
-    more than ``max_steps`` steps.
+    tolerance or fixed step that is not finite and positive, a max_steps
+    that is not a positive integer, or a callable whose value at x0 is not
+    shaped like x0; and :class:`IntegrationError` when a stage turns
+    non-finite, when the adaptive step size underflows below 1e-14 of the
+    time span, or after more than ``max_steps`` steps.
     """
-    t_end = _positive(t_end, "t_end")
+    t_end = check_positive(t_end, "t_end")
+    max_steps = check_positive_int(max_steps, "max_steps")
     x0 = _one_state(x0)
     field = _field(sys_or_f, x0[None])
     steps = []
 
-    def record(rows, *step):  # step = (t0, h, y0, y1, K)
-        steps.append(step)
+    def record(rows, t0, h, y0, y1, K):
+        steps.append((t0, h, y0, y1, K.copy()))  # the stepper reuses K's buffer
 
     n_steps, n_rejected, errors = _dop853(
         field, x0[None], np.array([t_end]), rtol, atol, fixed_step, max_steps, record
@@ -442,18 +509,22 @@ def _sample_rows(sys_or_f, x0, times, rtol=1e-10, atol=1e-12):
     zero = times == 0.0
     states[zero] = np.broadcast_to(x0[:, None], states.shape)[zero]
     dense_errors = {}
+    # Each row's earliest requested time after its current t; a step
+    # interpolates only when it reaches one.
+    pending = np.where(times > 0.0, times, np.inf).min(axis=1)
 
     def interpolate(rows, t0, h, y0, y1, K):
-        T = times[rows]
-        hit = (T > t0[:, None]) & (T <= (t0 + h)[:, None])
-        if hit.any():
-            r, c = np.nonzero(hit)
-            u, inv = np.unique(r, return_inverse=True)
-            F, finite = _coefficients(field[0], t0[u], h[u], y0[u], y1[u], K[u])
-            for j in u[~finite]:
-                dense_errors.setdefault(int(rows[j]), _dense_failure(t0[j]))
+        t1 = t0 + h
+        u = np.flatnonzero(pending[rows] <= t1)
+        if u.size:
+            T, t0, t1, h = times[rows[u]], t0[u], t1[u], h[u]
+            r, c = np.nonzero((T > t0[:, None]) & (T <= t1[:, None]))
+            F, finite = _coefficients(field[0], t0, h, y0[u], y1[u], K[u])
+            for j in np.flatnonzero(~finite):
+                dense_errors.setdefault(int(rows[u[j]]), _dense_failure(t0[j]))
             x = (T[r, c] - t0[r]) / h[r]
-            states[rows[r], c] = _nested(x[:, None], y0[r], F[inv])
+            states[rows[u[r]], c] = _nested(x[:, None], y0[u[r]], F[r])
+            pending[rows[u]] = np.where(T > t1[:, None], T, np.inf).min(axis=1)
 
     _, _, errors = _dop853(field, x0, times.max(axis=1), rtol, atol, None, _MAX_STEPS, interpolate)
     errors.update(dense_errors)  # a dense output fails on a step before any failure of the stepper
@@ -533,7 +604,10 @@ def generate_dataset(
     """
     if n_trajectories < 1 or m_samples < 1:
         raise DimensionError("need at least one trajectory and one sample")
-    delta_t = _positive(delta_t, "delta_t")
+    delta_t = check_positive(delta_t, "delta_t")
+    noise_std = check_finite_scalar(noise_std, "noise_std")
+    if noise_std < 0:
+        raise DimensionError(f"noise_std must be nonnegative, got {noise_std}")
     box = as_box(omega, 2 * sys.d)
     rng = np.random.default_rng(seed)
     ics = rng.uniform(box[:, 0], box[:, 1], size=(n_trajectories, 2 * sys.d))
@@ -554,7 +628,7 @@ def generate_dataset(
         sample_traj=traj_ids,
         sample_t=times.reshape(-1),
         sample_y=ys.reshape(-1, 2 * sys.d),
-        delta_t=float(delta_t),
-        noise_std=float(noise_std),
+        delta_t=delta_t,
+        noise_std=noise_std,
         seed=seed,
     )

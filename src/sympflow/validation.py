@@ -19,6 +19,8 @@ __all__ = [
     "as_vector",
     "as_box",
     "check_finite_scalar",
+    "check_positive",
+    "check_positive_int",
     "check_time",
 ]
 
@@ -35,6 +37,21 @@ def check_finite_scalar(x, name: str = "value") -> float:
     if not np.isfinite(val):
         raise DimensionError(f"{name} must be finite, got {val}")
     return val
+
+
+def check_positive(value, name: str = "value") -> float:
+    """``value`` as a float, if it is finite and positive; else DimensionError."""
+    v = float(value)
+    if not (np.isfinite(v) and v > 0):
+        raise DimensionError(f"{name} must be finite and positive, got {value}")
+    return v
+
+
+def check_positive_int(value, name: str = "value") -> int:
+    """``value`` as an int, if it is an integer (not a bool) of at least 1; else DimensionError."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+        raise DimensionError(f"{name} must be a positive integer, got {value!r}")
+    return int(value)
 
 
 def check_time(t, batch: int):

@@ -189,3 +189,21 @@ def test_predict_rolls_out_once_per_distinct_time(monkeypatch):
     assert sorted(calls) == [0.5, 1.0, 2.5]
     for row, q in zip(got, Q):
         assert_close(row, rollout(est.model_, est.delta_t, q[0], q[1:]), rtol=1e-14, floor=1e-14, label="predict")
+
+
+@pytest.mark.parametrize("name", SYSTEM_NAMES)
+def test_batched_rows_are_bitwise_their_one_row_solves(name):
+    # The stage buffer holds a batch's rows side by side; BLAS must form each
+    # row's stages with the same arithmetic whatever its place in the batch.
+    # A batch of B takes B of 100 rows, from row B on, round the end.
+    rng = np.random.default_rng(7)
+    s, (lo, hi) = _system(name, rng)
+    X = rng.uniform(lo, hi, size=(100, 2 * s.d))
+    T = rng.uniform(0.0, 1.0, size=(100, 2))
+    alone = [itg._sample_rows(s, X[i : i + 1], T[i : i + 1])[0][0] for i in range(100)]
+    for batch in [*range(1, 41), 63, 100]:
+        rows = (batch + np.arange(batch)) % 100
+        states, errors = itg._sample_rows(s, X[rows], T[rows])
+        assert errors == {}
+        for i, j in enumerate(rows):
+            assert np.array_equal(states[i], alone[j]), f"batch {batch}, row {i}"

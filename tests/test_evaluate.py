@@ -266,3 +266,28 @@ def test_evaluate_model_bundle(model):
     assert report.n_samples == 4
     assert report.drift_times is not None
     assert np.isfinite(report.drift_slope) or np.isnan(report.drift_slope)
+
+
+@pytest.mark.parametrize("delta_t", [np.nan, 0.0, -1.0, np.inf])
+def test_bad_delta_t_is_rejected_up_front(model, delta_t):
+    x0 = np.array([0.3, 0.4])
+    with pytest.raises(DimensionError, match="delta_t"):
+        ev.rollout(model, delta_t, 1.0, x0)
+    with pytest.raises(DimensionError, match="delta_t"):
+        ev.evaluate_model(model, Sho(), [-1.0, 1.0], delta_t, n_samples=2, ks=(1,))
+    with pytest.raises(DimensionError, match="delta_t"):
+        ev.avg_relative_error(model, Sho(), [-1.0, 1.0], 2, 1, delta_t)
+    with pytest.raises(DimensionError, match="delta_t"):
+        ev.avg_energy_variation(model, Sho(), [-1.0, 1.0], 2, 1, delta_t)
+
+
+@pytest.mark.parametrize("t", [np.nan, np.inf])
+def test_rollout_rejects_a_nonfinite_time(model, t):
+    with pytest.raises(DimensionError, match="t must be finite"):
+        ev.rollout(model, 1.0, t, np.array([0.3, 0.4]))
+
+
+@pytest.mark.parametrize("horizon", [np.inf, np.nan])
+def test_rollout_spec_rejects_a_nonfinite_horizon(horizon):
+    with pytest.raises(DimensionError, match="horizon"):
+        ev.RolloutSpec(delta_t=1.0, horizon=horizon, step=0.5, x0=np.zeros(2))

@@ -244,3 +244,45 @@ def test_nonfinite_dense_output_fails_only_its_sampled_row():
     np.testing.assert_allclose(states[1], np.stack([sol.ys[-1]] * 2), rtol=0, atol=1e-14)
     with pytest.raises(IntegrationError, match="non-finite dense output"):
         itg.sample_states(f, x0, [t_mid])
+
+
+@pytest.mark.parametrize("value", [lambda t, y: 1.0, lambda t, y: np.ones(3), lambda t, y: np.ones((2, 1))])
+def test_callable_field_not_shaped_like_the_state_is_rejected(value):
+    with pytest.raises(DimensionError, match="shape"):
+        itg.integrate(value, [0.0, 0.0], 1.0)
+    with pytest.raises(DimensionError, match="shape"):
+        itg.sample_states(value, [0.0, 0.0], [0.5])
+
+
+@pytest.mark.parametrize("max_steps", [0, -3, 2.5, 10.0, True, "5", None])
+def test_max_steps_must_be_a_positive_integer(max_steps):
+    with pytest.raises(DimensionError, match="max_steps"):
+        itg.integrate(sy.Sho(), np.array([1.0, 0.0]), 1.0, max_steps=max_steps)
+
+
+def test_max_steps_bounds_the_accepted_steps():
+    x0 = np.array([1.0, 0.0])
+    n = itg.integrate(sy.Sho(), x0, 3.0).n_steps
+    assert itg.integrate(sy.Sho(), x0, 3.0, max_steps=np.int64(n)).n_steps == n
+    with pytest.raises(IntegrationError, match=f"exceeded {n - 1} steps"):
+        itg.integrate(sy.Sho(), x0, 3.0, max_steps=n - 1)
+
+
+@pytest.mark.parametrize("noise_std", [-0.1, np.nan, np.inf])
+def test_generate_dataset_rejects_a_bad_noise_level(noise_std):
+    with pytest.raises(DimensionError, match="noise_std"):
+        itg.generate_dataset(sy.Sho(), [-1.0, 1.0], 5, 5, 1.0, noise_std=noise_std)
+
+
+def test_dense_solution_is_unchanged_by_later_solves():
+    # The stepper reuses its stage buffers; a returned solution owns its arrays.
+    s, x0 = sy.HenonHeiles(), np.array([0.1, -0.2, 0.15, 0.05])
+    sol = itg.integrate(s, x0, 5.0)
+    saved = [a.copy() for a in (sol.ts, sol.ys, sol.coeffs)]
+    times = np.linspace(0.0, 5.0, 41)
+    before = sol(times)
+    itg.integrate(s, x0[::-1], 7.0)
+    itg._sample_rows(s, np.stack([x0, -x0]), np.array([[1.0, 5.0], [2.0, 3.0]]))
+    for a, b in zip((sol.ts, sol.ys, sol.coeffs), saved):
+        assert np.array_equal(a, b)
+    assert np.array_equal(sol(times), before)
