@@ -133,6 +133,8 @@ def _cmd_train(cfg: dict, out: Path, args) -> int:
         "final_loss": report.final_loss,
         "wall_clock_s": report.wall_clock_s,
         "seed": report.seed,
+        "second_term_worker": report.second_term_worker,
+        "second_term_wait_s": report.second_term_wait_s,
     }
     (out / "train_report.json").write_text(json.dumps(summary, indent=2) + "\n")
     print(f"trained {config.model_kind} for {report.epochs_run} epochs, "

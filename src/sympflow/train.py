@@ -19,11 +19,22 @@ the one path behind :func:`loss_and_grad`, :func:`total_loss` and the
 ``loss_*`` functions.  Derivative mode ``fd`` takes the time derivative and
 its pullback as central differences in t.  Every gradient is checked against
 finite differences in the tests.
+
+In a two-term phase (``regularized``, and ``mixed`` before its fine-tune)
+:func:`train` computes the second term in one forked worker process while
+this process computes the residual, wherever the machine has a CPU to spare
+and the process may fork safely; the results are bitwise those of computing
+both terms here.  See :func:`train`.
 """
 
 from __future__ import annotations
 
+import os
+import pickle
+import sys as _sys
+import threading
 import time as _time
+import traceback
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,7 +43,7 @@ from . import extraction, mlp, model as sfm
 from .errors import ConfigError, DimensionError, TrainingDivergedError
 from .integrate import TrajectoryDataset
 from .systems import HamiltonianSystem
-from .validation import _central, as_box, as_phase_points, check_time
+from .validation import _central, as_box, as_phase_points, check_positive, check_positive_int, check_time
 
 __all__ = [
     "TrainConfig",
@@ -76,18 +87,17 @@ class TrainConfig:
             raise ConfigError(f"model_kind must be one of {MODEL_KINDS}")
         if self.regime not in REGIMES:
             raise ConfigError(f"regime must be one of {REGIMES}")
-        if self.epochs < 0 or self.fine_tune_epochs < 0:
-            raise ConfigError("epoch counts must be nonnegative")
-        if self.learning_rate <= 0:
-            raise ConfigError("learning_rate must be positive")
-        if self.delta_t <= 0:
-            raise ConfigError("delta_t must be positive")
         if self.derivative_mode not in DERIVATIVE_MODES:
             raise ConfigError(f"derivative_mode must be one of {DERIVATIVE_MODES}")
-        if self.layers < 1 or self.hidden < 1:
-            raise ConfigError("layers and hidden must be positive")
-        if self.batch_collocation < 1 or self.batch_matching < 1:
-            raise ConfigError("batch_collocation and batch_matching must be positive")
+        try:
+            for name in ("epochs", "fine_tune_epochs", "checkpoint_every"):
+                check_positive_int(getattr(self, name), name, minimum=0)
+            for name in ("batch_collocation", "batch_matching", "layers", "hidden"):
+                check_positive_int(getattr(self, name), name)
+            check_positive(self.learning_rate, "learning_rate")
+            check_positive(self.delta_t, "delta_t")
+        except (ValueError, TypeError) as exc:
+            raise ConfigError(str(exc)) from exc
         try:
             box = np.asarray(self.omega, dtype=float)
             as_box(box, box.shape[0] if box.ndim == 2 else 1)
@@ -102,6 +112,8 @@ class TrainReport:
     wall_clock_s: float = 0.0
     seed: int = 0
     final_loss: float = float("nan")
+    second_term_worker: bool = False  # the regime's second term ran in a forked worker
+    second_term_wait_s: float = 0.0  # time the loop spent waiting for the worker's results
 
     def record(self, **components):
         for key, val in components.items():
@@ -260,8 +272,13 @@ def _energy_reg(model_obj, points, sys, need_grad):
     return value, k._pullback(model_obj, t, tape, w)[1]
 
 
-def _loss(model_obj, regime, sys, samples, residual_batch, matching_batch, mode, need_grad):
-    """``(value, flat gradient or None, parts)`` of a regime; samples are ``(t, x0, y)``."""
+def _loss(model_obj, regime, sys, samples, residual_batch, matching_batch, mode, need_grad, worker=None):
+    """``(value, flat gradient or None, parts)`` of a regime; samples are ``(t, x0, y)``.
+
+    With a :class:`_Worker` the second term of a two-term regime runs there,
+    on its batch handed over before the residual and collected after it; the
+    sum is the same, in the same order.
+    """
     if regime not in REGIMES:
         raise ConfigError(f"regime must be one of {REGIMES}, got {regime!r}")
     if mode not in DERIVATIVE_MODES:
@@ -273,12 +290,16 @@ def _loss(model_obj, regime, sys, samples, residual_batch, matching_batch, mode,
         return value, g, {"supervised": value}
     if sys is None or residual_batch is None:
         raise ConfigError(f"the {regime} loss needs a system and a residual batch")
-    value, g = _residual(model_obj, residual_batch, sys, mode, need_grad)
-    parts = {"residual": value}
-    if regime in ("regularized", "mixed"):
+    two_term = regime in ("regularized", "mixed")
+    if two_term:
         _, name, term = _kind(model_obj)
         batch = residual_batch if matching_batch is None else matching_batch
-        parts[name], g2 = term(model_obj, batch, sys, need_grad)
+        if worker is not None:
+            worker.submit(batch)
+    value, g = _residual(model_obj, residual_batch, sys, mode, need_grad)
+    parts = {"residual": value}
+    if two_term:
+        parts[name], g2 = term(model_obj, batch, sys, need_grad) if worker is None else worker.result()
         value += parts[name]
         if need_grad:
             g = g + g2
@@ -344,6 +365,125 @@ def loss_energy_reg(model_obj, points, sys: HamiltonianSystem) -> float:
 
 
 # ---------------------------------------------------------------------------
+# The second term in a forked worker.
+# ---------------------------------------------------------------------------
+
+_GO = b"\x01"  # the one byte each way per epoch: "start on the batch", "done"
+_JOIN_S = 1.0  # how long a closing or dead worker is waited for before it is killed
+
+
+def _can_fork_worker() -> bool:
+    """At least 2 usable CPUs, this process's only thread, and the ``fork`` start method off macOS."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    # A fork can deadlock with a second thread, and macOS's system libraries start threads.
+    if cpus < 2 or threading.active_count() > 1 or _sys.platform == "darwin":
+        return False
+    import multiprocessing
+
+    return "fork" in multiprocessing.get_all_start_methods()
+
+
+def _pickled(exc) -> bytes:
+    """``exc`` with the worker's traceback as a note, or a RuntimeError naming it if it does not unpickle."""
+    if hasattr(exc, "add_note"):
+        exc.add_note("raised in the second-term worker:\n" + traceback.format_exc())
+    try:
+        data = pickle.dumps(exc)
+        pickle.loads(data)
+        return data
+    except Exception:
+        return pickle.dumps(RuntimeError(f"{type(exc).__name__}: {exc}"))
+
+
+class _Worker:
+    """One forked process that computes a two-term regime's second term, epoch by epoch.
+
+    The parameter vector (:attr:`params`), the term's batch of ``rows``
+    points and the result slot lie in one anonymous shared mapping made
+    before the fork, so the worker's model, whose weights are views of
+    :attr:`params`, sees every in-place write the parent makes, and the
+    pipe carries one byte each way per epoch.  The mapping is unmapped when
+    its last view goes; closing it sooner would raise ``BufferError``.
+    """
+
+    def __init__(self, model_obj, sys, rows: int):
+        import mmap
+        import multiprocessing
+        from multiprocessing.connection import wait
+
+        k, _, term = _kind(model_obj)
+        n, width = k.param_count(model_obj), 2 * model_obj.d
+        # params | t | x | value | gradient
+        buf = np.frombuffer(mmap.mmap(-1, 8 * (2 * n + 1 + rows * (1 + width))), dtype=float)
+        self.params, self._t, x, self._value, self._grad = np.split(
+            buf, np.cumsum([n, rows, rows * width, 1])
+        )
+        self._x = x.reshape(rows, width)
+        self.params[:] = k.params_to_vector(model_obj)
+        self.wait_s = 0.0
+        self._wait = wait
+        ctx = multiprocessing.get_context("fork")
+        self._conn, child = ctx.Pipe()
+        args = (child, term, k._model_over(model_obj, self.params), sys)
+        self._proc = ctx.Process(target=self._serve, args=args, daemon=True)
+        self._proc.start()
+        child.close()
+
+    def _serve(self, conn, term, model_obj, sys):
+        """The worker's loop: on each byte, ``term`` at the shared batch into the result slot."""
+        self._conn.close()  # the parent's end: left open here, closing it there would not end the loop
+        try:
+            while conn.recv_bytes() == _GO:
+                try:
+                    self._value[0], self._grad[:] = term(model_obj, (self._t, self._x), sys, True)
+                    reply = _GO
+                except Exception as exc:  # the parent raises it again
+                    reply = _pickled(exc)
+                conn.send_bytes(reply)
+        except (EOFError, BrokenPipeError):
+            pass  # the parent closed its end
+
+    def submit(self, batch):
+        """Hand the worker the batch ``(t, x)``; it starts on it at once."""
+        self._t[:], self._x[:] = batch
+        try:
+            self._conn.send_bytes(_GO)
+        except BrokenPipeError:
+            raise self._died() from None
+
+    def result(self):
+        """``(value, gradient)`` of the batch submitted last; the gradient is a view of the slot."""
+        start = _time.perf_counter()
+        self._wait([self._conn, self._proc.sentinel])
+        try:
+            reply = self._conn.recv_bytes() if self._conn.poll() else b""
+        except EOFError:
+            reply = b""
+        self.wait_s += _time.perf_counter() - start
+        if reply == _GO:
+            return float(self._value[0]), self._grad
+        if not reply:
+            raise self._died()
+        raise pickle.loads(reply)  # pickled by _serve in this call's own worker
+
+    def _died(self):
+        self._proc.join(_JOIN_S)
+        return RuntimeError(f"the second-term worker died with exit code {self._proc.exitcode}")
+
+    def close(self):
+        """End the worker: it exits on the closed pipe, or is terminated, then killed."""
+        self._conn.close()
+        self._proc.join(_JOIN_S)
+        if self._proc.exitcode is None:
+            self._proc.terminate()
+            self._proc.join(_JOIN_S)
+        if self._proc.exitcode is None:
+            self._proc.kill()
+            self._proc.join()
+        self._proc.close()
+
+
+# ---------------------------------------------------------------------------
 # Training loop.
 # ---------------------------------------------------------------------------
 
@@ -375,6 +515,27 @@ def train(
     The working model never leaves this function: ``checkpoint_fn(epoch,
     model)`` and the return value each get a fresh ``model_with_params``
     copy, which later epochs leave untouched.
+
+    In a two-term phase the second term (``matching`` for SympFlow,
+    ``energy_reg`` for the MLP) runs in one worker process forked at the
+    start of the call, while this process computes the residual.  The worker
+    is used when the process has at least 2 CPUs in its affinity mask
+    (``os.cpu_count()`` where there is none), runs no Python thread but this
+    one, since forking a threaded process can deadlock, has the ``fork``
+    start method and is not on macOS; otherwise, and in every other regime,
+    the term runs in this process.  The parameter buffer, the term's batch
+    and its result slot share one anonymous mapping made before the fork, so
+    the worker's model sees each Adam write in place, and the pipe carries
+    one byte each way per epoch.  The worker evaluates the same function on
+    the same bits as this process would, and :func:`_loss` adds its value
+    and gradient in the same order, so the loss history and the parameters
+    are bitwise those of the in-process path.  An exception in the worker is
+    raised here with its own type; a worker that dies raises
+    ``RuntimeError`` with its exit code.  The worker is joined, and
+    terminated if it does not exit within a second, before this call returns
+    or raises.  The report records whether the worker ran
+    (``second_term_worker``) and how long this process waited for its
+    results (``second_term_wait_s``).
     """
     if model_obj.kind != config.model_kind:
         raise ConfigError(
@@ -390,7 +551,11 @@ def train(
     rng = np.random.default_rng(config.seed)
     report = TrainReport(seed=config.seed)
     start = _time.perf_counter()
-    params = k.params_to_vector(model_obj)
+    worker = None
+    if config.regime in ("regularized", "mixed") and config.epochs > 0 and _can_fork_worker():
+        worker = _Worker(model_obj, sys, config.batch_matching)
+    report.second_term_worker = worker is not None
+    params = k.params_to_vector(model_obj) if worker is None else worker.params
     current = k._model_over(model_obj, params)
     state = AdamState.zeros(params.size)
     box = as_box(config.omega, 2 * model_obj.d) if sys is not None else None
@@ -409,46 +574,52 @@ def train(
     if config.regime == "mixed":
         phases.append(("residual_only", config.fine_tune_epochs))
 
-    for phase_regime, n_epochs in phases:
-        for _ in range(n_epochs):
-            batch = residual_batch = matching_batch = None
-            if phase_regime == "supervised":
-                batch = samples
-                if stacked is not None:
-                    rows = stacked[rng.integers(0, len(stacked), size=config.batch_collocation)]
-                    batch = (rows[:, 0], rows[:, 1:cut], rows[:, cut:])
-            else:
-                residual_batch = _draw_collocation(
-                    rng, box, config.delta_t, config.batch_collocation
-                )
-                if phase_regime in ("regularized", "mixed"):
-                    matching_batch = _draw_collocation(
-                        rng, box, config.delta_t, config.batch_matching
+    try:
+        for phase_regime, n_epochs in phases:
+            for _ in range(n_epochs):
+                batch = residual_batch = matching_batch = None
+                if phase_regime == "supervised":
+                    batch = samples
+                    if stacked is not None:
+                        rows = stacked[rng.integers(0, len(stacked), size=config.batch_collocation)]
+                        batch = (rows[:, 0], rows[:, 1:cut], rows[:, cut:])
+                else:
+                    residual_batch = _draw_collocation(
+                        rng, box, config.delta_t, config.batch_collocation
                     )
-            value, grad, parts = _loss(
-                current,
-                phase_regime,
-                sys,
-                batch,
-                residual_batch,
-                matching_batch,
-                config.derivative_mode,
-                True,
-            )
-            if not np.isfinite(value) or not np.all(np.isfinite(grad)):
-                raise diverged("loss")
-            new_params, state = adam_step(params, grad, state, lr=config.learning_rate)
-            if not np.all(np.isfinite(new_params)):
-                raise diverged("parameters")
-            params[:] = new_params
-            report.record(total=value, **parts)
-            report.epochs_run += 1
-            if (
-                checkpoint_fn is not None
-                and config.checkpoint_every > 0
-                and report.epochs_run % config.checkpoint_every == 0
-            ):
-                checkpoint_fn(report.epochs_run, k.model_with_params(model_obj, params))
+                    if phase_regime in ("regularized", "mixed"):
+                        matching_batch = _draw_collocation(
+                            rng, box, config.delta_t, config.batch_matching
+                        )
+                value, grad, parts = _loss(
+                    current,
+                    phase_regime,
+                    sys,
+                    batch,
+                    residual_batch,
+                    matching_batch,
+                    config.derivative_mode,
+                    True,
+                    worker,
+                )
+                if not np.isfinite(value) or not np.all(np.isfinite(grad)):
+                    raise diverged("loss")
+                new_params, state = adam_step(params, grad, state, lr=config.learning_rate)
+                if not np.all(np.isfinite(new_params)):
+                    raise diverged("parameters")
+                params[:] = new_params
+                report.record(total=value, **parts)
+                report.epochs_run += 1
+                if (
+                    checkpoint_fn is not None
+                    and config.checkpoint_every > 0
+                    and report.epochs_run % config.checkpoint_every == 0
+                ):
+                    checkpoint_fn(report.epochs_run, k.model_with_params(model_obj, params))
+    finally:
+        if worker is not None:
+            worker.close()
+            report.second_term_wait_s = worker.wait_s
 
     report.wall_clock_s = _time.perf_counter() - start
     if report.loss_history.get("total"):

@@ -47,10 +47,10 @@ def check_positive(value, name: str = "value") -> float:
     return v
 
 
-def check_positive_int(value, name: str = "value") -> int:
-    """``value`` as an int, if it is an integer (not a bool) of at least 1; else DimensionError."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
-        raise DimensionError(f"{name} must be a positive integer, got {value!r}")
+def check_positive_int(value, name: str = "value", minimum: int = 1) -> int:
+    """``value`` as an int, if it is an integer (not a bool) of at least ``minimum``; else DimensionError."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
+        raise DimensionError(f"{name} must be an integer of at least {minimum}, got {value!r}")
     return int(value)
 
 

@@ -9,6 +9,7 @@ import pytest
 from sympflow import io as sio
 from sympflow import mlp
 from sympflow import model as sfm
+from sympflow import train as tr
 from sympflow.cli import cli_dispatch
 from sympflow.errors import CheckpointError, ConfigError, KindMismatchError
 from sympflow.integrate import generate_dataset
@@ -174,6 +175,8 @@ def test_cli_train_rollout_evaluate_poincare(tmp_path):
     assert cli_dispatch(["train", "--config", train_cfg, "--out", str(out)]) == 0
     ckpt = out / "model.json"
     assert ckpt.exists() and (out / "loss_history.csv").exists()
+    summary = json.loads((out / "train_report.json").read_text())
+    assert summary["second_term_worker"] is False and summary["second_term_wait_s"] == 0.0
 
     roll_cfg = _write_cfg(
         tmp_path,
@@ -290,6 +293,13 @@ def test_cli_train_deterministic_outputs(tmp_path):
         (outs[0] / "loss_history.csv").read_text()
         == (outs[1] / "loss_history.csv").read_text()
     )
+    # the MLP's energy_reg term runs in a forked worker wherever one may be forked
+    forks = tr._can_fork_worker()
+    for out in outs:
+        report = json.loads((out / "train_report.json").read_text())
+        assert report["epochs_run"] == 4
+        assert report["second_term_worker"] is forks
+        assert (report["second_term_wait_s"] > 0) == forks
 
 
 def test_cli_seed_override(tmp_path):

@@ -29,17 +29,29 @@ def test_submodules_not_shadowed_by_reexports():
     assert shadowed == [], f"package attributes shadow submodules: {shadowed}"
 
 
-def test_import_loads_no_scipy():
-    # SciPy serves the tests as an oracle only; the package must not need it.
+def _loaded_by_import(top: str) -> str:
+    """The modules under ``top`` that importing every sympflow module loads, in a fresh process."""
     code = (
         "import pkgutil, sys, importlib, sympflow\n"
         "for info in pkgutil.iter_modules(sympflow.__path__):\n"
         "    importlib.import_module('sympflow.' + info.name)\n"
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        f"print(sorted(m for m in sys.modules if m.split('.')[0] == {top!r}))\n"
     )
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(sympflow.__file__)))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    return out.stdout.strip()
+
+
+def test_import_loads_no_scipy():
+    # SciPy serves the tests as an oracle only; the package must not need it.
+    assert _loaded_by_import("scipy") == "[]"
+
+
+@pytest.mark.parametrize("top", ["multiprocessing", "mmap"])
+def test_import_loads_no_worker_modules(top):
+    # train() imports them when it forks its second-term worker; importing
+    # multiprocessing costs about 17 ms that no import of the package pays.
+    assert _loaded_by_import(top) == "[]"
 
 
 def test_train_and_integrate_functions_reached_through_their_modules():

@@ -1,5 +1,10 @@
 """Losses, their gradients against finite differences, Adam, and the loop."""
 
+import os
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 
@@ -303,6 +308,18 @@ def test_adam_converges_on_quadratic():
         {"omega": [(-1.0, 1.0), (0.5, 0.5)]},
         {"omega": (0.0, float("nan"))},
         {"omega": (0.0, 1.0, 2.0)},
+        {"learning_rate": float("nan")},
+        {"learning_rate": float("inf")},
+        {"delta_t": float("nan")},
+        {"delta_t": float("inf")},
+        {"epochs": 2.5},
+        {"epochs": True},
+        {"fine_tune_epochs": -1},
+        {"batch_collocation": 8.5},
+        {"batch_matching": 8.0},
+        {"layers": 2.5},
+        {"hidden": "10"},
+        {"checkpoint_every": -3},
     ],
 )
 def test_config_rejects_bad_batches_and_box(kwargs):
@@ -418,9 +435,30 @@ def _loop_config(kind, **kwargs):
     return tr.TrainConfig(**{**base, **kwargs})
 
 
+TWO_TERM_CASES = ("regularized", "mixed-fine-tune")
+
+# The second term runs in a forked worker wherever this process may fork one.
+FORKS = tr._can_fork_worker()
+needs_worker = pytest.mark.skipif(not FORKS, reason="this process may not fork a worker (see train._can_fork_worker)")
+
+
+@pytest.fixture
+def worker_starts(monkeypatch):
+    """The arguments of every second-term worker started during the test."""
+    starts = []
+
+    class Spied(tr._Worker):
+        def __init__(self, *args):
+            starts.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(tr, "_Worker", Spied)
+    return starts
+
+
 @pytest.mark.parametrize("case", sorted(LOOP_CASES))
 @pytest.mark.parametrize("kind", sorted(KERNELS))
-def test_train_matches_the_rebuilding_loop_bitwise(kind, case):
+def test_train_matches_the_rebuilding_loop_bitwise(kind, case, worker_starts):
     cfg = _loop_config(kind, **LOOP_CASES[case])
     model = tr.build_model(cfg, d=1)
     data = dict(dataset=make_dataset()) if cfg.regime == "supervised" else dict(sys=Sho())
@@ -429,6 +467,90 @@ def test_train_matches_the_rebuilding_loop_bitwise(kind, case):
     assert report.loss_history == want_history
     assert np.array_equal(KERNELS[kind].params_to_vector(trained), want_params)
     assert not np.array_equal(want_params, KERNELS[kind].params_to_vector(model))
+    in_worker = FORKS and case in TWO_TERM_CASES
+    assert len(worker_starts) == in_worker
+    assert report.second_term_worker == in_worker
+    assert (report.second_term_wait_s > 0) == in_worker
+
+
+def test_worker_selection_rule(monkeypatch):
+    monkeypatch.setattr(tr.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(tr.threading, "active_count", lambda: 1)
+    import multiprocessing
+
+    has_fork = "fork" in multiprocessing.get_all_start_methods() and sys.platform != "darwin"
+    assert tr._can_fork_worker() == has_fork
+    monkeypatch.setattr(tr.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert not tr._can_fork_worker()
+    monkeypatch.setattr(tr.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(tr.threading, "active_count", lambda: 2)
+    assert not tr._can_fork_worker()
+
+
+@needs_worker
+@pytest.mark.parametrize("why", ["one-cpu", "second-thread"])
+@pytest.mark.parametrize("case", TWO_TERM_CASES)
+@pytest.mark.parametrize("kind", sorted(KERNELS))
+def test_the_in_process_path_gives_the_worker_bits(kind, case, why, worker_starts, monkeypatch):
+    cfg = _loop_config(kind, **LOOP_CASES[case])
+    model = tr.build_model(cfg, d=1)
+    forked, forked_report = tr.train(model, cfg, sys=Sho())
+    assert len(worker_starts) == 1
+    release = threading.Event()
+    other = threading.Thread(target=release.wait, args=(10.0,))
+    if why == "one-cpu":
+        monkeypatch.setattr(tr.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(tr.os, "cpu_count", lambda: 1)
+    else:
+        other.start()
+    try:
+        local, local_report = tr.train(model, cfg, sys=Sho())
+    finally:
+        release.set()
+        if other.is_alive():
+            other.join(10.0)
+    assert not other.is_alive()
+    assert len(worker_starts) == 1
+    assert not local_report.second_term_worker and local_report.second_term_wait_s == 0.0
+    assert local_report.loss_history == forked_report.loss_history
+    k = KERNELS[kind]
+    assert np.array_equal(k.params_to_vector(local), k.params_to_vector(forked))
+
+
+def _in_worker_only(effect):
+    """A second term that runs ``effect`` in a forked worker and fails the test in this process."""
+    parent = os.getpid()
+
+    def term(*args):
+        if os.getpid() == parent:
+            raise AssertionError("the second term ran in the training process")
+        effect()
+
+    return term
+
+
+@needs_worker
+@pytest.mark.parametrize("kind, term", [("sympflow", "_matching"), ("mlp", "_energy_reg")])
+def test_an_exception_in_the_worker_reaches_the_caller_with_its_type(kind, term, monkeypatch):
+    def bad_batch():
+        raise DimensionError("bad matching batch")
+
+    monkeypatch.setattr(tr, term, _in_worker_only(bad_batch))
+    cfg = _loop_config(kind, **LOOP_CASES["regularized"])
+    with pytest.raises(DimensionError, match="bad matching batch"):
+        tr.train(tr.build_model(cfg, d=1), cfg, sys=Sho())
+
+
+@needs_worker
+def test_a_dead_worker_raises_runtime_error_at_once(monkeypatch):
+    monkeypatch.setattr(tr, "_matching", _in_worker_only(lambda: os._exit(3)))
+    cfg = _loop_config("sympflow", **LOOP_CASES["regularized"])
+    model = tr.build_model(cfg, d=1)
+    start = time.perf_counter()
+    with pytest.raises(RuntimeError, match="exit code 3") as info:
+        tr.train(model, cfg, sys=Sho())
+    assert time.perf_counter() - start < 1.0
+    assert type(info.value) is RuntimeError
 
 
 @pytest.mark.parametrize("kind", sorted(KERNELS))
@@ -445,8 +567,8 @@ def test_overflowing_adam_step_raises_training_diverged(kind):
     assert len(report.loss_history["total"]) == report.epochs_run
 
 
-@pytest.mark.parametrize("kind", sorted(KERNELS))
-def test_nonfinite_parameters_raise_training_diverged_with_the_partial_report(kind, monkeypatch):
+def _diverge_at_epoch_2(kind, regime, monkeypatch):
+    """The report of a run whose third Adam step writes a NaN."""
     step = tr.adam_step
 
     def poisoned(params, grads, state, **kwargs):
@@ -456,13 +578,28 @@ def test_nonfinite_parameters_raise_training_diverged_with_the_partial_report(ki
         return new, state
 
     monkeypatch.setattr(tr, "adam_step", poisoned)
-    cfg = _loop_config(kind, regime="residual_only", epochs=5, batch_collocation=4)
+    cfg = _loop_config(kind, regime=regime, epochs=5, batch_collocation=4, batch_matching=4)
     with pytest.raises(TrainingDivergedError, match="non-finite parameters at epoch 2") as info:
         tr.train(tr.build_model(cfg, d=1), cfg, sys=Sho())
     report = info.value.report
     assert report.epochs_run == 2
     assert len(report.loss_history["total"]) == 2
     assert report.wall_clock_s > 0
+    return report
+
+
+@pytest.mark.parametrize("kind", sorted(KERNELS))
+def test_nonfinite_parameters_raise_training_diverged_with_the_partial_report(kind, monkeypatch):
+    report = _diverge_at_epoch_2(kind, "residual_only", monkeypatch)
+    assert not report.second_term_worker
+
+
+@needs_worker
+@pytest.mark.parametrize("kind", sorted(KERNELS))
+def test_training_diverged_in_the_worker_path_carries_the_partial_report(kind, monkeypatch):
+    report = _diverge_at_epoch_2(kind, "regularized", monkeypatch)
+    assert report.second_term_worker and report.second_term_wait_s > 0
+    assert len(report.loss_history[{"sympflow": "matching", "mlp": "energy_reg"}[kind]]) == 2
 
 
 @pytest.mark.parametrize("kind", sorted(KERNELS))
