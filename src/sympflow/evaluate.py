@@ -28,7 +28,14 @@ from . import model as sfm
 from .errors import DimensionError
 from .integrate import _sample_rows, integrate  # noqa: F401 (integrate: re-exported)
 from .systems import HamiltonianSystem
-from .validation import as_box, as_float_array, as_phase_points, check_finite_scalar, check_positive
+from .validation import (
+    as_box,
+    as_phase_points,
+    as_vector,
+    check_finite_scalar,
+    check_positive,
+    check_positive_int,
+)
 
 __all__ = [
     "RolloutSpec",
@@ -128,24 +135,28 @@ def rollout_path(model_obj, spec: RolloutSpec, project=None):
     Each window makes one batched map from its base point, with per-row
     times: the window's remainder samples and, unless it is the last window,
     the next base point at ``delta_t``.  Every sample agrees with an
-    individual ``rollout`` call at that time.  Returns ``(times, states)``.
+    individual ``rollout`` call at that time.  ``spec.x0`` is one state of
+    shape ``(2d,)``.  Returns ``(times, states)``.
     """
+    base = as_vector(spec.x0, 2 * model_obj.d, "x0").copy()
     n = int(np.floor(spec.horizon / spec.step + 1e-9))
     times = np.arange(n + 1) * spec.step
-    base = as_float_array(spec.x0, "x0").copy()
     window = np.floor(times / spec.delta_t).astype(int)
-    last = window.max()
+    last = window[-1]
+    # The times increase, so each window's samples are one run of rows.
+    bounds = np.searchsorted(window, np.arange(last + 2))
     out = np.empty((times.size, base.size))
     for k in range(last + 1):
-        sel = np.flatnonzero(window == k)
-        rem = times[sel] - spec.delta_t * k
-        out[sel] = base
+        lo, hi = bounds[k], bounds[k + 1]
+        rem = times[lo:hi] - spec.delta_t * k
+        out[lo:hi] = base
         pos = rem > 0
-        rows, t = sel[pos], rem[pos]
+        rows, t = lo + np.flatnonzero(pos), rem[pos]
         if k < last:
             t = np.append(t, spec.delta_t)
         if t.size:
-            states = np.broadcast_to(base, (t.size, base.size)).copy()
+            states = np.empty((t.size, base.size))
+            states[:] = base
             mapped = _forward_b(model_obj, t, states)
             if project is not None:
                 mapped = project(mapped)
@@ -373,9 +384,14 @@ def evaluate_model(
     Initial conditions whose reference solve fails are counted in
     ``report.failed`` and model states that turn non-finite in
     ``report.nonfinite[k]``; both are left out of the means and logged.
+    ``n_samples`` and every k must be integers of at least 1, and ``ks``
+    must name at least one k; otherwise DimensionError.
     """
     delta_t = check_positive(delta_t, "delta_t")
-    ks = sorted(int(k) for k in ks)
+    n_samples = check_positive_int(n_samples, "n_samples")
+    ks = sorted(check_positive_int(k, "each of ks") for k in ks)
+    if not ks:
+        raise DimensionError("ks must name at least one window count")
     ics, refs, failed = _references(sys, omega, n_samples, ks, delta_t, seed)
     report = MetricReport(n_samples=n_samples, failed=int(failed.sum()))
     if report.failed:

@@ -34,6 +34,7 @@ pullback raised the peak resident set by 2.5 MB and gained no time.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -156,27 +157,22 @@ def _shear(net: PotentialNet, t, y: np.ndarray, vy=None, dt=None):
 
     One sweep over 2B rows serves both times: row 2i is [y_i, t_i] with the
     tangent [vy_i, dt], row 2i+1 is [y_i, 0] with [vy_i, 0], and the
-    pullback yields grad V and the tangent term on each.  The two rows of a
-    pair are adjacent so that every kernel rounds them alike: BLAS and SIMD
-    loops split a batch into blocks of even width and a tail, and a pair
-    never straddles the two.  At t = 0 the pair's rows are equal, so delta
-    is zero bitwise.  Stacked as [y; y] instead, the halves of a product by
-    a one-row matrix (a hidden layer of width 1, which OpenBLAS takes as a
-    gemv) fell in different blocks at some odd B, and the map at t = 0 was
-    not the identity.
+    pullback yields grad V and the tangent term on each.  The potential
+    writes these rows straight into its sweep's input buffers
+    (``paired``), in the sweeps' column-major layout, so the rows are not
+    first assembled here.  The two rows of a pair are adjacent so that
+    every kernel rounds them alike: BLAS and SIMD loops split a batch into
+    blocks of even width and a tail, and a pair never straddles the two.
+    At t = 0 the pair's rows are equal, so delta is zero bitwise.  Stacked
+    as [y; y] instead, the halves of a product by a one-row matrix (a
+    hidden layer of width 1, which OpenBLAS takes as a gemv) fell in
+    different blocks at some odd B, and the map at t = 0 was not the
+    identity.
     """
-    d, B = net.d, y.shape[0]
-    a = (None if vy is None else np.repeat(vy, 2, axis=0), None if dt is None else _paired_with_zero(dt, B))
-    g, hv = pot.jet_grad_b(net, _paired_with_zero(t, B), np.repeat(y, 2, axis=0), a)
+    d = net.d
+    g, hv = pot.jet_grad_b(net, t, y, (vy, dt), paired=True)
     ddelta = None if vy is None else hv[::2, :d] - hv[1::2, :d]
     return g[::2, :d] - g[1::2, :d], ddelta, g[::2, d]
-
-
-def _paired_with_zero(value, B):
-    """``value`` (a scalar or (B,)) at the even entries of a (2B,) array of zeros."""
-    out = np.zeros(2 * B)
-    out[::2] = value
-    return out
 
 
 def _shear_vjp(net: PotentialNet, t, y: np.ndarray, w=None, vy=None, wv=None, dt=None, wt=None):
@@ -197,6 +193,7 @@ def _shear_vjp(net: PotentialNet, t, y: np.ndarray, w=None, vy=None, wv=None, dt
     return gy[:, :d], None if gv is None else gv[:, :d], gth
 
 
+@functools.cache
 def _halves(d, momentum):
     """(read, write, sign) of a shear.
 
@@ -211,11 +208,15 @@ def _shear_step(net, t, x, v=None, dt=None, momentum=False, sign=1.0):
     """Apply one shear (sign -1: its inverse) to x and, when given, to the tangent v."""
     read, write, s = _halves(net.d, momentum)
     delta, ddelta, _ = _shear(net, t, x[:, read], None if v is None else v[:, read], dt)
+    # Adding (s * sign) * delta with s * sign = +-1 rounds as adding or subtracting delta.
+    move = np.add if s * sign > 0 else np.subtract
     x = x.copy()
-    x[:, write] += (s * sign) * delta
+    half = x[:, write]
+    move(half, delta, half)
     if v is not None:
         v = v.copy()
-        v[:, write] += (s * sign) * ddelta
+        half = v[:, write]
+        move(half, ddelta, half)
     return x, v
 
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._jet import Jet, chain_backward, chain_forward, flatten, unflatten
+from ._jet import Jet, chain_backward, chain_forward, flatten, inputs, unflatten
 from .errors import DimensionError
 from .validation import as_vector, check_finite_scalar
 
@@ -158,51 +158,70 @@ def _net_over(net: PotentialNet, buf: np.ndarray) -> PotentialNet:
 # ---------------------------------------------------------------------------
 
 
-def _u_jet(net: PotentialNet, t, q: np.ndarray, da=None, db=None, dab=None) -> Jet:
+def _u_jet(net: PotentialNet, t, q: np.ndarray, da=None, db=None, dab=None, paired=False) -> Jet:
+    """The input jet ``[q; t]`` with its directions, in the input arena of :mod:`sympflow._jet`.
+
+    Each component is a ``(B, d+1)`` column-major view, the layout the
+    sweeps work in.  With ``paired`` every row appears twice, in adjacent
+    rows: row 2i is ``[q_i, t_i]`` with each direction as given, row 2i+1
+    is ``[q_i, 0]`` with the direction's time part 0.
+    """
     B, d = q.shape
     if d != net.d:
         raise DimensionError(f"q must have {net.d} columns, got {d}")
-
-    def column_major(head, tail):
-        # [head, tail] as a (B, d+1) view of a C-contiguous (d+1, B) buffer,
-        # the layout the sweeps of :mod:`sympflow._jet` work in.
-        u = np.empty((d + 1, B)).T
-        u[:, :d] = 0.0 if head is None else head
-        u[:, d] = 0.0 if tail is None else tail
-        return u
-
-    def direction(dirpair):
-        if dirpair is None or (dirpair[0] is None and dirpair[1] is None):
-            return None
-        return column_major(*dirpair)
-
-    return Jet(column_major(q, t), direction(da), direction(db), direction(dab))
+    parts = [(0, q, t)]  # (component, head, tail) of each component present
+    for i, p in enumerate((da, db, dab), 1):
+        if p is not None and (p[0] is not None or p[1] is not None):
+            parts.append((i, *p))
+    comps = [None] * 4
+    for (i, head, tail), u in zip(parts, inputs(d + 1, 2 * B if paired else B, len(parts))):
+        if paired:
+            u[:d].reshape(d, B, 2)[...] = 0.0 if head is None else head.T[:, :, None]
+            u[d, ::2] = 0.0 if tail is None else tail
+            u[d, 1::2] = 0.0
+        else:
+            u[:d] = 0.0 if head is None else head.T
+            u[d] = 0.0 if tail is None else tail
+        comps[i] = u.T
+    return Jet(*comps)
 
 
 def _forward(net, t, q, da=None, db=None, dab=None):
     return chain_forward(net.weights, _u_jet(net, t, q, da, db, dab))
 
 
-def _ones(B):
-    return np.ones((B, 1))
+_UNIT = {}  # the cotangent jets of _unit by (B, component), at most 64 of them
+
+
+def _unit(B, component):
+    """The cotangent 1 on one component of a scalar jet: a Jet of a read-only (B, 1) ones column."""
+    g = _UNIT.get((B, component))
+    if g is None:
+        if len(_UNIT) >= 64:
+            _UNIT.clear()
+        ones = np.ones((B, 1))
+        ones.flags.writeable = False
+        g = _UNIT[B, component] = Jet(**{component: ones})
+    return g
 
 
 def value_b(net: PotentialNet, t, q: np.ndarray) -> np.ndarray:
     return _forward(net, t, q)[-1].x0[:, 0]
 
 
-def jet_grad_b(net: PotentialNet, t, q: np.ndarray, a=None):
+def jet_grad_b(net: PotentialNet, t, q: np.ndarray, a=None, paired=False):
     """grad_u V and grad_u d_a V at u = [q; t] from one sweep, each (B, d+1).
 
     Without a direction the second is None and the sweep carries the value
-    only.
+    only.  With ``paired`` both are taken over the 2B rows of
+    :func:`_u_jet`'s paired input.
     """
-    jets = _forward(net, t, q, da=a)
-    B = q.shape[0]
+    W = net.weights
+    jets = chain_forward(W, _u_jet(net, t, q, a, None, None, paired))
+    B = jets[0].x0.shape[0]
     if jets[0].xa is None:
-        gin, _ = chain_backward(net.weights, jets, Jet(x0=_ones(B)), with_params=False)
-        return gin.x0, None
-    gin, _ = chain_backward(net.weights, jets, Jet(xa=_ones(B)), with_params=False)
+        return chain_backward(W, jets, _unit(B, "x0"), with_params=False)[0].x0, None
+    gin = chain_backward(W, jets, _unit(B, "xa"), with_params=False)[0]
     return gin.xa, gin.x0
 
 
@@ -213,7 +232,7 @@ def jet_vjp(net: PotentialNet, t, q: np.ndarray, a=None, b=None, c=None):
     (B, d+1; None without b) and the flat parameter gradient.
     """
     jets = _forward(net, t, q, da=a, db=b, dab=c)
-    gin, gp = chain_backward(net.weights, jets, Jet(xab=_ones(q.shape[0])))
+    gin, gp = chain_backward(net.weights, jets, _unit(q.shape[0], "xab"))
     return gin.x0, gin.xa, flatten(gp)
 
 

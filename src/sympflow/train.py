@@ -519,18 +519,21 @@ def train(
     In a two-term phase the second term (``matching`` for SympFlow,
     ``energy_reg`` for the MLP) runs in one worker process forked at the
     start of the call, while this process computes the residual.  The worker
-    is used when the process has at least 2 CPUs in its affinity mask
-    (``os.cpu_count()`` where there is none), runs no Python thread but this
-    one, since forking a threaded process can deadlock, has the ``fork``
-    start method and is not on macOS; otherwise, and in every other regime,
-    the term runs in this process.  The parameter buffer, the term's batch
-    and its result slot share one anonymous mapping made before the fork, so
-    the worker's model sees each Adam write in place, and the pipe carries
-    one byte each way per epoch.  The worker evaluates the same function on
-    the same bits as this process would, and :func:`_loss` adds its value
-    and gradient in the same order, so the loss history and the parameters
-    are bitwise those of the in-process path.  An exception in the worker is
-    raised here with its own type; a worker that dies raises
+    is used when the phase runs at least 2 epochs, since a worker costs
+    about 13 ms per call, more than one epoch saves (at the benchmark's
+    sizes a 1-epoch call took 28.3 ms with it and 23.8 ms without, a 2-epoch
+    call 57.0 and 63.6 ms); and when the process has at least 2 CPUs in its
+    affinity mask (``os.cpu_count()`` where there is none), runs no Python
+    thread but this one, since forking a threaded process can deadlock, has
+    the ``fork`` start method and is not on macOS.  Otherwise, and in every
+    other regime, the term runs in this process.  The parameter buffer, the
+    term's batch and its result slot share one anonymous mapping made before
+    the fork, so the worker's model sees each Adam write in place, and the
+    pipe carries one byte each way per epoch.  The worker evaluates the same
+    function on the same bits as this process would, and :func:`_loss` adds
+    its value and gradient in the same order, so the loss history and the
+    parameters are bitwise those of the in-process path.  An exception in
+    the worker is raised here with its own type; a worker that dies raises
     ``RuntimeError`` with its exit code.  The worker is joined, and
     terminated if it does not exit within a second, before this call returns
     or raises.  The report records whether the worker ran
@@ -552,7 +555,7 @@ def train(
     report = TrainReport(seed=config.seed)
     start = _time.perf_counter()
     worker = None
-    if config.regime in ("regularized", "mixed") and config.epochs > 0 and _can_fork_worker():
+    if config.regime in ("regularized", "mixed") and config.epochs >= 2 and _can_fork_worker():
         worker = _Worker(model_obj, sys, config.batch_matching)
     report.second_term_worker = worker is not None
     params = k.params_to_vector(model_obj) if worker is None else worker.params

@@ -6,7 +6,7 @@ import numpy as np
 
 from sympflow import potential as pot
 from sympflow import train as tr
-from sympflow._jet import Jet
+from sympflow._jet import Jet, chain_backward, chain_forward
 from sympflow.validation import as_box
 
 
@@ -98,6 +98,70 @@ def shear_two_sweeps(net, t, y, vy=None, dt=None):
     g0, h0 = pot.jet_grad_b(net, 0.0, y, (vy, None))
     ddelta = None if vy is None else ht[:, :d] - h0[:, :d]
     return gt[:, :d] - g0[:, :d], ddelta, gt[:, d]
+
+
+def _fresh_input_jet(net, t, q, da=None):
+    """The input jet [q; t] and direction da on fresh column-major arrays."""
+    B, d = q.shape
+
+    def column_major(head, tail):
+        u = np.empty((d + 1, B)).T
+        u[:, :d] = 0.0 if head is None else head
+        u[:, d] = 0.0 if tail is None else tail
+        return u
+
+    xa = None if da is None or (da[0] is None and da[1] is None) else column_major(*da)
+    return Jet(column_major(q, t), xa)
+
+
+def _paired_with_zero(value, B):
+    """``value`` (a scalar or (B,)) at the even entries of a (2B,) array of zeros."""
+    out = np.zeros(2 * B)
+    out[::2] = value
+    return out
+
+
+def shear_repeated_rows(net, t, y, vy=None, dt=None):
+    """``model._shear`` with its 2B input rows assembled first: (delta, ddelta, vt).
+
+    Row 2i is [y_i, t_i] with the tangent [vy_i, dt], row 2i+1 is [y_i, 0]
+    with [vy_i, 0], built with ``np.repeat`` and zero-paired times on fresh
+    arrays, then swept through the package's chain.
+    """
+    d, B = net.d, y.shape[0]
+    a = (
+        None if vy is None else np.repeat(vy, 2, axis=0),
+        None if dt is None else _paired_with_zero(dt, B),
+    )
+    x = _fresh_input_jet(net, _paired_with_zero(t, B), np.repeat(y, 2, axis=0), a)
+    jets = chain_forward(net.weights, x)
+    ones = np.ones((2 * B, 1))
+    if x.xa is None:
+        g, hv = chain_backward(net.weights, jets, Jet(x0=ones), with_params=False)[0].x0, None
+    else:
+        gin = chain_backward(net.weights, jets, Jet(xa=ones), with_params=False)[0]
+        g, hv = gin.xa, gin.x0
+    ddelta = None if vy is None else hv[::2, :d] - hv[1::2, :d]
+    return g[::2, :d] - g[1::2, :d], ddelta, g[::2, d]
+
+
+def shear_chain(model, t, x, v=None, dt=None):
+    """``model._chain_b`` over :func:`shear_repeated_rows`: (x, v) after every shear."""
+    d = model.d
+    for vq, vp in model.layers:
+        for net, momentum in ((vq, False), (vp, True)):
+            if momentum:
+                read, write, s = slice(d, None), slice(None, d), 1.0
+            else:
+                read, write, s = slice(None, d), slice(d, None), -1.0
+            vy = None if v is None else v[:, read]
+            delta, ddelta, _ = shear_repeated_rows(net, t, x[:, read], vy, dt)
+            x = x.copy()
+            x[:, write] += s * delta
+            if v is not None:
+                v = v.copy()
+                v[:, write] += s * ddelta
+    return x, v
 
 
 def _shear_delta(net, t, y):

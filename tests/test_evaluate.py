@@ -65,6 +65,14 @@ def test_rollout_path_consistency(model):
         assert np.max(np.abs(states[j] - single)) < 1e-14
 
 
+@pytest.mark.parametrize("x0", [np.zeros(3), np.zeros(5), np.zeros((2, 4))])
+def test_rollout_path_rejects_a_state_of_the_wrong_shape(x0):
+    model4 = sfm.random_sympflow(2, 1, np.random.default_rng(1), h=4)
+    spec = ev.RolloutSpec(delta_t=1.0, horizon=2.0, step=0.5, x0=x0)
+    with pytest.raises(DimensionError, match="x0 must have shape"):
+        ev.rollout_path(model4, spec)
+
+
 def test_rollout_spec_validation():
     with pytest.raises(DimensionError):
         ev.RolloutSpec(delta_t=1.0, horizon=0.5, step=0.1, x0=np.zeros(2))
@@ -279,6 +287,25 @@ def test_bad_delta_t_is_rejected_up_front(model, delta_t):
         ev.avg_relative_error(model, Sho(), [-1.0, 1.0], 2, 1, delta_t)
     with pytest.raises(DimensionError, match="delta_t"):
         ev.avg_energy_variation(model, Sho(), [-1.0, 1.0], 2, 1, delta_t)
+
+
+@pytest.mark.parametrize(
+    "bad, match",
+    [
+        (dict(n_samples=0), "n_samples"),
+        (dict(n_samples=-3), "n_samples"),
+        (dict(n_samples=2.5), "n_samples"),
+        (dict(ks=()), "ks must name"),
+        (dict(ks=(0,)), "each of ks"),
+        (dict(ks=(-1,)), "each of ks"),
+        (dict(ks=(1.5,)), "each of ks"),
+        (dict(ks=(1, 10, 0)), "each of ks"),
+    ],
+)
+def test_evaluate_model_rejects_bad_sample_and_window_counts(model, bad, match):
+    args = {"n_samples": 2, "ks": (1,), **bad}
+    with pytest.raises(DimensionError, match=match):
+        ev.evaluate_model(model, Sho(), [-1.0, 1.0], 1.0, **args)
 
 
 @pytest.mark.parametrize("t", [np.nan, np.inf])

@@ -120,3 +120,33 @@ def test_stacked_shear_matches_two_sweeps(case):
         assert (g is None) == (w is None), label
         if w is not None:
             close(g, w, label)
+
+
+paired_cases = st.fixed_dictionaries(
+    {
+        "d": st.integers(1, 3),
+        "layers": st.integers(1, 3),
+        "h": st.sampled_from([1, 2, 3, 5, 10]),  # a width of 1 makes OpenBLAS take a gemv
+        "batch": st.integers(1, 40),
+        "per_row_t": st.booleans(),
+        "seed": st.integers(0, 2**32 - 1),
+    }
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(paired_cases)
+def test_shears_on_workspace_inputs_match_the_repeated_row_oracle(case):
+    rng = np.random.default_rng(case["seed"])
+    d, B = case["d"], case["batch"]
+    model = sfm.random_sympflow(d, case["layers"], rng, h=case["h"])
+    x = rng.uniform(-1.0, 1.0, size=(B, 2 * d))
+    t = rng.uniform(0.0, 1.0, size=B) if case["per_row_t"] else float(rng.uniform(0.0, 1.0))
+    assert np.array_equal(sfm._forward_b(model, t, x), orc.shear_chain(model, t, x)[0])
+    got_x, got_v, _ = sfm._taped(model, t, x, velocity=True)
+    want_x, want_v = orc.shear_chain(model, t, x, np.zeros_like(x), 1.0)
+    close(got_x, want_x, "taped state")
+    close(got_v, want_v, "taped velocity")
+    t0 = float(np.atleast_1d(t)[0])
+    want_J = orc.shear_chain(model, t0, np.repeat(x[:1], 2 * d, axis=0), np.eye(2 * d))[1].T
+    close(sfm.jacobian(model, t0, x[0]), want_J, "jacobian")

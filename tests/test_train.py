@@ -473,6 +473,21 @@ def test_train_matches_the_rebuilding_loop_bitwise(kind, case, worker_starts):
     assert (report.second_term_wait_s > 0) == in_worker
 
 
+@pytest.mark.parametrize("case", TWO_TERM_CASES)
+@pytest.mark.parametrize("kind", sorted(KERNELS))
+def test_a_one_epoch_two_term_phase_runs_in_process(kind, case, worker_starts):
+    # A worker costs more than one epoch saves, so a 1-epoch phase keeps
+    # the second term here, with the same bits.
+    cfg = _loop_config(kind, **{**LOOP_CASES[case], "epochs": 1})
+    model = tr.build_model(cfg, d=1)
+    want_params, want_history = train_rebuilding(model, cfg, sys=Sho())
+    trained, report = tr.train(model, cfg, sys=Sho())
+    assert worker_starts == []
+    assert not report.second_term_worker and report.second_term_wait_s == 0.0
+    assert report.loss_history == want_history
+    assert np.array_equal(KERNELS[kind].params_to_vector(trained), want_params)
+
+
 def test_worker_selection_rule(monkeypatch):
     monkeypatch.setattr(tr.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     monkeypatch.setattr(tr.threading, "active_count", lambda: 1)

@@ -99,18 +99,17 @@ def test_interleaved_sweeps_match_fresh_threads_and_keep_their_results(seq):
 def test_returned_arrays_are_not_workspace_buffers():
     results = [run(("vjp", 1, 64, 7, 1)), run(("grad", 1, 64, 1, 2)), run(("mlp_vjp", 0, 64, 0, 3))]
     results.append(run(("forward", 1, 64, 3, 4)))
-    ws = _jet._workspace
-    bufs = ws.tape.bufs + ws.work[0].bufs + ws.work[1].bufs
+    arenas = _jet._workspace.arenas
     for r in results:
         for arr in r:
             if arr is not None:
-                assert not any(np.shares_memory(arr, buf) for buf in bufs)
+                assert not any(np.shares_memory(arr, arena) for arena in arenas)
 
 
 def test_sweeps_of_alternating_sizes_stop_reallocating():
     # A forward shear sweeps 2B rows, a pullback B with more components.  A
-    # bank grows at its next reset after a round that overflowed it, so after
-    # two rounds of both the arenas hold either sweep and stay put.
+    # plan that overflows an arena grows it, so after two rounds of both the
+    # arenas hold either sweep, and the plans laid out in them stay put.
     def epoch():
         run(("grad", 1, 128, 1, 1))
         run(("vjp", 1, 64, 7, 2))
@@ -118,12 +117,11 @@ def test_sweeps_of_alternating_sizes_stop_reallocating():
     epoch()
     epoch()
     ws = _jet._workspace
-    banks = (ws.tape, *ws.work)
-    arenas = [bank.arena for bank in banks]
+    arenas, plans = list(ws.arenas), dict(ws.plans)
     for _ in range(3):
         epoch()
-    assert all(bank.arena is arena for bank, arena in zip(banks, arenas))
-    assert all(bank.arena.size == bank.need for bank in banks)
+    assert all(now is before for now, before in zip(ws.arenas, arenas))
+    assert ws.plans == plans
 
 
 def test_pullback_of_stale_jets_raises():
