@@ -72,7 +72,7 @@ from .model import (
     symplectic_matrix,
     time_derivative,
 )
-from .potential import PotentialNet, QuantityKind, random_potential_net
+from .potential import PotentialNet, random_potential_net
 from .systems import (
     DampedAugmented,
     HamiltonianSystem,

@@ -9,6 +9,7 @@ success or nonzero with a one-line diagnostic.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys as _sys
 from pathlib import Path
@@ -52,23 +53,7 @@ def _require(cfg: dict, *keys):
 
 
 def _train_config(cfg: dict) -> TrainConfig:
-    fields = (
-        "model_kind",
-        "regime",
-        "epochs",
-        "fine_tune_epochs",
-        "learning_rate",
-        "batch_collocation",
-        "batch_matching",
-        "delta_t",
-        "omega",
-        "seed",
-        "derivative_mode",
-        "layers",
-        "hidden",
-        "checkpoint_every",
-    )
-    kwargs = {k: cfg[k] for k in fields if k in cfg}
+    kwargs = {f.name: cfg[f.name] for f in dataclasses.fields(TrainConfig) if f.name in cfg}
     if "omega" in kwargs:
         kwargs["omega"] = tuple(map(tuple, kwargs["omega"])) if isinstance(
             kwargs["omega"][0], list

@@ -43,7 +43,6 @@ class _FlowRegressorBase:
         batch_matching: int = 1024,
         delta_t: float = 1.0,
         omega=(-1.2, 1.2),
-        derivative_mode: str = "exact",
         seed: int = 0,
     ):
         self.system = system
@@ -57,7 +56,6 @@ class _FlowRegressorBase:
         self.batch_matching = batch_matching
         self.delta_t = delta_t
         self.omega = omega
-        self.derivative_mode = derivative_mode
         self.seed = seed
 
     # -- sklearn protocol ---------------------------------------------------

@@ -175,20 +175,18 @@ def avg_relative_error(
     delta_t: float,
     seed: int = 0,
     project=None,
-    ref_states=None,
     ics=None,
 ) -> float:
     """Mean of |psi(k dt, x_i) - ref(k dt, x_i)| / |ref(k dt, x_i)| over the box.
 
     Samples with reference norm below 1e-12 are skipped (and logged), and so
     are samples whose reference solve failed and samples whose model state
-    is not finite.  ``ref_states``/``ics`` allow reuse of precomputed
-    references.
+    is not finite.  ``ics`` replaces the sampled initial conditions.
     """
-    if n_samples < 1 or k < 1:
-        raise DimensionError("need n_samples >= 1 and k >= 1")
+    n_samples = check_positive_int(n_samples, "n_samples")
+    k = check_positive_int(k, "k")
     delta_t = check_positive(delta_t, "delta_t")
-    ics, ref, failed = _references(sys, omega, n_samples, [k], delta_t, seed, ics, ref_states)
+    ics, ref, failed = _references(sys, omega, n_samples, [k], delta_t, seed, ics)
     if failed.any():
         log.warning("avg_relative_error: skipped %d failed reference solves", failed.sum())
     ok = ~failed
@@ -214,8 +212,8 @@ def avg_energy_variation(
 
     Samples whose model state is not finite are left out (and logged).
     """
-    if n_samples < 1 or k < 1:
-        raise DimensionError("need n_samples >= 1 and k >= 1")
+    n_samples = check_positive_int(n_samples, "n_samples")
+    k = check_positive_int(k, "k")
     delta_t = check_positive(delta_t, "delta_t")
     if ics is None:
         ics = _draw_ics(sys, omega, n_samples, seed)
@@ -235,7 +233,7 @@ def _draw_ics(sys, omega, n_samples, seed):
     return rng.uniform(box[:, 0], box[:, 1], size=(n_samples, 2 * sys.d))
 
 
-def _references(sys, omega, n_samples, ks, delta_t, seed, ics=None, ref_states=None):
+def _references(sys, omega, n_samples, ks, delta_t, seed, ics=None):
     """Reference states at the requested multiples of delta_t per sample.
 
     All samples are solved as one batch.  Returns ``(ics, ref_states,
@@ -246,13 +244,11 @@ def _references(sys, omega, n_samples, ks, delta_t, seed, ics=None, ref_states=N
         ics = _draw_ics(sys, omega, n_samples, seed)
     else:
         ics = as_phase_points(ics, 2 * sys.d, "ics")[0]
+    times = np.broadcast_to(np.asarray(ks, dtype=float) * delta_t, (len(ics), len(ks)))
+    states, errors = _sample_rows(sys, ics, times)
     failed = np.zeros(len(ics), dtype=bool)
-    if ref_states is None:
-        times = np.broadcast_to(np.asarray(ks, dtype=float) * delta_t, (len(ics), len(ks)))
-        states, errors = _sample_rows(sys, ics, times)
-        failed[list(errors)] = True
-        ref_states = {k: states[:, j] for j, k in enumerate(ks)}
-    return ics, ref_states, failed
+    failed[list(errors)] = True
+    return ics, {k: states[:, j] for j, k in enumerate(ks)}, failed
 
 
 def _relative_error(pred, refs):

@@ -24,9 +24,9 @@ from __future__ import annotations
 import numpy as np
 
 from . import potential as pot
-from .errors import ConfigError, DimensionError
+from .errors import DimensionError
 from .model import SympFlowModel, _shear, _shear_step, _shear_vjp
-from .validation import _central, as_phase_points, check_finite_scalar
+from .validation import as_phase_points, check_finite_scalar, check_positive, check_positive_int
 
 __all__ = [
     "pair_hamiltonian",
@@ -39,7 +39,7 @@ __all__ = [
 
 def _check_pair_index(model: SympFlowModel, i: int, allow_plus_one: bool = False):
     top = model.n_layers + 1 if allow_plus_one else model.n_layers
-    if not isinstance(i, (int, np.integer)) or not 1 <= i <= top:
+    if check_positive_int(i, "layer index") > top:
         raise DimensionError(f"layer index must be in [1, {top}], got {i}")
 
 
@@ -89,13 +89,14 @@ def _extract_b(model: SympFlowModel, t, x: np.ndarray) -> np.ndarray:
     return _extract_tape(model, t, x)[0]
 
 
-def pair_hamiltonian(model: SympFlowModel, i: int, t, x) -> float:
-    """Hamiltonian generating layer pair i (1-based) at (t, x)."""
+def pair_hamiltonian(model: SympFlowModel, i: int, t, x):
+    """Hamiltonian generating layer pair i (1-based) at (t, x); one value per row of a batch."""
     _check_pair_index(model, i)
-    xb, _ = as_phase_points(np.asarray(x, dtype=float), 2 * model.d)
+    xb, single = as_phase_points(x, 2 * model.d)
     t = check_finite_scalar(t, "t")
     vq, vp = model.layers[i - 1]
-    return float(_pair_b(vq, vp, t, xb, last=True)[0][0])
+    vals = _pair_b(vq, vp, t, xb, last=True)[0]
+    return float(vals[0]) if single else vals
 
 
 def tail_inverse(model: SympFlowModel, i: int, t, x):
@@ -147,20 +148,11 @@ def extract_vjp(model: SympFlowModel, t, x: np.ndarray, c: np.ndarray):
     return _extract_pullback(model, t, tape, c)
 
 
-def extract_gradient(model: SympFlowModel, t, x, mode: str = "exact", fd_step: float = 1e-5):
-    """Phase-space gradient of the extracted Hamiltonian at (t, x)."""
+def extract_gradient(model: SympFlowModel, t, x):
+    """Exact phase-space gradient of the extracted Hamiltonian at (t, x), from :func:`extract_vjp`."""
     xb, single = as_phase_points(x, 2 * model.d)
     t = check_finite_scalar(t, "t")
-    if mode == "exact":
-        gx, _ = extract_vjp(model, t, xb, np.ones(xb.shape[0]))
-    elif mode == "fd":
-        gx = np.zeros_like(xb)
-        for k in range(xb.shape[1]):
-            e = np.zeros_like(xb)
-            e[:, k] = 1.0
-            gx[:, k] = _central(lambda s: _extract_b(model, t, xb + s * e), 0.0, fd_step)
-    else:
-        raise ConfigError(f"unknown gradient mode {mode!r}")
+    gx, _ = extract_vjp(model, t, xb, np.ones(xb.shape[0]))
     return gx[0] if single else gx
 
 
@@ -169,9 +161,7 @@ def piecewise_hamiltonian(model: SympFlowModel, delta_t: float, t: float, x) -> 
 
     Evaluates at the within-window time t - delta_t * floor(t / delta_t).
     """
-    delta_t = float(delta_t)
-    if delta_t <= 0:
-        raise DimensionError(f"delta_t must be positive, got {delta_t}")
+    delta_t = check_positive(delta_t, "delta_t")
     t = check_finite_scalar(t, "t")
     if t < 0:
         raise DimensionError(f"t must be nonnegative, got {t}")

@@ -602,8 +602,8 @@ def generate_dataset(
     observations come from the reference integrator (DOP853) plus i.i.d.
     Gaussian noise per component.  Fully reproducible from the seed.
     """
-    if n_trajectories < 1 or m_samples < 1:
-        raise DimensionError("need at least one trajectory and one sample")
+    n_trajectories = check_positive_int(n_trajectories, "n_trajectories")
+    m_samples = check_positive_int(m_samples, "m_samples")
     delta_t = check_positive(delta_t, "delta_t")
     noise_std = check_finite_scalar(noise_std, "noise_std")
     if noise_std < 0:

@@ -14,8 +14,8 @@ from typing import ClassVar
 import numpy as np
 
 from ._jet import Jet, chain_backward, chain_forward, flatten, unflatten
-from .errors import ConfigError, DimensionError
-from .validation import _central, as_phase_points, check_time
+from .errors import DimensionError
+from .validation import as_phase_points, check_time
 
 __all__ = [
     "MlpFlowModel",
@@ -169,14 +169,8 @@ def forward(model: MlpFlowModel, t, x):
     return out[0] if single else out
 
 
-def time_derivative(model: MlpFlowModel, t, x, mode: str = "exact", fd_step: float = 1e-4):
-    """Exact d/dt (sech^2(t) net + tanh(t) d_t net) or central FD."""
+def time_derivative(model: MlpFlowModel, t, x):
+    """Exact d/dt: sech^2(t) net + tanh(t) d_t net."""
     xb, single = as_phase_points(x, 2 * model.d)
-    t = check_time(t, xb.shape[0])
-    if mode == "exact":
-        out = _taped(model, t, xb, velocity=True)[1]
-    elif mode == "fd":
-        out = _central(lambda s: _forward_b(model, s, xb), t, fd_step)
-    else:
-        raise ConfigError(f"unknown derivative mode {mode!r}")
+    out = _taped(model, check_time(t, xb.shape[0]), xb, velocity=True)[1]
     return out[0] if single else out

@@ -41,9 +41,9 @@ from typing import ClassVar
 import numpy as np
 
 from . import potential as pot
-from .errors import ConfigError, DimensionError
+from .errors import DimensionError
 from .potential import PotentialNet
-from .validation import _central, as_phase_points, check_finite_scalar, check_time
+from .validation import as_phase_points, check_finite_scalar, check_time
 
 __all__ = [
     "SympFlowModel",
@@ -320,16 +320,10 @@ def forward(model: SympFlowModel, t, x):
     return out[0] if single else out
 
 
-def time_derivative(model: SympFlowModel, t, x, mode: str = "exact", fd_step: float = 1e-4):
-    """d/dt of the flow at fixed x; exact by default, central FD when mode='fd'."""
+def time_derivative(model: SympFlowModel, t, x):
+    """Exact d/dt of the flow at fixed x, carried as a tangent through the shear chain."""
     xb, single = as_phase_points(x, 2 * model.d)
-    t = check_time(t, xb.shape[0])
-    if mode == "exact":
-        out = _taped(model, t, xb, velocity=True)[1]
-    elif mode == "fd":
-        out = _central(lambda s: _forward_b(model, s, xb), t, fd_step)
-    else:
-        raise ConfigError(f"unknown derivative mode {mode!r}")
+    out = _taped(model, check_time(t, xb.shape[0]), xb, velocity=True)[1]
     return out[0] if single else out
 
 

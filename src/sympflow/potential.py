@@ -1,4 +1,4 @@
-"""Scalar potential networks and their exact derivative quantities.
+"""Scalar potential networks and the jet sweeps that differentiate them.
 
 A :class:`PotentialNet` is a fixed two-hidden-layer tanh network mapping
 ``(t, q)`` to a scalar,
@@ -6,11 +6,10 @@ A :class:`PotentialNet` is a fixed two-hidden-layer tanh network mapping
     V(t, q) = A3 tanh(A2 tanh(A1 [q; t] + b1) + b2) + b3,
 
 with input dimension ``d`` and hidden width ``h``.  The shear layers of the
-flow model need its value, its time partial, its input gradient, the mixed
-time/input gradient, and Hessian-vector products, as well as exact parameter
-gradients of each of those quantities.  All of them are computed analytically
-through the shared jet sweeps in :mod:`sympflow._jet`; nothing here uses
-finite differences.
+flow model need its input gradient and time partial, their directional
+derivatives, and exact parameter gradients of sums of these.  Two batched
+sweeps through :mod:`sympflow._jet` serve all of them: :func:`jet_grad_b`
+and :func:`jet_vjp`.  Nothing here uses finite differences.
 
 Parameter vectors use a fixed canonical order (A1 row-major, b1, A2
 row-major, b2, A3, b3) so checkpoints are bit-stable.
@@ -18,39 +17,21 @@ row-major, b2, A3, b3) so checkpoints are bit-stable.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._jet import Jet, chain_backward, chain_forward, flatten, inputs, unflatten
 from .errors import DimensionError
-from .validation import as_vector, check_finite_scalar
 
 __all__ = [
     "PotentialNet",
-    "QuantityKind",
     "random_potential_net",
     "zero_potential_net",
-    "value",
-    "time_partial",
-    "grad_input",
-    "mixed_time_input_gradient",
-    "hessian_vector_product",
-    "param_grad",
     "param_count",
     "params_to_vector",
     "net_with_params",
 ]
-
-
-class QuantityKind(enum.Enum):
-    """Derivative quantities for which parameter gradients are exported."""
-
-    VALUE = "value"
-    TIME_PARTIAL = "time_partial"
-    INPUT_GRADIENT = "input_gradient"
-    MIXED_TIME_INPUT_GRADIENT = "mixed_time_input_gradient"
 
 
 @dataclass(frozen=True)
@@ -205,10 +186,6 @@ def _unit(B, component):
     return g
 
 
-def value_b(net: PotentialNet, t, q: np.ndarray) -> np.ndarray:
-    return _forward(net, t, q)[-1].x0[:, 0]
-
-
 def jet_grad_b(net: PotentialNet, t, q: np.ndarray, a=None, paired=False):
     """grad_u V and grad_u d_a V at u = [q; t] from one sweep, each (B, d+1).
 
@@ -234,90 +211,3 @@ def jet_vjp(net: PotentialNet, t, q: np.ndarray, a=None, b=None, c=None):
     jets = _forward(net, t, q, da=a, db=b, dab=c)
     gin, gp = chain_backward(net.weights, jets, _unit(q.shape[0], "xab"))
     return gin.x0, gin.xa, flatten(gp)
-
-
-def grad_time_b(net: PotentialNet, t, q: np.ndarray):
-    """Input gradient and time partial in one reverse sweep: (g (B,d), vt (B,))."""
-    g, _ = jet_grad_b(net, t, q)
-    return g[:, : net.d].copy(), g[:, net.d].copy()
-
-
-def hvp_b(net: PotentialNet, t, q: np.ndarray, v: np.ndarray) -> np.ndarray:
-    return jet_grad_b(net, t, q, (v, None))[1][:, : net.d].copy()
-
-
-def mixed_b(net: PotentialNet, t, q: np.ndarray) -> np.ndarray:
-    """d/dt of the input gradient, shape (B, d)."""
-    return jet_grad_b(net, t, q, (None, 1.0))[1][:, : net.d].copy()
-
-
-def value_vjp(net: PotentialNet, t, q: np.ndarray, cot: np.ndarray):
-    """Pullback of per-point cotangents on V. Returns ((B, d+1) input grads, flat theta grad)."""
-    jets = _forward(net, t, q)
-    gin, gp = chain_backward(net.weights, jets, Jet(x0=cot[:, None]))
-    return gin.x0, flatten(gp)
-
-
-# ---------------------------------------------------------------------------
-# Single-point public operations.
-# ---------------------------------------------------------------------------
-
-
-def _point(net, t, q):
-    q = as_vector(q, net.d, "q")
-    t = check_finite_scalar(t, "t")
-    return t, q[None, :]
-
-
-def value(net: PotentialNet, t, q) -> float:
-    """Evaluate V(t, q)."""
-    t, qb = _point(net, t, q)
-    return float(value_b(net, t, qb)[0])
-
-
-def time_partial(net: PotentialNet, t, q) -> float:
-    """Exact dV/dt at (t, q)."""
-    t, qb = _point(net, t, q)
-    return float(grad_time_b(net, t, qb)[1][0])
-
-
-def grad_input(net: PotentialNet, t, q) -> np.ndarray:
-    """Exact gradient of V with respect to q."""
-    t, qb = _point(net, t, q)
-    g, _ = grad_time_b(net, t, qb)
-    return g[0]
-
-
-def mixed_time_input_gradient(net: PotentialNet, t, q) -> np.ndarray:
-    """Exact d/dt of the q-gradient."""
-    t, qb = _point(net, t, q)
-    return mixed_b(net, t, qb)[0]
-
-
-def hessian_vector_product(net: PotentialNet, t, q, v) -> np.ndarray:
-    """Exact (Hess_q V) v."""
-    t, qb = _point(net, t, q)
-    v = as_vector(v, net.d, "v")
-    return hvp_b(net, t, qb, v[None, :])[0]
-
-
-def param_grad(net: PotentialNet, kind: QuantityKind, t, q, cotangent) -> np.ndarray:
-    """Exact parameter gradient of <cotangent, quantity(net, t, q)>.
-
-    The cotangent must be a scalar for VALUE and TIME_PARTIAL, and a vector
-    of length d for the gradient-valued quantities.
-    """
-    t, qb = _point(net, t, q)
-    kind = QuantityKind(kind)
-    if kind in (QuantityKind.VALUE, QuantityKind.TIME_PARTIAL):
-        cot = np.asarray(cotangent, dtype=float)
-        if cot.shape not in ((), (1,)):
-            raise DimensionError(f"cotangent for {kind.value} must be a scalar")
-        cot = np.broadcast_to(cot, (1,)).astype(float)
-        if kind is QuantityKind.VALUE:
-            return value_vjp(net, t, qb, cot)[1]
-        return jet_vjp(net, t, qb, c=(None, cot))[2]
-    W = as_vector(cotangent, net.d, "cotangent")[None, :]
-    if kind is QuantityKind.INPUT_GRADIENT:
-        return jet_vjp(net, t, qb, c=(W, None))[2]
-    return jet_vjp(net, t, qb, (None, 1.0), (W, None))[2]

@@ -16,9 +16,8 @@ wx, wv)``, which returns ``(gx, gtheta)``.  A term pulls its exact parameter
 gradient, when asked for it, back through the tape of its own forward pass.
 :func:`_kind` is the one place that reads the model kind, and :func:`_loss`
 the one path behind :func:`loss_and_grad`, :func:`total_loss` and the
-``loss_*`` functions.  Derivative mode ``fd`` takes the time derivative and
-its pullback as central differences in t.  Every gradient is checked against
-finite differences in the tests.
+``loss_*`` functions.  Every derivative is exact, and every gradient is
+checked against finite differences in the tests.
 
 In a two-term phase (``regularized``, and ``mixed`` before its fine-tune)
 :func:`train` computes the second term in one forked worker process while
@@ -43,7 +42,7 @@ from . import extraction, mlp, model as sfm
 from .errors import ConfigError, DimensionError, TrainingDivergedError
 from .integrate import TrajectoryDataset
 from .systems import HamiltonianSystem
-from .validation import _central, as_box, as_phase_points, check_positive, check_positive_int, check_time
+from .validation import as_box, as_phase_points, check_positive, check_positive_int, check_time
 
 __all__ = [
     "TrainConfig",
@@ -62,7 +61,6 @@ __all__ = [
 
 REGIMES = ("residual_only", "regularized", "mixed", "supervised")
 MODEL_KINDS = ("sympflow", "mlp")
-DERIVATIVE_MODES = ("exact", "fd")
 
 
 @dataclass
@@ -77,7 +75,7 @@ class TrainConfig:
     delta_t: float = 1.0
     omega: tuple = (-1.2, 1.2)
     seed: int = 0
-    derivative_mode: str = "exact"
+    derivative_mode: str = "exact"  # the only mode; the key stays so configs may name it
     layers: int = 3
     hidden: int = 10
     checkpoint_every: int = 0
@@ -87,8 +85,10 @@ class TrainConfig:
             raise ConfigError(f"model_kind must be one of {MODEL_KINDS}")
         if self.regime not in REGIMES:
             raise ConfigError(f"regime must be one of {REGIMES}")
-        if self.derivative_mode not in DERIVATIVE_MODES:
-            raise ConfigError(f"derivative_mode must be one of {DERIVATIVE_MODES}")
+        if self.derivative_mode != "exact":
+            raise ConfigError(
+                f"derivative_mode must be 'exact' (mode 'fd' was removed), got {self.derivative_mode!r}"
+            )
         try:
             for name in ("epochs", "fine_tune_epochs", "checkpoint_every"):
                 check_positive_int(getattr(self, name), name, minimum=0)
@@ -141,10 +141,8 @@ def _draw_collocation(rng, box, delta_t, n):
 
 def sample_collocation(omega, delta_t: float, n: int, seed: int, dim: int | None = None):
     """Uniform i.i.d. (t, x) pairs in [0, delta_t] x box, reproducible from seed."""
-    if n < 1:
-        raise DimensionError("need at least one collocation point")
-    if delta_t <= 0:
-        raise DimensionError("delta_t must be positive")
+    n = check_positive_int(n, "n")
+    delta_t = check_positive(delta_t, "delta_t")
     omega = np.asarray(omega, dtype=float)
     if dim is None:
         dim = omega.shape[0] if omega.ndim == 2 else 2
@@ -193,8 +191,6 @@ def adam_step(
 # Loss terms: each returns (value, flat parameter gradient or None).
 # ---------------------------------------------------------------------------
 
-FD_STEP = 1e-4  # time step of the central differences of derivative mode "fd"
-
 
 def _kind(model_obj):
     """(kernel module, second term's name, second term), looked up per call."""
@@ -223,15 +219,10 @@ def _supervised(model_obj, samples, need_grad):
     return value, k._pullback(model_obj, t, tape, (2.0 / len(x0)) * resid)[1]
 
 
-def _residual(model_obj, points, sys, mode, need_grad):
+def _residual(model_obj, points, sys, need_grad):
     t, x = _batch(model_obj, points, "collocation")
     k = _kind(model_obj)[0]
-    exact = mode == "exact"
-    if exact:
-        x_out, v, tape = k._taped(model_obj, t, x, velocity=True)
-    else:
-        v = _central(lambda s: k._forward_b(model_obj, s, x), t, FD_STEP)
-        x_out, _, tape = k._taped(model_obj, t, x)
+    x_out, v, tape = k._taped(model_obj, t, x, velocity=True)
     resid = v - sys.vector_field(x_out)
     value = float(np.mean(np.sum(resid**2, axis=1)))
     if not need_grad:
@@ -239,15 +230,7 @@ def _residual(model_obj, points, sys, mode, need_grad):
     wv = (2.0 / len(x)) * resid
     # x_out enters through -J grad H(x_out)
     wx = -np.einsum("bij,bi->bj", sys.vector_field_jacobian(x_out), wv)
-    # The tape goes first: an MLP tape lasts only until the next sweep.
-    g = k._pullback(model_obj, t, tape, wx, wv if exact else None)[1]
-    if exact:
-        return value, g
-
-    def vjp(s):
-        return k._pullback(model_obj, s, k._taped(model_obj, s, x)[2], wv)[1]
-
-    return value, _central(vjp, t, FD_STEP) + g
+    return value, k._pullback(model_obj, t, tape, wx, wv)[1]
 
 
 def _matching(model_obj, points, sys, need_grad):
@@ -272,7 +255,7 @@ def _energy_reg(model_obj, points, sys, need_grad):
     return value, k._pullback(model_obj, t, tape, w)[1]
 
 
-def _loss(model_obj, regime, sys, samples, residual_batch, matching_batch, mode, need_grad, worker=None):
+def _loss(model_obj, regime, sys, samples, residual_batch, matching_batch, need_grad, worker=None):
     """``(value, flat gradient or None, parts)`` of a regime; samples are ``(t, x0, y)``.
 
     With a :class:`_Worker` the second term of a two-term regime runs there,
@@ -281,8 +264,6 @@ def _loss(model_obj, regime, sys, samples, residual_batch, matching_batch, mode,
     """
     if regime not in REGIMES:
         raise ConfigError(f"regime must be one of {REGIMES}, got {regime!r}")
-    if mode not in DERIVATIVE_MODES:
-        raise ConfigError(f"derivative mode must be one of {DERIVATIVE_MODES}, got {mode!r}")
     if regime == "supervised":
         if samples is None:
             raise ConfigError("the supervised loss needs a dataset")
@@ -296,7 +277,7 @@ def _loss(model_obj, regime, sys, samples, residual_batch, matching_batch, mode,
         batch = residual_batch if matching_batch is None else matching_batch
         if worker is not None:
             worker.submit(batch)
-    value, g = _residual(model_obj, residual_batch, sys, mode, need_grad)
+    value, g = _residual(model_obj, residual_batch, sys, need_grad)
     parts = {"residual": value}
     if two_term:
         parts[name], g2 = term(model_obj, batch, sys, need_grad) if worker is None else worker.result()
@@ -317,15 +298,14 @@ def loss_and_grad(
     dataset: TrajectoryDataset | None = None,
     residual_batch=None,
     matching_batch=None,
-    mode: str = "exact",
 ):
     """Total loss with its exact parameter gradient; returns (value, grad, parts).
 
-    An unknown regime or mode, or a missing dataset, system or batch, raises
+    An unknown regime, or a missing dataset, system or batch, raises
     :class:`ConfigError`.  The matching batch defaults to the residual batch.
     """
     samples = _samples(dataset)
-    return _loss(model_obj, regime, sys, samples, residual_batch, matching_batch, mode, True)
+    return _loss(model_obj, regime, sys, samples, residual_batch, matching_batch, True)
 
 
 def total_loss(
@@ -335,11 +315,10 @@ def total_loss(
     dataset: TrajectoryDataset | None = None,
     residual_batch=None,
     matching_batch=None,
-    mode: str = "exact",
 ) -> float:
     """The value of :func:`loss_and_grad`, without the gradient."""
     samples = _samples(dataset)
-    return _loss(model_obj, regime, sys, samples, residual_batch, matching_batch, mode, False)[0]
+    return _loss(model_obj, regime, sys, samples, residual_batch, matching_batch, False)[0]
 
 
 def loss_supervised(model_obj, dataset: TrajectoryDataset) -> float:
@@ -347,9 +326,9 @@ def loss_supervised(model_obj, dataset: TrajectoryDataset) -> float:
     return total_loss(model_obj, "supervised", dataset=dataset)
 
 
-def loss_residual(model_obj, points, sys: HamiltonianSystem, mode: str = "exact") -> float:
+def loss_residual(model_obj, points, sys: HamiltonianSystem) -> float:
     """Mean squared residual of d/dt psi - J grad H(psi) over (t_i, x_i)."""
-    return total_loss(model_obj, "residual_only", sys=sys, residual_batch=points, mode=mode)
+    return total_loss(model_obj, "residual_only", sys=sys, residual_batch=points)
 
 
 def loss_ham_match(model_obj, points, sys: HamiltonianSystem) -> float:
@@ -601,7 +580,6 @@ def train(
                     batch,
                     residual_batch,
                     matching_batch,
-                    config.derivative_mode,
                     True,
                     worker,
                 )

@@ -3,8 +3,7 @@
 Phase-space points are plain float arrays ``[q_1..q_d, p_1..p_d]`` of length
 ``2d``; batches stack them along the first axis.  The helpers here normalise
 user input to float64 arrays and reject shape or finiteness violations early,
-so the numerical kernels can assume clean data.  The one central difference
-of the finite-difference modes lives here too.
+so the numerical kernels can assume clean data.
 """
 
 from __future__ import annotations
@@ -64,11 +63,6 @@ def check_time(t, batch: int):
     if t.shape != (batch,):
         raise DimensionError(f"t must be scalar or shape ({batch},), got {t.shape}")
     return t
-
-
-def _central(f, t, h):
-    """Central difference (f(t + h) - f(t - h)) / 2h."""
-    return (f(t + h) - f(t - h)) / (2.0 * h)
 
 
 def as_vector(x, dim: int, name: str = "vector") -> np.ndarray:

@@ -44,6 +44,12 @@ def fd_directional(f, x, v, step):
     return (np.asarray(f(x + step * v)) - np.asarray(f(x - step * v))) / (2.0 * step)
 
 
+def potential_value(net, t, q):
+    """V(t, q) = A3 tanh(A2 tanh(A1 [q; t] + b1) + b2) + b3 at one point, written out in NumPy."""
+    u = np.concatenate([np.atleast_1d(q), [t]])
+    return float((net.A3 @ np.tanh(net.A2 @ np.tanh(net.A1 @ u + net.b1) + net.b2) + net.b3)[0])
+
+
 # ---------------------------------------------------------------------------
 # Per-quantity pullbacks and third-order contractions of a potential, each
 # from one jet pullback.
@@ -165,8 +171,8 @@ def shear_chain(model, t, x, v=None, dt=None):
 
 
 def _shear_delta(net, t, y):
-    g_t, _ = pot.grad_time_b(net, t, y)
-    g_0, _ = pot.grad_time_b(net, 0.0, y)
+    g_t = pot.jet_grad_b(net, t, y)[0][:, : net.d]
+    g_0 = pot.jet_grad_b(net, 0.0, y)[0][:, : net.d]
     return g_t - g_0
 
 
@@ -179,15 +185,17 @@ def sf_velocity_states(model, t, x):
         xs.append(x)
         vs.append(v)
         q, p = x[:, :d], x[:, d:]
-        dg = pot.mixed_b(vq, t, q)
-        hv = pot.hvp_b(vq, t, q, v[:, :d]) - pot.hvp_b(vq, 0.0, q, v[:, :d])
+        dg = pot.jet_grad_b(vq, t, q, (None, 1.0))[1][:, :d]
+        a = (v[:, :d], None)
+        hv = pot.jet_grad_b(vq, t, q, a)[1][:, :d] - pot.jet_grad_b(vq, 0.0, q, a)[1][:, :d]
         v = np.concatenate([v[:, :d], v[:, d:] - dg - hv], axis=1)
         x = np.concatenate([q, p - _shear_delta(vq, t, q)], axis=1)
         xs.append(x)
         vs.append(v)
         q, p = x[:, :d], x[:, d:]
-        dg = pot.mixed_b(vp, t, p)
-        hv = pot.hvp_b(vp, t, p, v[:, d:]) - pot.hvp_b(vp, 0.0, p, v[:, d:])
+        dg = pot.jet_grad_b(vp, t, p, (None, 1.0))[1][:, :d]
+        a = (v[:, d:], None)
+        hv = pot.jet_grad_b(vp, t, p, a)[1][:, :d] - pot.jet_grad_b(vp, 0.0, p, a)[1][:, :d]
         v = np.concatenate([v[:, :d] + dg + hv, v[:, d:]], axis=1)
         x = np.concatenate([q + _shear_delta(vp, t, p), p], axis=1)
     return x, v, xs, vs
@@ -239,10 +247,10 @@ def sf_velocity_vjp(model, t, x, Wx, Wv):
 def _pair_ham(vq, vp, t, y):
     d = vq.d
     q, p = y[:, :d], y[:, d:]
-    gp_t, vtp = pot.grad_time_b(vp, t, p)
-    gp_0, _ = pot.grad_time_b(vp, 0.0, p)
-    _, vtq = pot.grad_time_b(vq, t, q - (gp_t - gp_0))
-    return vtp + vtq
+    gp_t = pot.jet_grad_b(vp, t, p)[0]
+    gp_0 = pot.jet_grad_b(vp, 0.0, p)[0]
+    vtq = pot.jet_grad_b(vq, t, q - (gp_t[:, :d] - gp_0[:, :d]))[0][:, d]
+    return gp_t[:, d] + vtq
 
 
 def _inverse_pair(vq, vp, t, y):
@@ -375,8 +383,7 @@ def train_rebuilding(model_obj, config, sys=None, dataset=None):
                 if regime in ("regularized", "mixed"):
                     matching_batch = draw(config.batch_matching)
             value, grad, parts = tr._loss(
-                current, regime, sys, batch, residual_batch, matching_batch,
-                config.derivative_mode, True,
+                current, regime, sys, batch, residual_batch, matching_batch, True,
             )
             for key, val in dict(total=value, **parts).items():
                 history.setdefault(key, []).append(float(val))

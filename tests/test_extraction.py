@@ -28,16 +28,25 @@ def test_pair_hamiltonian_reduces_without_momentum_net():
     model = sfm.SympFlowModel(1, ((vq, pot.zero_potential_net(1)),))
     x = np.array([0.5, -0.3])
     got = ext.pair_hamiltonian(model, 1, 0.7, x)
-    assert got == pytest.approx(pot.time_partial(vq, 0.7, x[:1]), rel=1e-13)
+    assert got == pytest.approx(pot.jet_grad_b(vq, 0.7, x[None, :1])[0][0, 1], rel=1e-13)
 
 
 def test_pair_hamiltonian_matches_primitive_assembly(model3):
     vq, vp = model3.layers[1]
     t, x = 0.6, np.array([0.4, -0.7])
-    q, p = x[:1], x[1:]
-    shift = pot.grad_input(vp, t, p) - pot.grad_input(vp, 0.0, p)
-    want = pot.time_partial(vp, t, p) + pot.time_partial(vq, t, q - shift)
+    q, p = x[None, :1], x[None, 1:]
+    gp_t, gp_0 = pot.jet_grad_b(vp, t, p)[0], pot.jet_grad_b(vp, 0.0, p)[0]
+    want = gp_t[0, 1] + pot.jet_grad_b(vq, t, q - (gp_t[:, :1] - gp_0[:, :1]))[0][0, 1]
     assert ext.pair_hamiltonian(model3, 2, t, x) == pytest.approx(want, rel=1e-13)
+
+
+def test_pair_hamiltonian_of_one_pair_is_extract_per_row():
+    model = sfm.random_sympflow(2, 1, np.random.default_rng(19))
+    x = np.random.default_rng(20).uniform(-1, 1, size=(3, 4))
+    got = ext.pair_hamiltonian(model, 1, 0.4, x)
+    assert got.shape == (3,)
+    assert np.array_equal(got, ext.extract(model, 0.4, x))
+    assert ext.pair_hamiltonian(model, 1, 0.4, x[1]) == ext.extract(model, 0.4, x[1])
 
 
 def test_pair_hamiltonian_rejects_bad_index(model3):
@@ -112,8 +121,6 @@ def test_extract_gradient_fd(model3):
     got = ext.extract_gradient(model3, t, x)
     want = fd_gradient(lambda xx: ext.extract(model3, t, xx), x, 1e-6)
     assert_close(got, want, rtol=1e-5, floor=1e-9, label="extract gradient")
-    fd_mode = ext.extract_gradient(model3, t, x, mode="fd")
-    assert_close(fd_mode, want, rtol=1e-5, floor=1e-8, label="extract gradient fd mode")
 
 
 def test_flow_hamiltonian_consistency():

@@ -1,5 +1,6 @@
 """Checkpoints, dataset files, config parsing, and the CLI surface."""
 
+import dataclasses
 import json
 from pathlib import Path
 
@@ -117,6 +118,11 @@ def test_config_type_coercion(tmp_path):
     assert cfg["omega"] == [-1, 1]
 
 
+def test_every_train_config_field_is_a_config_key():
+    fields = {f.name for f in dataclasses.fields(tr.TrainConfig)}
+    assert fields - set(sio.CONFIG_KEYS) == set()
+
+
 def _write_cfg(tmp_path, name, payload):
     path = tmp_path / name
     path.write_text(json.dumps(payload))
@@ -126,6 +132,13 @@ def _write_cfg(tmp_path, name, payload):
 def test_cli_missing_config_fails():
     code = cli_dispatch(["train", "--config", "/nonexistent/cfg.json"])
     assert code != 0
+
+
+def test_cli_rejects_derivative_mode_fd(tmp_path, capsys):
+    payload = {"system": "sho", "model_kind": "mlp", "regime": "residual_only", "epochs": 1}
+    cfg = _write_cfg(tmp_path, "train.json", {**payload, "derivative_mode": "fd"})
+    assert cli_dispatch(["train", "--config", cfg, "--out", str(tmp_path / "out")]) != 0
+    assert "mode 'fd' was removed" in capsys.readouterr().err
 
 
 def test_cli_help_exits_zero(capsys):

@@ -9,7 +9,7 @@ from sympflow import model as sfm
 from sympflow import potential as pot
 from sympflow.errors import DimensionError
 
-from _oracles import assert_close, fd_scalar, fd_gradient
+from _oracles import assert_close, fd_scalar, fd_gradient, potential_value
 
 
 @pytest.fixture
@@ -39,8 +39,8 @@ def test_q_layer_matches_fd_gradient(model1):
     net = model1.layers[0][0]
     t, x = 0.7, np.array([0.4, -0.2])
     out = sfm.apply_q_layer(net, t, x)
-    g_t = fd_gradient(lambda q: pot.value(net, t, q), x[:1], 1e-6)
-    g_0 = fd_gradient(lambda q: pot.value(net, 0.0, q), x[:1], 1e-6)
+    g_t = fd_gradient(lambda q: potential_value(net, t, q), x[:1], 1e-6)
+    g_0 = fd_gradient(lambda q: potential_value(net, 0.0, q), x[:1], 1e-6)
     assert out[0] == x[0]  # position untouched, bit-identical
     assert_close(out[1], x[1] - (g_t - g_0), rtol=1e-8, floor=1e-10, label="q layer")
 
@@ -49,8 +49,8 @@ def test_p_layer_matches_fd_gradient(model1):
     net = model1.layers[0][1]
     t, x = 0.7, np.array([0.4, -0.2])
     out = sfm.apply_p_layer(net, t, x)
-    g_t = fd_gradient(lambda p: pot.value(net, t, p), x[1:], 1e-6)
-    g_0 = fd_gradient(lambda p: pot.value(net, 0.0, p), x[1:], 1e-6)
+    g_t = fd_gradient(lambda p: potential_value(net, t, p), x[1:], 1e-6)
+    g_0 = fd_gradient(lambda p: potential_value(net, 0.0, p), x[1:], 1e-6)
     assert out[1] == x[1]
     assert_close(out[0], x[0] + (g_t - g_0), rtol=1e-8, floor=1e-10, label="p layer")
 
@@ -149,15 +149,15 @@ def test_time_derivative_single_layer_closed_form():
     model = sfm.SympFlowModel(1, ((vq, pot.zero_potential_net(1)),))
     t, x = 0.6, np.array([0.3, -0.8])
     got = sfm.time_derivative(model, t, x)
-    want = np.array([0.0, -pot.mixed_time_input_gradient(vq, t, x[:1])[0]])
+    want = np.array([0.0, -pot.jet_grad_b(vq, t, x[None, :1], (None, 1.0))[1][0, 0]])
     assert_close(got, want, rtol=1e-12, floor=1e-14, label="single layer derivative")
 
 
 def test_fd_mode_agrees_with_exact(model2):
     x = np.array([0.2, -0.1, 0.4, 0.3])
-    exact = sfm.time_derivative(model2, 0.7, x, mode="exact")
-    approx = sfm.time_derivative(model2, 0.7, x, mode="fd")
-    assert_close(approx, exact, rtol=1e-6, floor=1e-8, label="fd mode")
+    exact = sfm.time_derivative(model2, 0.7, x)
+    approx = fd_scalar(lambda s: sfm.forward(model2, s, x), 0.7, 1e-4)
+    assert_close(approx, exact, rtol=1e-6, floor=1e-8, label="fd of forward")
 
 
 def test_jacobian_identity_at_zero(model2):
@@ -180,10 +180,10 @@ def test_jacobian_q_layer_shear_structure():
     jac = sfm.jacobian(model, t, x)
     # lower-triangular block shear with unit diagonal
     assert jac[0, 0] == 1.0 and jac[1, 1] == 1.0 and jac[0, 1] == 0.0
-    hess_diff = (
-        pot.hessian_vector_product(vq, t, x[:1], np.ones(1))
-        - pot.hessian_vector_product(vq, 0.0, x[:1], np.ones(1))
-    )[0]
+    a = (np.ones((1, 1)), None)
+    h_t = pot.jet_grad_b(vq, t, x[None, :1], a)[1]
+    h_0 = pot.jet_grad_b(vq, 0.0, x[None, :1], a)[1]
+    hess_diff = h_t[0, 0] - h_0[0, 0]
     assert jac[1, 0] == pytest.approx(-hess_diff, rel=1e-12)
 
 

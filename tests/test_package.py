@@ -7,13 +7,14 @@ import os
 import pkgutil
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
 import sympflow
-from sympflow import extraction, mlp, model
-from sympflow.errors import ConfigError, DimensionError
+from sympflow import mlp, model
+from sympflow.errors import DimensionError
 
 from _oracles import weight_arrays
 
@@ -52,6 +53,22 @@ def test_import_loads_no_worker_modules(top):
     # train() imports them when it forks its second-term worker; importing
     # multiprocessing costs about 17 ms that no import of the package pays.
     assert _loaded_by_import(top) == "[]"
+
+
+# The single-point potential API and derivative mode ``fd``, both removed.
+REMOVED = (
+    "QuantityKind", "value", "time_partial", "grad_input", "mixed_time_input_gradient",
+    "hessian_vector_product", "param_grad", "value_b", "grad_time_b", "hvp_b", "mixed_b", "value_vjp",
+)
+
+
+def test_every_exported_name_resolves_and_removed_names_are_gone():
+    for info in pkgutil.iter_modules(sympflow.__path__):
+        mod = importlib.import_module("sympflow." + info.name)
+        assert [n for n in getattr(mod, "__all__", ()) if not hasattr(mod, n)] == [], info.name
+    for mod in (sympflow, sympflow.potential):
+        assert [n for n in REMOVED if hasattr(mod, n)] == [], mod.__name__
+    assert not hasattr(sympflow.train, "FD_STEP") and not hasattr(sympflow.validation, "_central")
 
 
 def test_train_and_integrate_functions_reached_through_their_modules():
@@ -133,15 +150,25 @@ def test_bad_time_raises_dimension_error(kind, fn, t):
         getattr(kernels, fn)(MODELS[kind](), t, x)
 
 
-@pytest.mark.parametrize(
-    "fn",
-    [
-        lambda mode: model.time_derivative(MODELS["sympflow"](), 0.3, np.zeros(2), mode=mode),
-        lambda mode: mlp.time_derivative(MODELS["mlp"](), 0.3, np.zeros(2), mode=mode),
-        lambda mode: extraction.extract_gradient(MODELS["sympflow"](), 0.3, np.zeros(2), mode=mode),
-    ],
-    ids=["model.time_derivative", "mlp.time_derivative", "extraction.extract_gradient"],
-)
-def test_unknown_mode_raises_config_error(fn):
-    with pytest.raises(ConfigError, match="unknown .* mode 'bogus'"):
-        fn("bogus")
+# Counts, window numbers and step sizes checked through the shared validation helpers.
+BAD_ARGUMENTS = {
+    "avg_relative_error-k": lambda m, s: sympflow.evaluate.avg_relative_error(m, s, (-1, 1), 2, 1.5, 0.5),
+    "avg_relative_error-n_samples": lambda m, s: sympflow.evaluate.avg_relative_error(m, s, (-1, 1), 2.5, 1, 0.5),
+    "avg_energy_variation-k": lambda m, s: sympflow.evaluate.avg_energy_variation(m, s, (-1, 1), 2, 1.5, 0.5),
+    "avg_energy_variation-n_samples": lambda m, s: sympflow.evaluate.avg_energy_variation(m, s, (-1, 1), 2.5, 1, 0.5),
+    "sample_collocation-n": lambda m, s: sympflow.train.sample_collocation((-1, 1), 0.5, 2.5, 0),
+    "sample_collocation-nan-delta_t": lambda m, s: sympflow.train.sample_collocation((-1, 1), np.nan, 4, 0),
+    "sample_collocation-inf-delta_t": lambda m, s: sympflow.train.sample_collocation((-1, 1), np.inf, 4, 0),
+    "generate_dataset-n_trajectories": lambda m, s: sympflow.generate_dataset(s, (-1, 1), 2.5, 2, 0.5),
+    "piecewise_hamiltonian-inf-delta_t": lambda m, s: sympflow.piecewise_hamiltonian(m, np.inf, 0.3, np.zeros(2)),
+    "pair_hamiltonian-bool-index": lambda m, s: sympflow.pair_hamiltonian(m, True, 0.3, np.zeros(2)),
+    "tail_inverse-bool-index": lambda m, s: sympflow.tail_inverse(m, True, 0.3, np.zeros(2)),
+}
+
+
+@pytest.mark.parametrize("call", BAD_ARGUMENTS.values(), ids=BAD_ARGUMENTS.keys())
+def test_bad_counts_and_steps_raise_dimension_error(call):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a RuntimeWarning on the way fails the test
+        with pytest.raises(DimensionError):
+            call(MODELS["sympflow"](), sympflow.Sho())

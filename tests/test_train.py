@@ -150,12 +150,11 @@ def test_total_loss_dispatch():
     "bad",
     [
         {"regime": "bogus"},
-        {"mode": "bogus"},
         {"regime": "supervised", "dataset": None},
         {"sys": None},
         {"residual_batch": None},
     ],
-    ids=["regime", "mode", "no-dataset", "no-system", "no-batch"],
+    ids=["regime", "no-dataset", "no-system", "no-batch"],
 )
 def test_bad_loss_arguments_raise_config_error(factory, fn, bad):
     batch = (np.array([0.2, 0.6]), np.array([[0.4, 0.1], [0.3, -0.2]]))
@@ -165,9 +164,10 @@ def test_bad_loss_arguments_raise_config_error(factory, fn, bad):
 
 
 def test_unknown_derivative_mode_raises_config_error():
-    batch = (np.array([0.2]), np.array([[0.4, 0.1]]))
-    with pytest.raises(ConfigError):
-        tr.loss_residual(tiny_mlp(), batch, Sho(), mode="central")
+    assert tr.TrainConfig(derivative_mode="exact").derivative_mode == "exact"
+    for mode in ("fd", "central"):
+        with pytest.raises(ConfigError, match="mode 'fd' was removed"):
+            tr.TrainConfig(derivative_mode=mode)
 
 
 # ---------------------------------------------------------------------------
@@ -195,17 +195,13 @@ def _batches(seed=4, d=1, n=3):
     return rng.uniform(0.05, 1.0, size=n), rng.uniform(-1, 1, size=(n, 2 * d))
 
 
-@pytest.mark.parametrize("mode", ["exact", "fd"])
-def test_residual_grad_sympflow_fd(mode):
+def test_residual_grad_sympflow_fd():
     model = tiny_sympflow(11)
     t, x = _batches()
     s = Sho()
-    _, got, _ = tr.loss_and_grad(model, "residual_only", sys=s, residual_batch=(t, x), mode=mode)
-    # the fd-mode loss carries the inner time-difference noise floor, so the
-    # parameter checker needs a larger step there
-    step = 1e-6 if mode == "exact" else 1e-4
-    want = _fd_param_grad(model, lambda m: tr.loss_residual(m, (t, x), s, mode=mode), step)
-    assert_close(got, want, rtol=1e-3, floor=1e-7, label=f"residual grad ({mode})")
+    _, got, _ = tr.loss_and_grad(model, "residual_only", sys=s, residual_batch=(t, x))
+    want = _fd_param_grad(model, lambda m: tr.loss_residual(m, (t, x), s))
+    assert_close(got, want, rtol=1e-3, floor=1e-7, label="residual grad")
 
 
 def test_residual_grad_sympflow_two_layers_d2():
@@ -217,15 +213,13 @@ def test_residual_grad_sympflow_two_layers_d2():
     assert_close(got, want, rtol=1e-3, floor=1e-7, label="residual grad d=2")
 
 
-@pytest.mark.parametrize("mode", ["exact", "fd"])
-def test_residual_grad_mlp_fd(mode):
+def test_residual_grad_mlp_fd():
     model = tiny_mlp(12)
     t, x = _batches(seed=5)
     s = Sho()
-    _, got, _ = tr.loss_and_grad(model, "residual_only", sys=s, residual_batch=(t, x), mode=mode)
-    step = 1e-6 if mode == "exact" else 1e-4
-    want = _fd_param_grad(model, lambda m: tr.loss_residual(m, (t, x), s, mode=mode), step)
-    assert_close(got, want, rtol=1e-3, floor=1e-7, label=f"mlp residual grad ({mode})")
+    _, got, _ = tr.loss_and_grad(model, "residual_only", sys=s, residual_batch=(t, x))
+    want = _fd_param_grad(model, lambda m: tr.loss_residual(m, (t, x), s))
+    assert_close(got, want, rtol=1e-3, floor=1e-7, label="mlp residual grad")
 
 
 def test_ham_match_grad_fd():
@@ -426,7 +420,7 @@ LOOP_CASES = {
     "mixed-fine-tune": dict(
         regime="mixed", epochs=3, fine_tune_epochs=2, batch_collocation=6, batch_matching=5
     ),
-    "residual-fd": dict(regime="residual_only", derivative_mode="fd", batch_collocation=6),
+    "residual-only": dict(regime="residual_only", batch_collocation=6),
 }
 
 

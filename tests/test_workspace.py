@@ -22,7 +22,7 @@ from sympflow.errors import StaleJetError
 _rng = np.random.default_rng(20241222)
 NETS = [pot.random_potential_net(d, _rng, h) for d, h in ((1, 3), (2, 10), (2, 5))]
 MLPS = [mlp.random_mlp_flow(d, n, _rng, h) for d, n, h in ((1, 3, 10), (2, 2, 4))]
-KINDS = ("forward", "grad", "vjp", "value_vjp", "mlp_forward", "mlp_vjp")
+KINDS = ("forward", "grad", "vjp", "value_pullback", "mlp_forward", "mlp_vjp")
 
 sweeps = st.tuples(
     st.sampled_from(KINDS),
@@ -61,7 +61,8 @@ def run(sweep):
         return pot.jet_grad_b(net, t, q, a)
     if kind == "vjp":
         return pot.jet_vjp(net, t, q, a, b, c if c is not None else (q, t))
-    return pot.value_vjp(net, t, q, rng.normal(size=B))
+    gin, gp = _jet.chain_backward(net.weights, pot._forward(net, t, q), _jet.Jet(x0=rng.normal(size=B)[:, None]))
+    return gin.x0, _jet.flatten(gp)
 
 
 def on_fresh_thread(fn, *args):
