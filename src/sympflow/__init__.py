@@ -39,8 +39,6 @@ from .estimators import MlpFlowRegressor, SympFlowRegressor
 from .evaluate import (
     MetricReport,
     RolloutSpec,
-    avg_energy_variation,
-    avg_relative_error,
     drift_slope,
     energy_drift_series,
     evaluate_model,

@@ -21,13 +21,10 @@ from . import io as sio
 from . import systems as sysmod
 from .errors import ConfigError
 from .integrate import generate_dataset
+from .io import _fmt
 from .train import TrainConfig, build_model, train as run_training
 
 __all__ = ["main", "cli_dispatch"]
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
 
 
 def _build_system(cfg: dict):

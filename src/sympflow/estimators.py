@@ -74,11 +74,6 @@ class _FlowRegressorBase:
 
     # -- helpers ------------------------------------------------------------
 
-    def _dim(self) -> int:
-        if self.system is not None:
-            return self.system.d
-        raise ConfigError("cannot infer the phase dimension without a system or data")
-
     def _validate_X(self, X, d: int | None = None) -> np.ndarray:
         X = np.asarray(X, dtype=float)
         if X.ndim != 2 or X.shape[1] < 3 or X.shape[1] % 2 == 0:

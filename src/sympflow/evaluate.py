@@ -3,10 +3,12 @@
 A model trained on the window [0, delta_t] extends to arbitrary horizons by
 composing its time-delta_t map: floor(t / delta_t) full windows followed by
 the remainder map.  A rollout maps a whole (B, 2d) batch of states at once.
-The metrics compare such rollouts against the reference integrator: average
-relative state error and average relative energy variation over sampled
-initial conditions, energy-drift series along single trajectories, a
-log-log drift-growth slope, and Poincare sections for the chaotic benchmark.
+The metrics compare such rollouts against the reference integrator:
+energy-drift series along single trajectories, a log-log drift-growth
+slope, Poincare sections for the chaotic benchmark, and the two means over
+sampled initial conditions that only ``evaluate_model`` computes, the
+average relative state error and the average relative energy variation
+after k windows.
 
 ``evaluate_model`` solves the references of all initial conditions in one
 batched DOP853 integration and rolls them out as one batch, window by
@@ -42,8 +44,6 @@ __all__ = [
     "MetricReport",
     "rollout",
     "rollout_path",
-    "avg_relative_error",
-    "avg_energy_variation",
     "energy_drift_series",
     "drift_slope",
     "poincare_section",
@@ -166,84 +166,15 @@ def rollout_path(model_obj, spec: RolloutSpec, project=None):
     return times, out
 
 
-def avg_relative_error(
-    model_obj,
-    sys: HamiltonianSystem,
-    omega,
-    n_samples: int,
-    k: int,
-    delta_t: float,
-    seed: int = 0,
-    project=None,
-    ics=None,
-) -> float:
-    """Mean of |psi(k dt, x_i) - ref(k dt, x_i)| / |ref(k dt, x_i)| over the box.
-
-    Samples with reference norm below 1e-12 are skipped (and logged), and so
-    are samples whose reference solve failed and samples whose model state
-    is not finite.  ``ics`` replaces the sampled initial conditions.
-    """
-    n_samples = check_positive_int(n_samples, "n_samples")
-    k = check_positive_int(k, "k")
-    delta_t = check_positive(delta_t, "delta_t")
-    ics, ref, failed = _references(sys, omega, n_samples, [k], delta_t, seed, ics)
-    if failed.any():
-        log.warning("avg_relative_error: skipped %d failed reference solves", failed.sum())
-    ok = ~failed
-    refs = np.asarray(ref[k], dtype=float)[ok]
-    vals, skipped = _relative_error_at(model_obj, sys, ics[ok], refs, k, delta_t, project)
-    if skipped:
-        log.warning("avg_relative_error: skipped %d near-zero references", skipped)
-    return vals
-
-
-def avg_energy_variation(
-    model_obj,
-    sys: HamiltonianSystem,
-    omega,
-    n_samples: int,
-    k: int,
-    delta_t: float,
-    seed: int = 0,
-    project=None,
-    ics=None,
-) -> float:
-    """Mean of |H(psi(k dt, x_i)) - H(x_i)| / |H(x_i)| over sampled x_i.
-
-    Samples whose model state is not finite are left out (and logged).
-    """
-    n_samples = check_positive_int(n_samples, "n_samples")
-    k = check_positive_int(k, "k")
-    delta_t = check_positive(delta_t, "delta_t")
-    if ics is None:
-        ics = _draw_ics(sys, omega, n_samples, seed)
-    else:
-        ics = as_phase_points(ics, 2 * sys.d, "ics")[0]
-    pred = _windows(model_obj, delta_t, k, ics, project)
-    finite = _finite_rows(pred, "avg_energy_variation", k)
-    val, skipped = _energy_variation(sys, ics[finite], pred[finite])
-    if skipped:
-        log.warning("avg_energy_variation: skipped %d near-zero energies", skipped)
-    return val
-
-
-def _draw_ics(sys, omega, n_samples, seed):
-    box = as_box(omega, 2 * sys.d)
-    rng = np.random.default_rng(seed)
-    return rng.uniform(box[:, 0], box[:, 1], size=(n_samples, 2 * sys.d))
-
-
-def _references(sys, omega, n_samples, ks, delta_t, seed, ics=None):
-    """Reference states at the requested multiples of delta_t per sample.
+def _references(sys, omega, n_samples, ks, delta_t, seed):
+    """Sampled initial conditions and their reference states at k delta_t.
 
     All samples are solved as one batch.  Returns ``(ics, ref_states,
     failed)``; ``failed`` marks the samples whose solve failed, and their
     reference states are NaN.
     """
-    if ics is None:
-        ics = _draw_ics(sys, omega, n_samples, seed)
-    else:
-        ics = as_phase_points(ics, 2 * sys.d, "ics")[0]
+    box = as_box(omega, 2 * sys.d)
+    ics = np.random.default_rng(seed).uniform(box[:, 0], box[:, 1], size=(n_samples, 2 * sys.d))
     times = np.broadcast_to(np.asarray(ks, dtype=float) * delta_t, (len(ics), len(ks)))
     states, errors = _sample_rows(sys, ics, times)
     failed = np.zeros(len(ics), dtype=bool)
@@ -283,21 +214,6 @@ def _energy_variation(sys, x0, pred):
     ok = ~near_zero
     vals = np.abs(sys.hamiltonian(pred[ok]) - e0[ok]) / np.abs(e0[ok])
     return float(np.mean(vals)), int(near_zero.sum())
-
-
-def _finite_rows(x, who, k):
-    """Mask of the rows of x that are finite; the others are counted in the log."""
-    finite = np.all(np.isfinite(x), axis=1)
-    n = len(x) - int(np.count_nonzero(finite))
-    if n:
-        log.warning("%s: %d non-finite model states after %d windows", who, n, k)
-    return finite
-
-
-def _relative_error_at(model_obj, sys, ics, refs, k, delta_t, project):
-    pred = _windows(model_obj, delta_t, k, ics, project)
-    finite = _finite_rows(pred, "avg_relative_error", k)
-    return _relative_error(pred[finite], refs[finite])
 
 
 def energy_drift_series(

@@ -92,7 +92,10 @@ def load_checkpoint(path, expect_kind: str | None = None):
     except (KeyError, ValueError) as exc:
         raise CheckpointError(f"malformed checkpoint {path}: {exc}") from exc
     kernels, zero = _KINDS[kind]
-    skeleton = zero(d, L, h)
+    try:
+        skeleton = zero(d, L, h)
+    except ValueError as exc:
+        raise CheckpointError(f"checkpoint header d={d}, L={L}, h={h} describes no model: {exc}") from exc
     if vec.size != kernels.param_count(skeleton):
         raise CheckpointError("parameter vector length does not match the header")
     return kernels.model_with_params(skeleton, vec)

@@ -38,6 +38,11 @@ class MlpFlowModel:
     hidden: int = 10
 
     def __post_init__(self):
+        if self.d < 1 or self.hidden < 1 or not self.weights:
+            raise DimensionError(
+                f"an MLP needs d and hidden of at least 1 and at least one affine layer, "
+                f"got d={self.d}, hidden={self.hidden} and {len(self.weights)} layers"
+            )
         widths = self._widths()
         for (A, b), (n_out, n_in) in zip(self.weights, widths):
             if A.shape != (n_out, n_in) or b.shape != (n_out,):
@@ -70,8 +75,6 @@ def param_count(model: MlpFlowModel) -> int:
 
 
 def random_mlp_flow(d: int, n_layers: int, rng: np.random.Generator, hidden: int = 10) -> MlpFlowModel:
-    if n_layers < 1:
-        raise DimensionError("MLP needs at least one affine layer")
     dims = [2 * d + 1] + [hidden] * (n_layers - 1) + [2 * d]
     weights = []
     for k in range(n_layers):

@@ -145,15 +145,19 @@ def _u_jet(net: PotentialNet, t, q: np.ndarray, da=None, db=None, dab=None, pair
     Each component is a ``(B, d+1)`` column-major view, the layout the
     sweeps work in.  With ``paired`` every row appears twice, in adjacent
     rows: row 2i is ``[q_i, t_i]`` with each direction as given, row 2i+1
-    is ``[q_i, 0]`` with the direction's time part 0.
+    is ``[q_i, 0]`` with the direction's time part 0.  A direction's q part
+    that is not ``(B, d)`` raises DimensionError rather than broadcasting.
     """
     B, d = q.shape
     if d != net.d:
         raise DimensionError(f"q must have {net.d} columns, got {d}")
     parts = [(0, q, t)]  # (component, head, tail) of each component present
     for i, p in enumerate((da, db, dab), 1):
-        if p is not None and (p[0] is not None or p[1] is not None):
-            parts.append((i, *p))
+        if p is None or (p[0] is None and p[1] is None):
+            continue
+        if p[0] is not None and np.shape(p[0]) != (B, d):
+            raise DimensionError(f"a direction's q part must have shape ({B}, {d}), got {np.shape(p[0])}")
+        parts.append((i, *p))
     comps = [None] * 4
     for (i, head, tail), u in zip(parts, inputs(d + 1, 2 * B if paired else B, len(parts))):
         if paired:

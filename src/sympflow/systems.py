@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, UnsupportedSystemError
-from .validation import as_phase_points
+from .validation import as_phase_points, check_finite_scalar, check_positive
 
 __all__ = [
     "HamiltonianSystem",
@@ -80,8 +80,8 @@ class Sho(HamiltonianSystem):
     d: int = 1
 
     def __post_init__(self):
-        if self.m <= 0 or self.k <= 0:
-            raise DimensionError("mass and spring constant must be positive")
+        check_positive(self.m, "mass")
+        check_positive(self.k, "spring constant")
 
     def _hamiltonian(self, x):
         q, p = x[:, 0], x[:, 1]
@@ -148,10 +148,10 @@ class DampedAugmented(HamiltonianSystem):
     d: int = 2
 
     def __post_init__(self):
-        if self.m <= 0 or self.k <= 0:
-            raise DimensionError("mass and spring constant must be positive")
-        if self.lam < 0:
-            raise DimensionError("damping constant must be nonnegative")
+        check_positive(self.m, "mass")
+        check_positive(self.k, "spring constant")
+        if check_finite_scalar(self.lam, "damping constant") < 0:
+            raise DimensionError(f"damping constant must be nonnegative, got {self.lam}")
 
     def _hamiltonian(self, x):
         qa, qb, pa, pb = x.T

@@ -90,7 +90,7 @@ class TrainConfig:
                 f"derivative_mode must be 'exact' (mode 'fd' was removed), got {self.derivative_mode!r}"
             )
         try:
-            for name in ("epochs", "fine_tune_epochs", "checkpoint_every"):
+            for name in ("epochs", "fine_tune_epochs", "checkpoint_every", "seed"):
                 check_positive_int(getattr(self, name), name, minimum=0)
             for name in ("batch_collocation", "batch_matching", "layers", "hidden"):
                 check_positive_int(getattr(self, name), name)

@@ -509,6 +509,12 @@ def integrate_scalar(sys_or_f, x0, t_end, rtol=1e-10, atol=1e-12, fixed_step=Non
     return ScalarSolution(ts, ys, pieces, n_steps, n_rejected)
 
 
+def draw_ics(sys, omega, n_samples, seed):
+    """The initial conditions ``evaluate_model`` draws: uniform over the box, from ``default_rng(seed)``."""
+    box = as_box(omega, 2 * sys.d)
+    return np.random.default_rng(seed).uniform(box[:, 0], box[:, 1], size=(n_samples, 2 * sys.d))
+
+
 def relative_error_rows(model, ics, refs, k, delta_t, project=None):
     """Mean relative error after k windows, one rollout per row: (mean, skipped)."""
     from sympflow import evaluate as ev

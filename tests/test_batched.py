@@ -79,7 +79,7 @@ def test_evaluate_model_matches_the_per_row_composition(name, n_samples, ks, lay
     delta_t = 0.5
     report = ev.evaluate_model(model, s, box, delta_t, n_samples=n_samples, ks=ks, seed=seed)
     assert report.failed == 0
-    ics = ev._draw_ics(s, box, n_samples, seed)
+    ics = orc.draw_ics(s, box, n_samples, seed)
     sols = [orc.integrate_scalar(s, x0, max(ks) * delta_t) for x0 in ics]
     for k in ks:
         refs = np.stack([sol(k * delta_t) for sol in sols])
@@ -93,7 +93,7 @@ def test_evaluate_model_matches_the_per_row_composition(name, n_samples, ks, lay
 
 def test_failed_rows_leave_the_others_untouched():
     s = sy.HenonHeiles()
-    X = ev._draw_ics(s, HH_ESCAPE_BOX, 4, 0)
+    X = orc.draw_ics(s, HH_ESCAPE_BOX, 4, 0)
     T = np.tile([1.0, 100.0], (4, 1))
     states, errors = itg._sample_rows(s, X, T)
     assert sorted(errors) == [0, 2, 3]
@@ -119,7 +119,7 @@ def test_evaluate_model_counts_failed_reference_solves(monkeypatch, caplog):
 
 def test_evaluate_model_leaves_nonfinite_model_states_out(monkeypatch, caplog):
     s = sy.Sho()
-    ics = ev._draw_ics(s, [-1.2, 1.2], 5, 2)
+    ics = orc.draw_ics(s, [-1.2, 1.2], 5, 2)
 
     def first_sample_diverges(m, t, x):  # the identity map, except for the first sample
         out = x.copy()

@@ -8,8 +8,10 @@ import pytest
 from sympflow import evaluate as ev
 from sympflow import model as sfm
 from sympflow.errors import DimensionError
-from sympflow.systems import Sho
+from sympflow.integrate import _sample_rows, sample_states
+from sympflow.systems import HenonHeiles, Sho
 
+import _oracles as orc
 from _oracles import assert_close
 
 
@@ -101,11 +103,23 @@ def _patch_exact(monkeypatch, sys):
     monkeypatch.setattr(ev, "_forward_b", lambda m, t, x: fake_forward(m, t, x))
 
 
+# The average relative error and the average relative energy variation are
+# read from evaluate_model's report, the one code path that computes them.
+
+
 def test_avg_relative_error_zero_for_exact_flow(monkeypatch):
     s = Sho()
     _patch_exact(monkeypatch, s)
-    err = ev.avg_relative_error(_ExactFlowStandIn(s), s, [-1.2, 1.2], 10, 5, 1.0, seed=3)
-    assert err < 1e-7  # integrator reference tolerance
+    report = ev.evaluate_model(_ExactFlowStandIn(s), s, [-1.2, 1.2], 1.0, n_samples=10, ks=(5,), seed=3)
+    assert report.relative_errors[5] < 1e-7  # integrator reference tolerance
+
+
+def _fixed_references(monkeypatch, refs):
+    """Stand-in for the reference solves: row i sits at ``refs[i]`` at every requested time."""
+    refs = np.asarray(refs, dtype=float)
+    monkeypatch.setattr(
+        ev, "_sample_rows", lambda sys, ics, times: (np.repeat(refs[:, None], times.shape[1], axis=1), {})
+    )
 
 
 def test_avg_relative_error_hand_arithmetic(monkeypatch):
@@ -113,41 +127,27 @@ def test_avg_relative_error_hand_arithmetic(monkeypatch):
     monkeypatch.setattr(
         ev, "_forward_b", lambda m, t, x: np.tile(np.array([1.1, 0.0]), (x.shape[0], 1))
     )
-    val, skipped = ev._relative_error_at(
-        _ExactFlowStandIn(Sho()),
-        Sho(),
-        np.array([[0.5, 0.5]]),
-        np.array([[1.0, 0.0]]),
-        1,
-        1.0,
-        None,
-    )
-    assert skipped == 0
-    assert val == pytest.approx(0.1, rel=1e-14)
+    _fixed_references(monkeypatch, [[1.0, 0.0]])
+    report = ev.evaluate_model(None, Sho(), [-1.0, 1.0], 1.0, n_samples=1, ks=(1,))
+    assert report.skipped_error == {1: 0}
+    assert report.relative_errors[1] == pytest.approx(0.1, rel=1e-14)
 
 
 def test_avg_relative_error_skips_near_zero_reference(monkeypatch):
     monkeypatch.setattr(
         ev, "_forward_b", lambda m, t, x: np.tile(np.array([1.1, 0.0]), (x.shape[0], 1))
     )
-    val, skipped = ev._relative_error_at(
-        _ExactFlowStandIn(Sho()),
-        Sho(),
-        np.array([[0.5, 0.5], [0.2, 0.2]]),
-        np.array([[1.0, 0.0], [0.0, 1e-14]]),
-        1,
-        1.0,
-        None,
-    )
-    assert skipped == 1
-    assert val == pytest.approx(0.1, rel=1e-14)
+    _fixed_references(monkeypatch, [[1.0, 0.0], [0.0, 1e-14]])
+    report = ev.evaluate_model(None, Sho(), [-1.0, 1.0], 1.0, n_samples=2, ks=(1,))
+    assert report.skipped_error == {1: 1}
+    assert report.relative_errors[1] == pytest.approx(0.1, rel=1e-14)
 
 
 def test_avg_energy_variation_zero_for_exact_flow(monkeypatch):
     s = Sho()
     _patch_exact(monkeypatch, s)
-    var = ev.avg_energy_variation(_ExactFlowStandIn(s), s, [-1.2, 1.2], 10, 3, 1.0, seed=4)
-    assert var < 1e-10
+    report = ev.evaluate_model(_ExactFlowStandIn(s), s, [-1.2, 1.2], 1.0, n_samples=10, ks=(3,), seed=4)
+    assert report.energy_variations[3] < 1e-10
 
 
 def _identity_except_first(ics):
@@ -163,24 +163,49 @@ def _identity_except_first(ics):
 
 def test_avg_energy_variation_leaves_a_diverged_sample_out(monkeypatch, caplog):
     s = Sho()
-    ics = ev._draw_ics(s, [-1.2, 1.2], 5, 2)
+    ics = orc.draw_ics(s, [-1.2, 1.2], 5, 2)
     monkeypatch.setattr(ev, "_forward_b", _identity_except_first(ics))
     with caplog.at_level(logging.WARNING, logger="sympflow.evaluate"):
-        var = ev.avg_energy_variation(None, s, [-1.2, 1.2], 5, 2, 1.0, ics=ics)
-    assert var == 0.0
-    assert "avg_energy_variation: 1 non-finite model states after 2 windows" in caplog.text
+        report = ev.evaluate_model(None, s, [-1.2, 1.2], 1.0, n_samples=5, ks=(2,), seed=2)
+    assert report.energy_variations[2] == 0.0
+    assert (report.nonfinite, report.skipped_energy) == ({2: 1}, {2: 0})
+    assert "evaluate_model: 1 non-finite model states after 2 windows" in caplog.text
 
 
 def test_avg_relative_error_leaves_a_diverged_sample_out(monkeypatch, caplog):
     s = Sho()
-    ics = ev._draw_ics(s, [-1.2, 1.2], 5, 2)
+    ics = orc.draw_ics(s, [-1.2, 1.2], 5, 2)
     monkeypatch.setattr(ev, "_forward_b", _identity_except_first(ics))
     with caplog.at_level(logging.WARNING, logger="sympflow.evaluate"):
-        err = ev.avg_relative_error(None, s, [-1.2, 1.2], 5, 2, 1.0, ics=ics)
-    rest = ev.avg_relative_error(None, s, [-1.2, 1.2], 4, 2, 1.0, ics=ics[1:])
-    assert np.isfinite(err)
-    assert err == pytest.approx(rest, rel=1e-12)
-    assert "avg_relative_error: 1 non-finite model states after 2 windows" in caplog.text
+        report = ev.evaluate_model(None, s, [-1.2, 1.2], 1.0, n_samples=5, ks=(2,), seed=2)
+    refs = np.stack([sample_states(s, x0, [2.0])[0] for x0 in ics[1:]])
+    rest = np.linalg.norm(ics[1:] - refs, axis=1) / np.linalg.norm(refs, axis=1)  # the identity map
+    assert (report.nonfinite, report.skipped_error) == ({2: 1}, {2: 0})
+    assert report.relative_errors[2] == pytest.approx(np.mean(rest), rel=1e-12)
+    assert "evaluate_model: 1 non-finite model states after 2 windows" in caplog.text
+
+
+def test_failed_references_are_left_out_of_both_means(caplog):
+    # On this box about half the Henon-Heiles orbits lie above the escape
+    # energy and blow up before t = 5.
+    s = HenonHeiles()
+    box, n, k = [-1.0, 1.0], 20, 5
+    model2 = sfm.random_sympflow(2, 1, np.random.default_rng(1), h=4)
+    with caplog.at_level(logging.WARNING, logger="sympflow.evaluate"):
+        report = ev.evaluate_model(model2, s, box, 1.0, n_samples=n, ks=(k,), seed=1)
+    ics = orc.draw_ics(s, box, n, 1)
+    states, errors = _sample_rows(s, ics, np.full((n, 1), float(k)))
+    ok = np.setdiff1d(np.arange(n), list(errors))
+    assert 0 < report.failed == len(errors) < n
+    assert report.nonfinite == {k: 0}
+    assert f"evaluate_model: {report.failed} of {n} reference solves failed" in caplog.text
+    err, _ = orc.relative_error_rows(model2, ics[ok], states[ok, 0], k, 1.0)
+    var, _ = orc.energy_variation_rows(model2, s, ics[ok], k, 1.0)
+    assert report.relative_errors[k] == pytest.approx(err, rel=1e-12)
+    assert report.energy_variations[k] == pytest.approx(var, rel=1e-12)
+    # Keeping the failed rows would give another energy-variation mean.
+    every, _ = orc.energy_variation_rows(model2, s, ics, k, 1.0)
+    assert report.energy_variations[k] != pytest.approx(every, rel=1e-6)
 
 
 def test_metric_resummation_oracle(model):
@@ -188,9 +213,8 @@ def test_metric_resummation_oracle(model):
     s = Sho()
     omega = [-1.0, 1.0]
     seed, n, k = 7, 5, 2
-    err = ev.avg_relative_error(model, s, omega, n, k, 1.0, seed=seed)
-    var = ev.avg_energy_variation(model, s, omega, n, k, 1.0, seed=seed)
-    ics = ev._draw_ics(s, omega, n, seed)
+    report = ev.evaluate_model(model, s, omega, 1.0, n_samples=n, ks=(k,), seed=seed)
+    ics = orc.draw_ics(s, omega, n, seed)
     errs, vars_ = [], []
     from sympflow.integrate import integrate
 
@@ -199,8 +223,8 @@ def test_metric_resummation_oracle(model):
         pred = ev.rollout(model, 1.0, k * 1.0, x0)
         errs.append(np.linalg.norm(pred - ref) / np.linalg.norm(ref))
         vars_.append(abs(s.hamiltonian(pred) - s.hamiltonian(x0)) / abs(s.hamiltonian(x0)))
-    assert err == pytest.approx(np.mean(errs), rel=1e-12)
-    assert var == pytest.approx(np.mean(vars_), rel=1e-12)
+    assert report.relative_errors[k] == pytest.approx(np.mean(errs), rel=1e-12)
+    assert report.energy_variations[k] == pytest.approx(np.mean(vars_), rel=1e-12)
 
 
 def test_energy_drift_series_zero_for_exact_flow(monkeypatch):
@@ -283,10 +307,6 @@ def test_bad_delta_t_is_rejected_up_front(model, delta_t):
         ev.rollout(model, delta_t, 1.0, x0)
     with pytest.raises(DimensionError, match="delta_t"):
         ev.evaluate_model(model, Sho(), [-1.0, 1.0], delta_t, n_samples=2, ks=(1,))
-    with pytest.raises(DimensionError, match="delta_t"):
-        ev.avg_relative_error(model, Sho(), [-1.0, 1.0], 2, 1, delta_t)
-    with pytest.raises(DimensionError, match="delta_t"):
-        ev.avg_energy_variation(model, Sho(), [-1.0, 1.0], 2, 1, delta_t)
 
 
 @pytest.mark.parametrize(

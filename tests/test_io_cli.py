@@ -43,6 +43,18 @@ def test_checkpoint_bytes_survive_a_round_trip(tmp_path):
     assert path.read_bytes() == stored.read_bytes()
 
 
+@pytest.mark.parametrize("kind", ["sympflow", "mlp"])
+@pytest.mark.parametrize("header", [{"L": 0}, {"h": 0}, {"d": 0}])
+def test_checkpoint_header_of_no_model_is_rejected(tmp_path, kind, header):
+    model = {"sympflow": sfm.random_sympflow, "mlp": mlp.random_mlp_flow}[kind](1, 2, np.random.default_rng(4))
+    path = tmp_path / "model.json"
+    sio.save_checkpoint(model, path)
+    payload = json.loads(path.read_text())
+    path.write_text(json.dumps({**payload, **header}))
+    with pytest.raises(CheckpointError, match="describes no model"):
+        sio.load_checkpoint(path)
+
+
 def test_checkpoint_bad_magic(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"magic": "nope", "kind": "sympflow"}))
@@ -139,6 +151,14 @@ def test_cli_rejects_derivative_mode_fd(tmp_path, capsys):
     cfg = _write_cfg(tmp_path, "train.json", {**payload, "derivative_mode": "fd"})
     assert cli_dispatch(["train", "--config", cfg, "--out", str(tmp_path / "out")]) != 0
     assert "mode 'fd' was removed" in capsys.readouterr().err
+
+
+def test_cli_rejects_a_nan_mass(tmp_path, capsys):
+    # Python's json reads NaN, so a config can carry one.
+    payload = {"system": "sho", "mass": float("nan"), "omega": [-1, 1], "n_trajectories": 2, "m_samples": 2, "delta_t": 1.0}
+    cfg = _write_cfg(tmp_path, "data.json", payload)
+    assert cli_dispatch(["generate-data", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    assert "mass must be finite" in capsys.readouterr().err
 
 
 def test_cli_help_exits_zero(capsys):

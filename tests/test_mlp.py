@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from sympflow import mlp
+from sympflow.errors import DimensionError
 
 from _oracles import assert_close, fd_scalar
 
@@ -11,6 +12,13 @@ from _oracles import assert_close, fd_scalar
 @pytest.fixture
 def model():
     return mlp.random_mlp_flow(1, 5, np.random.default_rng(0))
+
+
+def test_an_mlp_needs_an_affine_layer():
+    with pytest.raises(DimensionError, match="at least one affine layer"):
+        mlp.MlpFlowModel(1, ())
+    with pytest.raises(DimensionError, match="at least one affine layer"):
+        mlp.random_mlp_flow(1, 0, np.random.default_rng(0))
 
 
 def reference_forward(model, t, x):

@@ -55,10 +55,11 @@ def test_import_loads_no_worker_modules(top):
     assert _loaded_by_import(top) == "[]"
 
 
-# The single-point potential API and derivative mode ``fd``, both removed.
+# The single-point potential API, derivative mode ``fd`` and the second metric path, all removed.
 REMOVED = (
     "QuantityKind", "value", "time_partial", "grad_input", "mixed_time_input_gradient",
     "hessian_vector_product", "param_grad", "value_b", "grad_time_b", "hvp_b", "mixed_b", "value_vjp",
+    "avg_relative_error", "avg_energy_variation",
 )
 
 
@@ -66,7 +67,7 @@ def test_every_exported_name_resolves_and_removed_names_are_gone():
     for info in pkgutil.iter_modules(sympflow.__path__):
         mod = importlib.import_module("sympflow." + info.name)
         assert [n for n in getattr(mod, "__all__", ()) if not hasattr(mod, n)] == [], info.name
-    for mod in (sympflow, sympflow.potential):
+    for mod in (sympflow, sympflow.potential, sympflow.evaluate):
         assert [n for n in REMOVED if hasattr(mod, n)] == [], mod.__name__
     assert not hasattr(sympflow.train, "FD_STEP") and not hasattr(sympflow.validation, "_central")
 
@@ -152,10 +153,8 @@ def test_bad_time_raises_dimension_error(kind, fn, t):
 
 # Counts, window numbers and step sizes checked through the shared validation helpers.
 BAD_ARGUMENTS = {
-    "avg_relative_error-k": lambda m, s: sympflow.evaluate.avg_relative_error(m, s, (-1, 1), 2, 1.5, 0.5),
-    "avg_relative_error-n_samples": lambda m, s: sympflow.evaluate.avg_relative_error(m, s, (-1, 1), 2.5, 1, 0.5),
-    "avg_energy_variation-k": lambda m, s: sympflow.evaluate.avg_energy_variation(m, s, (-1, 1), 2, 1.5, 0.5),
-    "avg_energy_variation-n_samples": lambda m, s: sympflow.evaluate.avg_energy_variation(m, s, (-1, 1), 2.5, 1, 0.5),
+    "evaluate_model-ks": lambda m, s: sympflow.evaluate_model(m, s, (-1, 1), 0.5, n_samples=2, ks=(1.5,)),
+    "evaluate_model-n_samples": lambda m, s: sympflow.evaluate_model(m, s, (-1, 1), 0.5, n_samples=2.5, ks=(1,)),
     "sample_collocation-n": lambda m, s: sympflow.train.sample_collocation((-1, 1), 0.5, 2.5, 0),
     "sample_collocation-nan-delta_t": lambda m, s: sympflow.train.sample_collocation((-1, 1), np.nan, 4, 0),
     "sample_collocation-inf-delta_t": lambda m, s: sympflow.train.sample_collocation((-1, 1), np.inf, 4, 0),

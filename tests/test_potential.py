@@ -66,6 +66,17 @@ def test_value_rejects_bad_dimension(net1):
         pot.jet_grad_b(net1, 0.0, np.array([[0.1, 0.2]]))
 
 
+def test_a_direction_of_the_wrong_width_is_rejected(net2):
+    # A (1, 1) head would broadcast over both columns of q.
+    q, narrow = np.array([[0.4, -0.7]]), np.ones((1, 1))
+    for kwargs in (dict(c=(narrow, None)), dict(a=(narrow, 1.0)), dict(a=(None, 1.0), b=(narrow, None))):
+        with pytest.raises(DimensionError, match=r"must have shape \(1, 2\), got \(1, 1\)"):
+            pot.jet_vjp(net2, 0.3, q, **kwargs)
+    with pytest.raises(DimensionError):
+        pot.jet_grad_b(net2, 0.3, q, (narrow, None), paired=True)
+    assert np.all(np.isfinite(pot.jet_vjp(net2, 0.3, q, c=(np.ones((1, 2)), None))[0]))
+
+
 def test_time_partial_zero_weights():
     net = pot.zero_potential_net(1)
     assert sweep(net, 0.7, [0.1])[0][-1] == 0.0

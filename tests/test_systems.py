@@ -177,3 +177,19 @@ def test_invariant_parameter_checks():
         sy.Sho(m=-1.0)
     with pytest.raises(DimensionError):
         sy.DampedAugmented(lam=-0.1)
+
+
+@pytest.mark.parametrize(
+    "cls, kwargs",
+    [
+        (sy.Sho, {"m": float("nan")}),
+        (sy.Sho, {"k": float("inf")}),
+        (sy.DampedAugmented, {"m": float("inf")}),
+        (sy.DampedAugmented, {"k": float("nan")}),
+        (sy.DampedAugmented, {"lam": float("nan")}),
+        (sy.DampedAugmented, {"lam": float("inf")}),
+    ],
+)
+def test_nonfinite_parameters_are_rejected(cls, kwargs):
+    with pytest.raises(DimensionError, match="must be finite"):
+        cls(**kwargs)

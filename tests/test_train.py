@@ -314,6 +314,9 @@ def test_adam_converges_on_quadratic():
         {"layers": 2.5},
         {"hidden": "10"},
         {"checkpoint_every": -3},
+        {"seed": 1.5},
+        {"seed": -1},
+        {"seed": True},
     ],
 )
 def test_config_rejects_bad_batches_and_box(kwargs):
