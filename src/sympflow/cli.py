@@ -38,8 +38,6 @@ def _build_system(cfg: dict):
         params["k"] = cfg["spring_k"]
     if "damping" in cfg:
         params["lam"] = cfg["damping"]
-    if name == "henon_heiles" and params:
-        raise ConfigError("henon_heiles takes no system parameters")
     return sysmod.system_from_name(name, **params)
 
 

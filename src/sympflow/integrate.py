@@ -16,10 +16,12 @@ tolerances it takes 7-8 times fewer steps for twice the field calls per step
 defaults it takes 617 steps against DOPRI5's 4,815, and its largest energy
 error is 3.3e-12 against 6.4e-11.
 
-At one row a step costs fixed Python overhead, not arithmetic: about 55 µs
-of stepper work besides its 12 Hénon-Heiles field calls of about 5 µs each
-(timed section by section, best of 21 solves to T = 100 on a 2-core x86-64
-VM whose clock speed varies).  So a step makes as few NumPy calls as it can.
+At one row a step costs fixed Python overhead, not arithmetic: about 110 µs
+of stepper work besides its 12 Hénon-Heiles field calls of about 2.5 µs each
+(the fields of a few rows are evaluated on Python floats; best of 21 solves
+to T = 100, 617 steps, on a 2-core x86-64 VM in its slower clock state,
+where the whole step takes about 140 µs).  So a step makes as few NumPy
+calls as it can.
 The stages are held stage-major, in one (13, B·n) buffer that is allocated
 only when the set of live rows changes: each stage's state is one product of
 its tableau row with the stages before it, written into one flat buffer,
@@ -561,10 +563,16 @@ class TrajectoryDataset:
     seed: int | None = None
 
     def __post_init__(self):
-        self.ics = np.asarray(self.ics, dtype=float)
+        self.ics = as_float_array(self.ics, "ics")
         self.sample_traj = np.asarray(self.sample_traj, dtype=int)
-        self.sample_t = np.asarray(self.sample_t, dtype=float)
-        self.sample_y = np.asarray(self.sample_y, dtype=float)
+        self.sample_t = as_float_array(self.sample_t, "sample_t")
+        self.sample_y = as_float_array(self.sample_y, "sample_y")
+        self.delta_t = check_finite_scalar(self.delta_t, "delta_t")
+        if self.ics.ndim != 2 or self.ics.shape[1] % 2:
+            raise DimensionError(f"ics must have shape (N, 2d), got {self.ics.shape}")
+        S, n = self.sample_t.size, self.ics.shape[1]
+        if self.sample_t.shape != (S,) or self.sample_traj.shape != (S,) or self.sample_y.shape != (S, n):
+            raise DimensionError(f"sample_traj, sample_t and sample_y must have shapes (S,), (S,) and (S, {n})")
         if self.n_samples and (
             self.sample_traj.min() < 0 or self.sample_traj.max() >= len(self.ics)
         ):

@@ -210,7 +210,10 @@ CONFIG_KEYS = {
 
 
 def load_config(path) -> dict:
-    """Read a flat JSON config; unknown keys are rejected, types coerced."""
+    """Read a flat JSON config; unknown keys are rejected, types coerced.
+
+    Number keys take JSON numbers, and integer keys integral ones (2.0, not 2.5).
+    """
     try:
         raw = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
@@ -223,17 +226,13 @@ def load_config(path) -> dict:
     out = {}
     for key, val in raw.items():
         want = CONFIG_KEYS[key]
-        try:
-            if want is list:
-                if not isinstance(val, list):
-                    raise TypeError("expected a list")
-                out[key] = val
-            elif want is bool:
-                if not isinstance(val, bool):
-                    raise TypeError("expected a boolean")
-                out[key] = val
-            else:
-                out[key] = want(val)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"config key {key!r}: {exc}") from exc
+        if want in (list, bool, str):
+            ok = want is str or isinstance(val, want)
+        else:
+            ok = isinstance(val, int) and not isinstance(val, bool) or (
+                isinstance(val, float) and (want is float or val.is_integer())
+            )
+        if not ok:
+            raise ConfigError(f"config key {key!r}: expected {want.__name__}, got {val!r}")
+        out[key] = want(val)
     return out

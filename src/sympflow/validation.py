@@ -32,16 +32,20 @@ def as_float_array(x, name: str = "array") -> np.ndarray:
 
 
 def check_finite_scalar(x, name: str = "value") -> float:
-    val = float(x)
+    """``x`` as a float, if it is a finite real number (not a bool or a string); else DimensionError."""
+    arr = np.asarray(x)
+    if arr.ndim or arr.dtype.kind not in "iuf":
+        raise DimensionError(f"{name} must be a real number, got {x!r}")
+    val = float(arr)
     if not np.isfinite(val):
         raise DimensionError(f"{name} must be finite, got {val}")
     return val
 
 
 def check_positive(value, name: str = "value") -> float:
-    """``value`` as a float, if it is finite and positive; else DimensionError."""
-    v = float(value)
-    if not (np.isfinite(v) and v > 0):
+    """``value`` as a float, if it is a finite and positive real number; else DimensionError."""
+    v = check_finite_scalar(value, name)
+    if not v > 0:
         raise DimensionError(f"{name} must be finite and positive, got {value}")
     return v
 

@@ -148,6 +148,33 @@ def test_generate_dataset_rejects_bad_args():
         itg.generate_dataset(sy.Sho(), [1.0, -1.0], 5, 5, 1.0)
 
 
+@pytest.mark.parametrize(
+    "field, value, match",
+    [
+        ("sample_y", [[0.1, np.nan], [0.2, 0.3]], "non-finite"),
+        ("ics", [[0.1, np.inf], [0.2, 0.3]], "non-finite"),
+        ("sample_t", [0.1, np.nan], "non-finite"),
+        ("delta_t", np.nan, "finite"),
+        ("sample_traj", [0, 1, 1], "shapes"),
+        ("sample_y", [[0.1, 0.2, 0.3], [0.2, 0.3, 0.4]], "shapes"),
+        ("sample_t", [[0.1], [0.2]], "shapes"),
+        ("ics", [[0.1, 0.2, 0.3], [0.2, 0.3, 0.4]], r"\(N, 2d\)"),
+        ("ics", [0.1, 0.2], r"\(N, 2d\)"),
+    ],
+)
+def test_a_dataset_is_checked_when_it_is_built(field, value, match):
+    args = {
+        "ics": [[0.1, 0.2], [0.3, 0.4]],
+        "sample_traj": [0, 1],
+        "sample_t": [0.1, 0.2],
+        "sample_y": [[0.1, 0.2], [0.3, 0.4]],
+        "delta_t": 1.0,
+    }
+    itg.TrajectoryDataset(**args)
+    with pytest.raises(DimensionError, match=match):
+        itg.TrajectoryDataset(**{**args, field: value})
+
+
 def test_nonfinite_or_nonpositive_end_time_raises_up_front():
     for t_end in (np.nan, np.inf, 0.0, -1.0):
         with pytest.raises(DimensionError, match="t_end"):

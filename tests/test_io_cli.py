@@ -130,6 +130,24 @@ def test_config_type_coercion(tmp_path):
     assert cfg["omega"] == [-1, 1]
 
 
+@pytest.mark.parametrize(
+    "payload",
+    [{"epochs": 2.5}, {"seed": 1.5}, {"layers": True}, {"epochs": "3"}, {"mass": True}, {"seed": float("inf")}],
+)
+def test_config_number_keys_are_not_rounded_or_coerced(tmp_path, payload):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ConfigError, match=next(iter(payload))):
+        sio.load_config(path)
+
+
+def test_config_integral_float_loads_as_an_integer(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"epochs": 2.0, "mass": 2}))
+    cfg = sio.load_config(path)
+    assert cfg == {"epochs": 2, "mass": 2.0} and type(cfg["epochs"]) is int
+
+
 def test_every_train_config_field_is_a_config_key():
     fields = {f.name for f in dataclasses.fields(tr.TrainConfig)}
     assert fields - set(sio.CONFIG_KEYS) == set()

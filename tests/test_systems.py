@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sympflow import systems as sy
 from sympflow.errors import DimensionError, UnsupportedSystemError
@@ -77,7 +79,8 @@ def test_vector_field_writes_into_a_stage_slot(system):
     # The integrator passes K[:, i] of its (B, 13, n) stage stack as out.
     rng = np.random.default_rng(3)
     n = 2 * system.d
-    for B in (1, 2, 7, 64):
+    # Batches of at most sy._ROW_LIMIT rows take the Python-float path.
+    for B in (1, 2, sy._ROW_LIMIT, sy._ROW_LIMIT + 1, 7, 64):
         x = rng.uniform(-1, 1, size=(B, n))
         K = np.full((B, 13, n), np.nan)
         got = system._vector_field(x, K[:, 5])
@@ -88,6 +91,29 @@ def test_vector_field_writes_into_a_stage_slot(system):
             one = np.empty((1, n))
             system._vector_field(x[i : i + 1], one)
             assert np.array_equal(K[i, 5], one[0])
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    index=st.integers(0, len(ALL_SYSTEMS) - 1),
+    B=st.integers(1, 3 * sy._ROW_LIMIT),
+    log_mag=st.floats(-3.0, 200.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_a_batch_is_bitwise_its_one_row_calls(index, B, log_mag, seed):
+    # Either side of the row limit; at 1e200 the products overflow to inf
+    # and their differences to NaN, which both paths must produce alike.
+    system = ALL_SYSTEMS[index]
+    rng = np.random.default_rng(seed)
+    n = 2 * system.d
+    x = rng.uniform(-1, 1, size=(B, n)) * 10.0**log_mag
+    K = np.full((B, 13, n), 7.0)
+    system._vector_field(x, K[:, 5])
+    for i in range(B):
+        one = np.empty((1, n))
+        system._vector_field(x[i : i + 1], one)
+        assert np.array_equal(K[i, 5], one[0], equal_nan=True)
+    assert (np.delete(K, 5, axis=1) == 7.0).all()
 
 
 def test_physical_limit_projection_values():
@@ -170,6 +196,16 @@ def test_system_from_name():
     assert s.lam == 0.3
     with pytest.raises(UnsupportedSystemError):
         sy.system_from_name("pendulum")
+    for name, params in (("sho", {"bogus": 2}), ("sho", {"d": 2}), ("henon_heiles", {"m": 1.0})):
+        with pytest.raises(UnsupportedSystemError, match="takes no parameter"):
+            sy.system_from_name(name, **params)
+
+
+@pytest.mark.parametrize("cls, d", [(sy.Sho, 1), (sy.HenonHeiles, 2), (sy.DampedAugmented, 2)])
+def test_the_dimension_is_fixed_by_the_system(cls, d):
+    assert cls().d == d
+    with pytest.raises(TypeError):
+        cls(d=d + 1)
 
 
 def test_invariant_parameter_checks():
@@ -193,3 +229,17 @@ def test_invariant_parameter_checks():
 def test_nonfinite_parameters_are_rejected(cls, kwargs):
     with pytest.raises(DimensionError, match="must be finite"):
         cls(**kwargs)
+
+
+@pytest.mark.parametrize("bad", ["2", True, None, [1.0]])
+@pytest.mark.parametrize(
+    "cls, param", [(sy.Sho, "m"), (sy.Sho, "k"), (sy.DampedAugmented, "m"), (sy.DampedAugmented, "k"), (sy.DampedAugmented, "lam")]
+)
+def test_parameters_must_be_real_numbers(cls, param, bad):
+    with pytest.raises(DimensionError, match="must be a real number"):
+        cls(**{param: bad})
+
+
+def test_parameters_are_stored_as_floats():
+    s = sy.DampedAugmented(m=2, k=np.float64(0.5), lam=0)
+    assert [type(v) for v in (s.m, s.k, s.lam)] == [float] * 3
