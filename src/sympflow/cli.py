@@ -115,6 +115,7 @@ def _cmd_train(cfg: dict, out: Path, args) -> int:
         "seed": report.seed,
         "second_term_worker": report.second_term_worker,
         "second_term_wait_s": report.second_term_wait_s,
+        "second_term_busy_s": report.second_term_busy_s,
     }
     (out / "train_report.json").write_text(json.dumps(summary, indent=2) + "\n")
     print(f"trained {config.model_kind} for {report.epochs_run} epochs, "

@@ -144,13 +144,14 @@ def _taped(model: MlpFlowModel, t, x: np.ndarray, velocity: bool = False):
     return x + th * net.x0, v, (jets, th)
 
 
-def _pullback(model: MlpFlowModel, t, tape, wx: np.ndarray, wv=None):
+def _pullback(model: MlpFlowModel, t, tape, wx: np.ndarray, wv=None, job=None):
     """Pull cotangents wx on the map and wv on its time derivative back through a tape.
 
     One pullback of ``Jet(x0=th wx + (1 - th^2) wv, xa=th wv)``, th =
     tanh(t), through the net; the identity part adds wx to gx.  The tape
     holds th, so ``t`` is not read again.  Returns ``(gx (B, 2d), gtheta
-    flat)``.
+    flat)``.  ``job`` is the SympFlow pullback's handle for time-0 sweeps;
+    this map makes none, so it is unused.
     """
     jets, th = tape
     if wv is None:

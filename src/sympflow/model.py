@@ -29,7 +29,11 @@ cost arithmetic, so stacking saves nothing there; and its jet carries four
 components where a forward sweep carries one or two, so stacked it would be
 the largest sweep and the thread's jet workspace would grow to hold it.  In
 regularized Hénon-Heiles training at 1024 rows (2-core x86-64 VM) a stacked
-pullback raised the peak resident set by 2.5 MB and gained no time.
+pullback raised the peak resident set by 2.5 MB and gained no time.  Both
+sweeps run in the calling process, except where :func:`_pullback` is given
+a job handle: then the training worker of :mod:`sympflow.train` runs the
+sweep at time 0 of every shear but the first one pulled back, while the
+caller runs the sweep at t.
 """
 
 from __future__ import annotations
@@ -175,19 +179,26 @@ def _shear(net: PotentialNet, t, y: np.ndarray, vy=None, dt=None):
     return g[::2, :d] - g[1::2, :d], ddelta, g[::2, d]
 
 
-def _shear_vjp(net: PotentialNet, t, y: np.ndarray, w=None, vy=None, wv=None, dt=None, wt=None):
+def _shear_vjp(
+    net: PotentialNet, t, y: np.ndarray, w=None, vy=None, wv=None, dt=None, wt=None, job=None
+):
     """Pullback through :func:`_shear`: cotangents w on delta, wv on ddelta, wt on vt.
 
     Returns ``(gy, gvy, gtheta)``, the gradients of ``<w, delta> + <wv,
     ddelta> + <wt, vt>`` in y, in vy (None without a tangent) and in the
     net's parameters.  One sweep per time: the jet carries a = [vy, dt],
     b = [wv, 0] and the cross term c = [w, wt], so its mixed output is that
-    whole sum.  The sweep at time 0 is skipped when only wt is given.
+    whole sum.  The sweep at time 0 is skipped when only wt is given.  With
+    a job handle (see :func:`_pullback`) the sweep at time 0 is handed to it
+    before the sweep at t and collected after; otherwise it runs here.
     """
     d = net.d
+    args0 = (y, (vy, None), (wv, None), (w, None))
+    at0 = w is not None or wv is not None
+    collect = job(net, *args0) if at0 and job is not None else None
     gy, gv, gth = pot.jet_vjp(net, t, y, (vy, dt), (wv, None), (w, wt))
-    if w is not None or wv is not None:
-        gy0, gv0, gth0 = pot.jet_vjp(net, 0.0, y, (vy, None), (wv, None), (w, None))
+    if at0:
+        gy0, gv0, gth0 = pot.jet_vjp(net, 0.0, *args0) if collect is None else collect()
         gy, gth = gy - gy0, gth - gth0
         gv = None if gv is None else gv - gv0
     return gy[:, :d], None if gv is None else gv[:, :d], gth
@@ -279,12 +290,18 @@ def _taped(model: SympFlowModel, t, x: np.ndarray, velocity: bool = False):
     return x, v, tape
 
 
-def _pullback(model: SympFlowModel, t, tape, wx: np.ndarray, wv=None):
+def _pullback(model: SympFlowModel, t, tape, wx: np.ndarray, wv=None, job=None):
     """Pull cotangents wx on the map and wv on its time derivative back through a tape.
 
     ``tape`` comes from :func:`_taped`; wv needs one recorded with the
     velocity.  Returns ``(gx, gtheta)`` with gtheta flat in the model's
     canonical parameter order.
+
+    ``job``, when given, runs time-0 sweeps elsewhere: ``job(k, net, *args)``
+    starts ``pot.jet_vjp(net, 0.0, *args)`` for the k-th net in canonical
+    order and returns a callable that waits for its ``(gy, gv, gtheta)``.
+    Every shear but the first one pulled back hands it its sweep, since the
+    first comes while the job's worker is still busy with its own term.
     """
     dt = None if tape[0][1] is None else 1.0
     nets = [net for pair in model.layers for net in pair]
@@ -300,6 +317,7 @@ def _pullback(model: SympFlowModel, t, tape, wx: np.ndarray, wv=None):
             None if v is None else v[:, read],
             None if wv is None else s * wv[:, write],
             dt,
+            job=None if job is None or k == len(nets) - 1 else functools.partial(job, k),
         )
         wx = wx.copy()
         wx[:, read] += gy

@@ -20,14 +20,17 @@ the one path behind :func:`loss_and_grad`, :func:`total_loss` and the
 checked against finite differences in the tests.
 
 In a two-term phase (``regularized``, and ``mixed`` before its fine-tune)
-:func:`train` computes the second term in one forked worker process while
-this process computes the residual, wherever the machine has a CPU to spare
-and the process may fork safely; the results are bitwise those of computing
-both terms here.  See :func:`train`.
+:func:`train` starts one forked worker process, wherever the machine has a
+CPU to spare and the process may fork safely.  Each epoch the worker
+computes the second term, then the time-0 sweeps of the residual's
+pullback, while this process computes the residual and the sweeps at t;
+the fine-tune keeps the worker for the sweeps.  The results are bitwise
+those of computing everything here.  See :func:`train`.
 """
 
 from __future__ import annotations
 
+import functools
 import os
 import pickle
 import sys as _sys
@@ -114,6 +117,7 @@ class TrainReport:
     final_loss: float = float("nan")
     second_term_worker: bool = False  # the regime's second term ran in a forked worker
     second_term_wait_s: float = 0.0  # time the loop spent waiting for the worker's results
+    second_term_busy_s: float = 0.0  # time the worker spent computing its jobs
 
     def record(self, **components):
         for key, val in components.items():
@@ -219,7 +223,7 @@ def _supervised(model_obj, samples, need_grad):
     return value, k._pullback(model_obj, t, tape, (2.0 / len(x0)) * resid)[1]
 
 
-def _residual(model_obj, points, sys, need_grad):
+def _residual(model_obj, points, sys, need_grad, job=None):
     t, x = _batch(model_obj, points, "collocation")
     k = _kind(model_obj)[0]
     x_out, v, tape = k._taped(model_obj, t, x, velocity=True)
@@ -230,7 +234,7 @@ def _residual(model_obj, points, sys, need_grad):
     wv = (2.0 / len(x)) * resid
     # x_out enters through -J grad H(x_out)
     wx = -np.einsum("bij,bi->bj", sys.vector_field_jacobian(x_out), wv)
-    return value, k._pullback(model_obj, t, tape, wx, wv)[1]
+    return value, k._pullback(model_obj, t, tape, wx, wv, job)[1]
 
 
 def _matching(model_obj, points, sys, need_grad):
@@ -259,8 +263,10 @@ def _loss(model_obj, regime, sys, samples, residual_batch, matching_batch, need_
     """``(value, flat gradient or None, parts)`` of a regime; samples are ``(t, x0, y)``.
 
     With a :class:`_Worker` the second term of a two-term regime runs there,
-    on its batch handed over before the residual and collected after it; the
-    sum is the same, in the same order.
+    on its batch handed over before the residual and collected after it, and
+    so do the time-0 sweeps of the residual's pullback that
+    :func:`sympflow.model._pullback` hands to it; the sum is the same, in
+    the same order.
     """
     if regime not in REGIMES:
         raise ConfigError(f"regime must be one of {REGIMES}, got {regime!r}")
@@ -277,7 +283,9 @@ def _loss(model_obj, regime, sys, samples, residual_batch, matching_batch, need_
         batch = residual_batch if matching_batch is None else matching_batch
         if worker is not None:
             worker.submit(batch)
-    value, g = _residual(model_obj, residual_batch, sys, need_grad)
+    value, g = _residual(
+        model_obj, residual_batch, sys, need_grad, None if worker is None else worker.sweep
+    )
     parts = {"residual": value}
     if two_term:
         parts[name], g2 = term(model_obj, batch, sys, need_grad) if worker is None else worker.result()
@@ -347,7 +355,9 @@ def loss_energy_reg(model_obj, points, sys: HamiltonianSystem) -> float:
 # The second term in a forked worker.
 # ---------------------------------------------------------------------------
 
-_GO = b"\x01"  # the one byte each way per epoch: "start on the batch", "done"
+_TERM = b"t"  # job: the second term at the shared batch
+_SWEEP = b"s"  # job: a time-0 sweep; 3 bytes for the heads present and the net's index follow
+_GO = b"\x01"  # the reply of a job done
 _JOIN_S = 1.0  # how long a closing or dead worker is waited for before it is killed
 
 
@@ -375,31 +385,41 @@ def _pickled(exc) -> bytes:
 
 
 class _Worker:
-    """One forked process that computes a two-term regime's second term, epoch by epoch.
+    """One forked process that runs an ordered queue of jobs for the training loop.
 
-    The parameter vector (:attr:`params`), the term's batch of ``rows``
-    points and the result slot lie in one anonymous shared mapping made
-    before the fork, so the worker's model, whose weights are views of
-    :attr:`params`, sees every in-place write the parent makes, and the
-    pipe carries one byte each way per epoch.  The mapping is unmapped when
-    its last view goes; closing it sooner would raise ``BufferError``.
+    Each epoch of a two-term phase queues the second term (:meth:`submit`),
+    then the time-0 sweeps of the residual's pullback, one at a time
+    (:meth:`sweep`); the worker runs them in that order and answers each
+    with one message, which this process reads in the same order.  The
+    parameter vector (:attr:`params`), the term's batch of ``rows`` points,
+    a sweep's inputs of ``sweep_rows`` rows, the results and the worker's
+    busy time lie in one anonymous shared mapping made before the fork, so
+    the worker's model, whose weights are views of :attr:`params`, sees
+    every in-place write the parent makes, and the pipe carries a few bytes
+    per job.  The mapping is unmapped when its last view goes; closing it
+    sooner would raise ``BufferError``.  Nothing the worker holds refers
+    back to it, so it goes when :func:`train` returns.
     """
 
-    def __init__(self, model_obj, sys, rows: int):
+    def __init__(self, model_obj, sys, rows: int, sweep_rows: int):
         import mmap
         import multiprocessing
         from multiprocessing.connection import wait
 
         k, _, term = _kind(model_obj)
-        n, width = k.param_count(model_obj), 2 * model_obj.d
-        # params | t | x | value | gradient
-        buf = np.frombuffer(mmap.mmap(-1, 8 * (2 * n + 1 + rows * (1 + width))), dtype=float)
-        self.params, self._t, x, self._value, self._grad = np.split(
-            buf, np.cumsum([n, rows, rows * width, 1])
-        )
-        self._x = x.reshape(rows, width)
+        n, d = k.param_count(model_obj), model_obj.d
+        # params | busy | t | x | value | gradient | y, vy, wv, w | gy, gv, gtheta of a sweep
+        sizes = [n, 1, rows, rows * 2 * d, 1, n] + [sweep_rows * d] * 4
+        sizes += [sweep_rows * (d + 1)] * 2 + [n]
+        buf = np.frombuffer(mmap.mmap(-1, 8 * sum(sizes)), dtype=float)
+        parts = np.split(buf, np.cumsum(sizes)[:-1])
+        self.params, self._busy, self._t, x, self._value, self._grad = parts[:6]
+        self._x = x.reshape(rows, 2 * d)
+        self._in0 = [p.reshape(sweep_rows, d) for p in parts[6:10]]
+        self._out0 = [p.reshape(sweep_rows, d + 1) for p in parts[10:12]] + [parts[12]]
         self.params[:] = k.params_to_vector(model_obj)
         self.wait_s = 0.0
+        self._term_due = False  # the term's reply is unread
         self._wait = wait
         ctx = multiprocessing.get_context("fork")
         self._conn, child = ctx.Pipe()
@@ -409,41 +429,91 @@ class _Worker:
         child.close()
 
     def _serve(self, conn, term, model_obj, sys):
-        """The worker's loop: on each byte, ``term`` at the shared batch into the result slot."""
+        """The worker's loop: each job into its result slot, then one reply."""
         self._conn.close()  # the parent's end: left open here, closing it there would not end the loop
         try:
-            while conn.recv_bytes() == _GO:
+            while job := conn.recv_bytes():
+                start = _time.perf_counter()
                 try:
-                    self._value[0], self._grad[:] = term(model_obj, (self._t, self._x), sys, True)
+                    if job == _TERM:
+                        batch = (self._t, self._x)
+                        self._value[0], self._grad[:] = term(model_obj, batch, sys, True)
+                    else:
+                        self._sweep_here(model_obj, job[1:4], int.from_bytes(job[4:], "little"))
                     reply = _GO
                 except Exception as exc:  # the parent raises it again
                     reply = _pickled(exc)
+                self._busy[0] += _time.perf_counter() - start
                 conn.send_bytes(reply)
-        except (EOFError, BrokenPipeError):
+        except (EOFError, ConnectionError):
             pass  # the parent closed its end
 
-    def submit(self, batch):
-        """Hand the worker the batch ``(t, x)``; it starts on it at once."""
-        self._t[:], self._x[:] = batch
+    def _sweep_here(self, model_obj, present, k):
+        y, *heads = self._in0
+        net = model_obj.layers[k // 2][k % 2]
+        dirs = [(h if p else None, None) for h, p in zip(heads, present)]
+        gy, gv, gth = sfm.pot.jet_vjp(net, 0.0, y, *dirs)
+        self._out0[0][:] = gy
+        if gv is not None:
+            self._out0[1][:] = gv
+        self._out0[2][: gth.size] = gth
+
+    def _send(self, job: bytes):
         try:
-            self._conn.send_bytes(_GO)
-        except BrokenPipeError:
+            self._conn.send_bytes(job)
+        except ConnectionError:
             raise self._died() from None
+
+    def _next_reply(self):
+        """Read the oldest unanswered job's reply; raise its exception, or RuntimeError on death."""
+        start = _time.perf_counter()
+        try:
+            self._wait([self._conn, self._proc.sentinel])
+            reply = self._conn.recv_bytes() if self._conn.poll() else b""
+        except (EOFError, ConnectionError):  # a worker that dies with a job unread resets the pipe
+            reply = b""
+        self.wait_s += _time.perf_counter() - start
+        if not reply:
+            raise self._died()
+        if reply != _GO:
+            raise pickle.loads(reply)  # pickled by _serve in this call's own worker
+
+    def _collect_term(self):
+        if self._term_due:
+            self._term_due = False
+            self._next_reply()
+
+    def submit(self, batch):
+        """Queue the second term at the batch ``(t, x)``; the worker starts on it at once."""
+        self._t[:], self._x[:] = batch
+        self._send(_TERM)
+        self._term_due = True
 
     def result(self):
         """``(value, gradient)`` of the batch submitted last; the gradient is a view of the slot."""
-        start = _time.perf_counter()
-        self._wait([self._conn, self._proc.sentinel])
-        try:
-            reply = self._conn.recv_bytes() if self._conn.poll() else b""
-        except EOFError:
-            reply = b""
-        self.wait_s += _time.perf_counter() - start
-        if reply == _GO:
-            return float(self._value[0]), self._grad
-        if not reply:
-            raise self._died()
-        raise pickle.loads(reply)  # pickled by _serve in this call's own worker
+        self._collect_term()
+        return float(self._value[0]), self._grad
+
+    def sweep(self, k, net, y, *dirs):
+        """Queue ``pot.jet_vjp(net, 0.0, y, *dirs)`` for the k-th net in canonical order.
+
+        ``dirs`` are the three directions ``(head, None)`` of a time-0
+        sweep.  Returns the callable that waits for its ``(gy, gv,
+        gtheta)``, views of the result slots valid until the next sweep.
+        """
+        self._in0[0][:] = y
+        for slot, (head, _) in zip(self._in0[1:], dirs):
+            if head is not None:
+                slot[:] = head
+        present = bytes(head is not None for head, _ in dirs)
+        self._send(_SWEEP + present + k.to_bytes(4, "little"))
+        return functools.partial(self._collect_sweep, net.n_params)
+
+    def _collect_sweep(self, n):
+        self._collect_term()
+        self._next_reply()
+        gy, gv, gth = self._out0
+        return gy, gv, gth[:n]  # gv is read only where the sweep has one
 
     def _died(self):
         self._proc.join(_JOIN_S)
@@ -460,6 +530,7 @@ class _Worker:
             self._proc.kill()
             self._proc.join()
         self._proc.close()
+        self.busy_s = float(self._busy[0])  # the time the worker spent computing its jobs
 
 
 # ---------------------------------------------------------------------------
@@ -497,27 +568,33 @@ def train(
 
     In a two-term phase the second term (``matching`` for SympFlow,
     ``energy_reg`` for the MLP) runs in one worker process forked at the
-    start of the call, while this process computes the residual.  The worker
-    is used when the phase runs at least 2 epochs, since a worker costs
-    about 13 ms per call, more than one epoch saves (at the benchmark's
-    sizes a 1-epoch call took 28.3 ms with it and 23.8 ms without, a 2-epoch
-    call 57.0 and 63.6 ms); and when the process has at least 2 CPUs in its
-    affinity mask (``os.cpu_count()`` where there is none), runs no Python
-    thread but this one, since forking a threaded process can deadlock, has
-    the ``fork`` start method and is not on macOS.  Otherwise, and in every
-    other regime, the term runs in this process.  The parameter buffer, the
-    term's batch and its result slot share one anonymous mapping made before
-    the fork, so the worker's model sees each Adam write in place, and the
-    pipe carries one byte each way per epoch.  The worker evaluates the same
-    function on the same bits as this process would, and :func:`_loss` adds
-    its value and gradient in the same order, so the loss history and the
-    parameters are bitwise those of the in-process path.  An exception in
-    the worker is raised here with its own type; a worker that dies raises
+    start of the call, while this process computes the residual.  For a
+    SympFlow model the worker then takes, in order, the time-0 sweep of each
+    shear of the residual's pullback but the first one pulled back, while
+    this process takes that shear's sweep at t; the mixed regime's fine-tune
+    hands it the same sweeps.  The worker is used when the phase runs at
+    least 2 epochs, since a worker costs about 13 ms per call, more than one
+    epoch saves (at the benchmark's sizes a 1-epoch call took 28.3 ms with
+    it and 23.8 ms without, a 2-epoch call 57.0 and 63.6 ms); and when the
+    process has at least 2 CPUs in its affinity mask (``os.cpu_count()``
+    where there is none), runs no Python thread but this one, since forking
+    a threaded process can deadlock, has the ``fork`` start method and is
+    not on macOS.  Otherwise, and in every other regime, the term runs in
+    this process.  The parameter buffer, the term's batch and its result
+    slot share one anonymous mapping made before the fork, so the worker's
+    model sees each Adam write in place, and the pipe carries a few bytes
+    each way per job.  The worker evaluates the same functions on the same
+    bits as this process would, :func:`_loss` adds its value and gradient in
+    the same order, and the pullback forms each difference of a sweep at t
+    and one at 0 in the same order, so the loss history and the parameters
+    are bitwise those of the in-process path.  An exception in the worker is
+    raised here with its own type; a worker that dies raises
     ``RuntimeError`` with its exit code.  The worker is joined, and
     terminated if it does not exit within a second, before this call returns
     or raises.  The report records whether the worker ran
-    (``second_term_worker``) and how long this process waited for its
-    results (``second_term_wait_s``).
+    (``second_term_worker``), how long this process waited for its results,
+    the second term's and the time-0 sweeps' alike (``second_term_wait_s``),
+    and how long the worker spent computing them (``second_term_busy_s``).
     """
     if model_obj.kind != config.model_kind:
         raise ConfigError(
@@ -535,7 +612,7 @@ def train(
     start = _time.perf_counter()
     worker = None
     if config.regime in ("regularized", "mixed") and config.epochs >= 2 and _can_fork_worker():
-        worker = _Worker(model_obj, sys, config.batch_matching)
+        worker = _Worker(model_obj, sys, config.batch_matching, config.batch_collocation)
     report.second_term_worker = worker is not None
     params = k.params_to_vector(model_obj) if worker is None else worker.params
     current = k._model_over(model_obj, params)
@@ -600,7 +677,7 @@ def train(
     finally:
         if worker is not None:
             worker.close()
-            report.second_term_wait_s = worker.wait_s
+            report.second_term_wait_s, report.second_term_busy_s = worker.wait_s, worker.busy_s
 
     report.wall_clock_s = _time.perf_counter() - start
     if report.loss_history.get("total"):

@@ -228,6 +228,7 @@ def test_cli_train_rollout_evaluate_poincare(tmp_path):
     assert ckpt.exists() and (out / "loss_history.csv").exists()
     summary = json.loads((out / "train_report.json").read_text())
     assert summary["second_term_worker"] is False and summary["second_term_wait_s"] == 0.0
+    assert summary["second_term_busy_s"] == 0.0
 
     roll_cfg = _write_cfg(
         tmp_path,
@@ -351,6 +352,7 @@ def test_cli_train_deterministic_outputs(tmp_path):
         assert report["epochs_run"] == 4
         assert report["second_term_worker"] is forks
         assert (report["second_term_wait_s"] > 0) == forks
+        assert (report["second_term_busy_s"] > 0) == forks
 
 
 def test_cli_seed_override(tmp_path):

@@ -1,15 +1,18 @@
 """Losses, their gradients against finite differences, Adam, and the loop."""
 
+import gc
 import os
 import sys
 import threading
 import time
+import weakref
 
 import numpy as np
 import pytest
 
 from sympflow import mlp
 from sympflow import model as sfm
+from sympflow import potential as pot
 from sympflow import train as tr
 from sympflow.errors import ConfigError, DimensionError, TrainingDivergedError
 from sympflow.integrate import TrajectoryDataset, generate_dataset
@@ -468,6 +471,7 @@ def test_train_matches_the_rebuilding_loop_bitwise(kind, case, worker_starts):
     assert len(worker_starts) == in_worker
     assert report.second_term_worker == in_worker
     assert (report.second_term_wait_s > 0) == in_worker
+    assert (report.second_term_busy_s > 0) == in_worker
 
 
 @pytest.mark.parametrize("case", TWO_TERM_CASES)
@@ -481,6 +485,7 @@ def test_a_one_epoch_two_term_phase_runs_in_process(kind, case, worker_starts):
     trained, report = tr.train(model, cfg, sys=Sho())
     assert worker_starts == []
     assert not report.second_term_worker and report.second_term_wait_s == 0.0
+    assert report.second_term_busy_s == 0.0
     assert report.loss_history == want_history
     assert np.array_equal(KERNELS[kind].params_to_vector(trained), want_params)
 
@@ -524,9 +529,36 @@ def test_the_in_process_path_gives_the_worker_bits(kind, case, why, worker_start
     assert not other.is_alive()
     assert len(worker_starts) == 1
     assert not local_report.second_term_worker and local_report.second_term_wait_s == 0.0
+    assert local_report.second_term_busy_s == 0.0
     assert local_report.loss_history == forked_report.loss_history
     k = KERNELS[kind]
     assert np.array_equal(k.params_to_vector(local), k.params_to_vector(forked))
+
+
+BENCHMARK_SHAPE = dict(layers=3, hidden=10, omega=((-0.5, 0.5),) * 4, batch_collocation=24, batch_matching=16)
+
+
+@needs_worker
+@pytest.mark.parametrize(
+    "case", [dict(regime="regularized"), dict(regime="mixed", epochs=3, fine_tune_epochs=2)], ids=["regularized", "mixed"]
+)
+def test_the_worker_gives_the_in_process_bits_at_the_benchmark_shape(case, worker_starts, monkeypatch):
+    # Hénon-Heiles at the benchmark's d = 2, L = 3, h = 10; every shear of the
+    # residual's pullback but the first one pulled back hands its time-0
+    # sweep to the worker, in the fine-tune too.
+    cfg = _loop_config("sympflow", **BENCHMARK_SHAPE, **case)
+    model = tr.build_model(cfg, d=2)
+    sweeps = []
+    sweep = tr._Worker.sweep
+    monkeypatch.setattr(tr._Worker, "sweep", lambda self, *args: sweeps.append(1) or sweep(self, *args))
+    forked, forked_report = tr.train(model, cfg, sys=HenonHeiles())
+    assert len(worker_starts) == 1 and len(sweeps) == 5 * forked_report.epochs_run
+    monkeypatch.setattr(tr.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(tr.os, "cpu_count", lambda: 1)
+    local, local_report = tr.train(model, cfg, sys=HenonHeiles())
+    assert len(worker_starts) == 1 and len(sweeps) == 5 * forked_report.epochs_run
+    assert local_report.loss_history == forked_report.loss_history
+    assert np.array_equal(sfm.params_to_vector(local), sfm.params_to_vector(forked))
 
 
 def _in_worker_only(effect):
@@ -563,6 +595,76 @@ def test_a_dead_worker_raises_runtime_error_at_once(monkeypatch):
         tr.train(model, cfg, sys=Sho())
     assert time.perf_counter() - start < 1.0
     assert type(info.value) is RuntimeError
+
+
+def _time0_sweep_in_worker_only(effect):
+    """``pot.jet_vjp`` that runs ``effect`` first on a residual's time-0 sweep in a forked worker.
+
+    The matching term's pullback sweeps at time 0 too, but without a
+    cotangent on the tangent term (``b``); the residual's carries one.
+    """
+    parent, jet_vjp = os.getpid(), pot.jet_vjp
+
+    def sweep(net, t, y, a=None, b=None, c=None):
+        if os.getpid() != parent and np.ndim(t) == 0 and t == 0.0 and b[0] is not None:
+            effect()
+        return jet_vjp(net, t, y, a, b, c)
+
+    return sweep
+
+
+@needs_worker
+def test_an_exception_in_a_time0_sweep_reaches_the_caller_with_its_type(monkeypatch):
+    def bad_sweep():
+        raise DimensionError("bad time-0 sweep")
+
+    monkeypatch.setattr(pot, "jet_vjp", _time0_sweep_in_worker_only(bad_sweep))
+    cfg = _loop_config("sympflow", **LOOP_CASES["regularized"])
+    with pytest.raises(DimensionError, match="bad time-0 sweep"):
+        tr.train(tr.build_model(cfg, d=1), cfg, sys=Sho())
+
+
+@needs_worker
+def test_a_worker_that_dies_in_a_time0_sweep_raises_runtime_error_at_once(monkeypatch):
+    monkeypatch.setattr(pot, "jet_vjp", _time0_sweep_in_worker_only(lambda: os._exit(5)))
+    cfg = _loop_config("sympflow", **LOOP_CASES["regularized"])
+    model = tr.build_model(cfg, d=1)
+    start = time.perf_counter()
+    with pytest.raises(RuntimeError, match="exit code 5") as info:
+        tr.train(model, cfg, sys=Sho())
+    assert time.perf_counter() - start < 1.0
+    assert type(info.value) is RuntimeError
+
+
+@needs_worker
+def test_a_worker_that_dies_with_a_job_unread_raises_runtime_error(monkeypatch):
+    # The term outlasts the residual's forward pass, so a time-0 sweep is
+    # queued unread when the worker exits; the pipe is then reset, not closed.
+    monkeypatch.setattr(tr, "_matching", _in_worker_only(lambda: time.sleep(0.2) or os._exit(4)))
+    cfg = _loop_config("sympflow", **LOOP_CASES["regularized"])
+    with pytest.raises(RuntimeError, match="exit code 4") as info:
+        tr.train(tr.build_model(cfg, d=1), cfg, sys=Sho())
+    assert type(info.value) is RuntimeError
+
+
+@needs_worker
+def test_the_worker_and_its_mapping_go_when_train_returns(monkeypatch):
+    # No reference cycle: both go without a garbage collection.
+    refs = []
+
+    class Watched(tr._Worker):
+        def __init__(self, *args):
+            super().__init__(*args)
+            refs.extend([weakref.ref(self), weakref.ref(self.params)])
+
+    monkeypatch.setattr(tr, "_Worker", Watched)
+    cfg = _loop_config("sympflow", **LOOP_CASES["mixed-fine-tune"])
+    gc.disable()
+    try:
+        tr.train(tr.build_model(cfg, d=1), cfg, sys=Sho())
+        assert len(refs) == 2 and all(ref() is None for ref in refs)
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("kind", sorted(KERNELS))
