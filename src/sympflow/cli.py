@@ -50,9 +50,7 @@ def _require(cfg: dict, *keys):
 def _train_config(cfg: dict) -> TrainConfig:
     kwargs = {f.name: cfg[f.name] for f in dataclasses.fields(TrainConfig) if f.name in cfg}
     if "omega" in kwargs:
-        kwargs["omega"] = tuple(map(tuple, kwargs["omega"])) if isinstance(
-            kwargs["omega"][0], list
-        ) else tuple(kwargs["omega"])
+        kwargs["omega"] = tuple(tuple(b) if isinstance(b, list) else b for b in kwargs["omega"])
     return TrainConfig(**kwargs)
 
 

@@ -304,6 +304,7 @@ def evaluate_model(
     ks = sorted(check_positive_int(k, "each of ks") for k in ks)
     if not ks:
         raise DimensionError("ks must name at least one window count")
+    seed = check_positive_int(seed, "seed", minimum=0)
     ics, refs, failed = _references(sys, omega, n_samples, ks, delta_t, seed)
     report = MetricReport(n_samples=n_samples, failed=int(failed.sum()))
     if report.failed:

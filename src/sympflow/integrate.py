@@ -33,7 +33,9 @@ batch.  Both error estimates come from one product, the controller makes
 one power call, and the masks that take rows out of the batch are formed
 only on a step where one comparison says that a row can leave.
 
-The stepper advances a (B, n) batch of initial states.  Its rows are
+The stepper advances a (B, n) batch of initial states of one
+:class:`HamiltonianSystem`, whose field is autonomous, so a stage needs no
+time of its own; anything else is an UnsupportedSystemError.  Its rows are
 independent: each keeps its own time, step size, error history and counts,
 so a row takes the same steps in a batch as alone, and a row that fails
 leaves the others untouched.  ``integrate`` is the one-row case and builds
@@ -51,7 +53,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, IntegrationError
+from .errors import DimensionError, IntegrationError, UnsupportedSystemError
 from .systems import HamiltonianSystem
 from .validation import as_box, as_float_array, check_finite_scalar, check_positive, check_positive_int
 
@@ -80,11 +82,6 @@ def _lower(*rows):
 # dense output.
 _S = 12
 _Q = 8  # the order the controller's exponents are scaled to
-_C = np.array([
-    0.0, 0.05260015195876773, 0.0789002279381516, 0.1183503419072274, 0.2816496580927726,
-    0.3333333333333333, 0.25, 0.3076923076923077, 0.6512820512820513, 0.6, 0.8571428571428571,
-    1.0, 1.0, 0.1, 0.2, 0.7777777777777778,
-])
 _A = _lower(
     [0.05260015195876773],
     [0.0197250569845379, 0.0591751709536137],
@@ -151,8 +148,8 @@ def _nested(x, y0, F):
     return y0 + acc
 
 
-def _coefficients(f, t0, h, y0, y1, K):
-    """Dense-output coefficients (B, 7, n) of B accepted steps, for :func:`_nested`.
+def _coefficients(sys, h, y0, y1, K):
+    """Dense-output coefficients (B, 7, n) of B accepted steps of sys, for :func:`_nested`.
 
     K (B, 13, n) holds each step's stages.  The first three terms fit the
     ends and the field there; the four more come from the extra stages.
@@ -161,10 +158,10 @@ def _coefficients(f, t0, h, y0, y1, K):
     """
     hc = h[:, None]
     dy = y1 - y0
-    Kx = np.empty((len(h), len(_C), y0.shape[1]))
+    Kx = np.empty((len(h), len(_A), y0.shape[1]))
     Kx[:, : _S + 1] = K
-    for i in range(_S + 1, len(_C)):
-        f(t0 + _C[i] * h, y0 + hc * (_A[i, :i] @ Kx[:, :i]), Kx[:, i])
+    for i in range(_S + 1, len(_A)):
+        sys._vector_field(y0 + hc * (_A[i, :i] @ Kx[:, :i]), Kx[:, i])
     F = np.empty((len(h), 7, y0.shape[1]))
     F[:, 0] = dy
     F[:, 1] = hc * K[:, 0] - dy
@@ -197,7 +194,7 @@ class DenseSolution:
 
     def __call__(self, t):
         """Evaluate the solution at times t (scalar or array) within range."""
-        t_arr = np.atleast_1d(np.asarray(t, dtype=float))
+        t_arr = np.atleast_1d(as_float_array(t, "t"))
         lo, hi = self.ts[0], self.ts[-1]
         if np.any(t_arr < lo - 1e-12) or np.any(t_arr > hi + 1e-12):
             raise DimensionError(
@@ -210,32 +207,7 @@ class DenseSolution:
         return out[0] if np.isscalar(t) or np.ndim(t) == 0 else out
 
 
-def _field(sys_or_f, y):
-    """``(f, f0, timed)``: the field on a batch and its value at (0, y).
-
-    ``f(t, Y, out)`` takes t of shape (B,) and writes the field at Y into
-    ``out``, a (B, n) view such as a stage slot.  A system's public
-    ``vector_field`` checks the width and finiteness of y once; the steps
-    call its unchecked ``_vector_field`` and form no stage times (``timed``
-    is False).  A callable ``f(t, y)`` takes one 1-D state and is called row
-    by row; its values at t = 0 must have the shape of a state, else
-    DimensionError.
-    """
-    if isinstance(sys_or_f, HamiltonianSystem):
-        f0 = sys_or_f.vector_field(y)
-        return (lambda t, x, out: sys_or_f._vector_field(x, out)), f0, False
-
-    def f(t, x, out):
-        out[...] = np.array([sys_or_f(ti, xi) for ti, xi in zip(t, x)], dtype=float).reshape(len(x), -1)
-
-    f0 = [np.asarray(sys_or_f(0.0, xi), dtype=float) for xi in y]
-    for v in f0:
-        if v.shape != y.shape[1:]:
-            raise DimensionError(f"the field must return the state's shape {y.shape[1:]}, got {v.shape}")
-    return f, np.array(f0), True
-
-
-def _initial_step(f, t0, y0, f0, rtol, atol):
+def _initial_step(f, y0, f0, rtol, atol):
     """Hairer's starting-step heuristic for a method of order 8, per row."""
     scale = atol + rtol * np.abs(y0)
     d0 = np.sqrt(np.mean((y0 / scale) ** 2, axis=1))
@@ -243,8 +215,7 @@ def _initial_step(f, t0, y0, f0, rtol, atol):
     tiny = (d0 < 1e-5) | (d1 < 1e-5)
     h0 = np.where(tiny, 1e-6, 0.01 * d0 / np.where(tiny, 1.0, d1))
     y1 = y0 + h0[:, None] * f0
-    f1 = np.empty(y1.shape)
-    f(t0 + h0, y1, f1)
+    f1 = f(y1)
     d2 = np.sqrt(np.mean(((f1 - f0) / scale) ** 2, axis=1)) / h0
     dmax = np.maximum(d1, d2)
     flat = dmax <= 1e-15
@@ -275,10 +246,12 @@ def _error_norm(e, h, scale):
     return err
 
 
-def _dop853(field, y, t_end, rtol, atol, fixed_step, max_steps, on_accept):
-    """Step every row of y (B, n) from t = 0 to its own t_end (B,).
+def _dop853(sys, y, t_end, rtol, atol, fixed_step, max_steps, on_accept):
+    """Step every row of y (B, n) along the flow of sys from t = 0 to its own t_end (B,).
 
-    ``field`` is what :func:`_field` returns for y.  Rows are independent:
+    sys must be a :class:`HamiltonianSystem`, else UnsupportedSystemError.
+    Its public ``vector_field`` checks the width and finiteness of y once;
+    every stage calls the unchecked ``_vector_field``.  Rows are independent:
     each has its own t, h, error history and step and rejection counts, and
     takes the same steps as it would alone.  After every step with an
     accepted row, ``on_accept(rows, t0, h, y0, y1, K)`` receives the accepted
@@ -291,13 +264,16 @@ def _dop853(field, y, t_end, rtol, atol, fixed_step, max_steps, on_accept):
     Returns ``(n_steps, n_rejected, errors)``: per-row counts and a message
     for each failed row.
     """
+    if not isinstance(sys, HamiltonianSystem):
+        raise UnsupportedSystemError(f"the integrator takes a HamiltonianSystem, got {type(sys).__name__}")
+    k0 = sys.vector_field(y)
+    f = sys._vector_field
     adaptive = fixed_step is None
     if adaptive:
         rtol, atol = check_positive(rtol, "rtol"), check_positive(atol, "atol")
     else:
         fixed_step = check_positive(fixed_step, "fixed_step")
-    f, k0, timed = field
-    s, c, a, n = _S, _C, _ROWS, y.shape[1]
+    s, a, n = _S, _ROWS, y.shape[1]
     n_steps = np.zeros(len(y), dtype=int)
     n_rejected = np.zeros(len(y), dtype=int)
     errors = {}
@@ -308,7 +284,7 @@ def _dop853(field, y, t_end, rtol, atol, fixed_step, max_steps, on_accept):
     y2, k0, t_end = y[rows], k0[rows], t_end[rows]
     t = np.zeros(rows.size)
     if adaptive:
-        h = np.minimum(_initial_step(f, t, y2, k0, rtol, atol), t_end)
+        h = np.minimum(_initial_step(f, y2, k0, rtol, atol), t_end)
         h_min = 1e-14 * t_end
     else:
         h = np.full(rows.size, fixed_step)
@@ -359,8 +335,8 @@ def _dop853(field, y, t_end, rtol, atol, fixed_step, max_steps, on_accept):
                 w = -(-m // 4) * 4
                 K = np.zeros((s + 1, w))
                 slots = [k[:m].reshape(R, n) for k in K]
-                # Stage i's weights, the stages before it, its slot and node.
-                plan = [(a[i], K[:i], slots[i], c[i]) for i in range(1, s)]
+                # Stage i's weights, the stages before it and its slot.
+                plan = [(a[i], K[:i], slots[i]) for i in range(1, s)]
                 by_row = K[:, :m].reshape(s + 1, R, n).transpose(1, 0, 2)
                 slots[0][...] = k0  # FSAL: the field at the end of the accepted step
                 stage = np.zeros(w)
@@ -376,16 +352,16 @@ def _dop853(field, y, t_end, rtol, atol, fixed_step, max_steps, on_accept):
         h = h_step
         hn2[...] = h[:, None]
         # Each stage's state y + h (a_i . K) is formed in place in one buffer.
-        for a_i, K_i, slot, c_i in plan:
+        for a_i, K_i, slot in plan:
             np.dot(a_i, K_i, stage)
             stage *= hn
             stage += y
-            f(t + c_i * h if timed else t, stage2, slot)
+            f(stage2, slot)
         y_new = np.dot(a[s], K[:s])
         y_new *= hn
         y_new += y
         y_new2 = y_new[:m].reshape(R, n)
-        f(t + h if timed else t, y_new2, slots[s])
+        f(y_new2, slots[s])
         finite = None if np.isfinite(K).all() else np.isfinite(by_row).all(axis=(1, 2))
         if adaptive:
             scale = np.maximum(np.abs(y2), np.abs(y_new2))
@@ -454,7 +430,7 @@ def _one_state(x0):
 
 
 def integrate(
-    sys_or_f,
+    sys: HamiltonianSystem,
     x0,
     t_end: float,
     rtol: float = 1e-10,
@@ -462,32 +438,31 @@ def integrate(
     fixed_step: float | None = None,
     max_steps: int = _MAX_STEPS,
 ) -> DenseSolution:
-    """Integrate dx/dt = f(t, x) from 0 to t_end with DOP853 and dense output.
+    """Integrate the system's flow dx/dt = J grad H(x) from 0 to t_end with DOP853 and dense output.
 
-    ``sys_or_f`` is a benchmark system (its vector field is used) or a
-    callable ``f(t, y)``.  Raises :class:`DimensionError` for a t_end,
-    tolerance or fixed step that is not finite and positive, a max_steps
-    that is not a positive integer, or a callable whose value at x0 is not
-    shaped like x0; and :class:`IntegrationError` when a stage turns
-    non-finite, when the adaptive step size underflows below 1e-14 of the
-    time span, or after more than ``max_steps`` steps.
+    Raises :class:`UnsupportedSystemError` when sys is not a
+    :class:`HamiltonianSystem`; :class:`DimensionError` for an x0 that is
+    not one finite state of the system, a t_end, tolerance or fixed step
+    that is not finite and positive, or a max_steps that is not a positive
+    integer; and :class:`IntegrationError` when a stage turns non-finite,
+    when the adaptive step size underflows below 1e-14 of the time span, or
+    after more than ``max_steps`` steps.
     """
     t_end = check_positive(t_end, "t_end")
     max_steps = check_positive_int(max_steps, "max_steps")
     x0 = _one_state(x0)
-    field = _field(sys_or_f, x0[None])
     steps = []
 
     def record(rows, t0, h, y0, y1, K):
         steps.append((t0, h, y0, y1, K.copy()))  # the stepper reuses K's buffer
 
     n_steps, n_rejected, errors = _dop853(
-        field, x0[None], np.array([t_end]), rtol, atol, fixed_step, max_steps, record
+        sys, x0[None], np.array([t_end]), rtol, atol, fixed_step, max_steps, record
     )
     if errors:
         raise IntegrationError(errors[0])
     t0, h, y0, y1, K = (np.concatenate(part) for part in zip(*steps))
-    coeffs, finite = _coefficients(field[0], t0, h, y0, y1, K)
+    coeffs, finite = _coefficients(sys, h, y0, y1, K)
     if not finite.all():
         raise IntegrationError(_dense_failure(t0[np.argmin(finite)]))
     ts = np.append(t0, t0[-1] + h[-1])
@@ -495,8 +470,8 @@ def integrate(
     return DenseSolution(ts, ys, coeffs, int(n_steps[0]), int(n_rejected[0]))
 
 
-def _sample_rows(sys_or_f, x0, times, rtol=1e-10, atol=1e-12):
-    """States of the rows of x0 (B, n) at their own times (B, m), from one solve.
+def _sample_rows(sys, x0, times, rtol=1e-10, atol=1e-12):
+    """States of the rows of x0 (B, n) at their own times (B, m), from one solve of sys.
 
     Each row is stepped to its latest time, and its states are interpolated
     while it steps, with the dense output of :class:`DenseSolution`; only a
@@ -506,7 +481,6 @@ def _sample_rows(sys_or_f, x0, times, rtol=1e-10, atol=1e-12):
     are NaN.  A row also fails if the dense output of one of its steps is
     not finite.
     """
-    field = _field(sys_or_f, x0)
     states = np.full(times.shape + (x0.shape[1],), np.nan)
     zero = times == 0.0
     states[zero] = np.broadcast_to(x0[:, None], states.shape)[zero]
@@ -521,25 +495,25 @@ def _sample_rows(sys_or_f, x0, times, rtol=1e-10, atol=1e-12):
         if u.size:
             T, t0, t1, h = times[rows[u]], t0[u], t1[u], h[u]
             r, c = np.nonzero((T > t0[:, None]) & (T <= t1[:, None]))
-            F, finite = _coefficients(field[0], t0, h, y0[u], y1[u], K[u])
+            F, finite = _coefficients(sys, h, y0[u], y1[u], K[u])
             for j in np.flatnonzero(~finite):
                 dense_errors.setdefault(int(rows[u[j]]), _dense_failure(t0[j]))
             x = (T[r, c] - t0[r]) / h[r]
             states[rows[u[r]], c] = _nested(x[:, None], y0[u[r]], F[r])
             pending[rows[u]] = np.where(T > t1[:, None], T, np.inf).min(axis=1)
 
-    _, _, errors = _dop853(field, x0, times.max(axis=1), rtol, atol, None, _MAX_STEPS, interpolate)
+    _, _, errors = _dop853(sys, x0, times.max(axis=1), rtol, atol, None, _MAX_STEPS, interpolate)
     errors.update(dense_errors)  # a dense output fails on a step before any failure of the stepper
     states[list(errors)] = np.nan
     return states, errors
 
 
-def sample_states(sys_or_f, x0, times, rtol: float = 1e-10, atol: float = 1e-12) -> np.ndarray:
-    """States at the requested times (any order); one DOP853 integration pass."""
+def sample_states(sys: HamiltonianSystem, x0, times, rtol: float = 1e-10, atol: float = 1e-12) -> np.ndarray:
+    """States of sys from x0 at the requested times (any order); one DOP853 integration pass."""
     times = as_float_array(times, "times").reshape(-1)
     if np.any(times < 0):
         raise DimensionError("sample times must be nonnegative")
-    states, errors = _sample_rows(sys_or_f, _one_state(x0)[None], times[None], rtol, atol)
+    states, errors = _sample_rows(sys, _one_state(x0)[None], times[None], rtol, atol)
     if errors:
         raise IntegrationError(errors[0])
     return states[0]
@@ -616,6 +590,7 @@ def generate_dataset(
     noise_std = check_finite_scalar(noise_std, "noise_std")
     if noise_std < 0:
         raise DimensionError(f"noise_std must be nonnegative, got {noise_std}")
+    seed = check_positive_int(seed, "seed", minimum=0)
     box = as_box(omega, 2 * sys.d)
     rng = np.random.default_rng(seed)
     ics = rng.uniform(box[:, 0], box[:, 1], size=(n_trajectories, 2 * sys.d))

@@ -210,9 +210,10 @@ CONFIG_KEYS = {
 
 
 def load_config(path) -> dict:
-    """Read a flat JSON config; unknown keys are rejected, types coerced.
+    """Read a flat JSON config; unknown keys are rejected, types checked.
 
-    Number keys take JSON numbers, and integer keys integral ones (2.0, not 2.5).
+    String, list and boolean keys take values of that JSON type; number keys
+    take JSON numbers, and integer keys integral ones (2.0, not 2.5).
     """
     try:
         raw = json.loads(Path(path).read_text())
@@ -227,7 +228,7 @@ def load_config(path) -> dict:
     for key, val in raw.items():
         want = CONFIG_KEYS[key]
         if want in (list, bool, str):
-            ok = want is str or isinstance(val, want)
+            ok = isinstance(val, want)
         else:
             ok = isinstance(val, int) and not isinstance(val, bool) or (
                 isinstance(val, float) and (want is float or val.is_integer())

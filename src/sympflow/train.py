@@ -147,6 +147,7 @@ def sample_collocation(omega, delta_t: float, n: int, seed: int, dim: int | None
     """Uniform i.i.d. (t, x) pairs in [0, delta_t] x box, reproducible from seed."""
     n = check_positive_int(n, "n")
     delta_t = check_positive(delta_t, "delta_t")
+    seed = check_positive_int(seed, "seed", minimum=0)
     omega = np.asarray(omega, dtype=float)
     if dim is None:
         dim = omega.shape[0] if omega.ndim == 2 else 2

@@ -1,4 +1,4 @@
-"""Finite-difference oracles, unfused reference compositions and tolerance helpers."""
+"""Finite-difference oracles, unfused reference compositions, a faulty system and tolerance helpers."""
 
 import functools
 
@@ -7,6 +7,7 @@ import numpy as np
 from sympflow import potential as pot
 from sympflow import train as tr
 from sympflow._jet import Jet, chain_backward, chain_forward
+from sympflow.systems import HamiltonianSystem
 from sympflow.validation import as_box
 
 
@@ -398,13 +399,13 @@ def train_rebuilding(model_obj, config, sys=None, dataset=None):
 # ---------------------------------------------------------------------------
 
 
-def _scalar_initial_step(f, t0, y0, f0, rtol, atol):
+def _scalar_initial_step(f, y0, f0, rtol, atol):
     scale = atol + rtol * np.abs(y0)
     d0 = np.sqrt(np.mean((y0 / scale) ** 2))
     d1 = np.sqrt(np.mean((f0 / scale) ** 2))
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     y1 = y0 + h0 * f0
-    f1 = f(t0 + h0, y1)
+    f1 = f(y1)
     d2 = np.sqrt(np.mean(((f1 - f0) / scale) ** 2)) / h0
     if max(d1, d2) <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
@@ -431,11 +432,11 @@ class ScalarSolution:
 
 def _dop853_piece(f, t0, h, y0, y1, K):
     """DOP853's 7th-order continuous extension of one step, as in dop853.f's CONTD8."""
-    from sympflow.integrate import _A, _C, _D, _S
+    from sympflow.integrate import _A, _D, _S
 
-    K = np.concatenate([K, np.empty((len(_C) - _S - 1, y0.size))])
-    for i in range(_S + 1, len(_C)):
-        K[i] = f(t0 + _C[i] * h, y0 + h * (_A[i, :i] @ K[:i]))
+    K = np.concatenate([K, np.empty((len(_A) - _S - 1, y0.size))])
+    for i in range(_S + 1, len(_A)):
+        K[i] = f(y0 + h * (_A[i, :i] @ K[:i]))
     dy = y1 - y0
     F = [dy, h * K[0] - dy, 2 * dy - h * (K[0] + K[_S])] + list(h * (_D @ K))
 
@@ -449,26 +450,22 @@ def _dop853_piece(f, t0, h, y0, y1, K):
     return at
 
 
-def integrate_scalar(sys_or_f, x0, t_end, rtol=1e-10, atol=1e-12, fixed_step=None, max_steps=10_000_000):
-    """One state at a time: the DOP853 loop with the package's tableau and controller."""
+def integrate_scalar(sys, x0, t_end, rtol=1e-10, atol=1e-12, fixed_step=None, max_steps=10_000_000):
+    """One state of sys at a time: the DOP853 loop with the package's tableau and controller."""
     from sympflow.errors import IntegrationError
-    from sympflow.integrate import _A, _C, _E53, _S
-    from sympflow.systems import HamiltonianSystem
+    from sympflow.integrate import _A, _E53, _S
 
-    if isinstance(sys_or_f, HamiltonianSystem):
-        f = lambda t, y: sys_or_f.vector_field(y)  # noqa: E731
-    else:
-        f = lambda t, y: np.asarray(sys_or_f(t, y), dtype=float)  # noqa: E731
+    f = sys.vector_field
     s, q = _S, 8
     y = np.asarray(x0, dtype=float).copy()
     t = 0.0
-    f0 = f(t, y)
+    f0 = f(y)
     ts, ys, pieces = [t], [y.copy()], []
     n_steps = n_rejected = 0
     if fixed_step is not None:
         h = float(fixed_step)
     else:
-        h = min(_scalar_initial_step(f, t, y, f0, rtol, atol), t_end)
+        h = min(_scalar_initial_step(f, y, f0, rtol, atol), t_end)
     err_prev = 1.0
     K = np.empty((s + 1, y.size))
     while t < t_end:
@@ -477,9 +474,9 @@ def integrate_scalar(sys_or_f, x0, t_end, rtol=1e-10, atol=1e-12, fixed_step=Non
         h = min(h, t_end - t)
         K[0] = f0
         for i in range(1, s):
-            K[i] = f(t + _C[i] * h, y + h * (_A[i, :i] @ K[:i]))
+            K[i] = f(y + h * (_A[i, :i] @ K[:i]))
         y_new = y + h * (_A[s, :s] @ K[:s])
-        K[s] = f(t + h, y_new)
+        K[s] = f(y_new)
         if fixed_step is None:
             scale = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
             # Both estimates from one product, as the package forms them: the
@@ -507,6 +504,29 @@ def integrate_scalar(sys_or_f, x0, t_end, rtol=1e-10, atol=1e-12, fixed_step=Non
             raise IntegrationError(f"exceeded {max_steps} steps at t={t:.6g}")
         h = h_next
     return ScalarSolution(ts, ys, pieces, n_steps, n_rejected)
+
+
+class FaultyOscillator(HamiltonianSystem):
+    """The oscillator q' = p, p' = -q, whose field is NaN on the rows where ``nan_rows(call, x)`` holds.
+
+    ``call`` counts the calls of ``_vector_field`` from 1, the one made by
+    the public ``vector_field`` included; ``nan_rows`` returns a (B,) mask
+    of the rows of x or one bool for all of them.
+    """
+
+    d = 1
+
+    def __init__(self, nan_rows):
+        self.nan_rows, self.calls = nan_rows, 0
+
+    def _rates(self, q, p):
+        return p, -q
+
+    def _vector_field(self, x, out=None):
+        self.calls += 1
+        out = super()._vector_field(x, out)
+        out[self.nan_rows(self.calls, x)] = np.nan
+        return out
 
 
 def draw_ics(sys, omega, n_samples, seed):

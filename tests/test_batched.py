@@ -137,12 +137,11 @@ def test_evaluate_model_leaves_nonfinite_model_states_out(monkeypatch, caplog):
 
 
 def test_nonfinite_field_is_named():
-    def f(t, y):
-        return np.array([np.nan if t > 0.5 else -y[0]])
-
+    # From (1, 0) the state is (cos t, -sin t), so the field turns NaN after t = pi/3.
+    s = orc.FaultyOscillator(lambda call, x: x[:, 0] < 0.5)
     with pytest.raises(IntegrationError, match="non-finite state at t=") as info:
-        itg.integrate(f, np.array([1.0]), 2.0)
-    assert float(re.search(r"t=([0-9.]+)", str(info.value)).group(1)) <= 0.5
+        itg.integrate(s, np.array([1.0, 0.0]), 2.0)
+    assert 0.0 < float(re.search(r"t=([0-9.]+)", str(info.value)).group(1)) <= np.pi / 3
 
 
 def test_orbit_leaving_the_box_is_named():

@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
+from _oracles import FaultyOscillator
 from sympflow import integrate as itg
 from sympflow import systems as sy
-from sympflow.errors import DimensionError, IntegrationError
+from sympflow.errors import DimensionError, IntegrationError, UnsupportedSystemError
 
 
 def test_sho_return_map():
@@ -44,36 +45,40 @@ def test_damped_augmented_conserves_energy_and_matches_analytic():
     assert np.max(np.abs(got_qp - want)) < 1e-7
 
 
-@pytest.mark.parametrize(
-    "system, x0",
-    [
-        (sy.Sho(), [0.3, 0.2]),
-        (sy.HenonHeiles(), [0.1, -0.2, 0.15, 0.05]),
-        (sy.DampedAugmented(lam=0.5), [0.3, 0.2, -0.1, 0.4]),
-    ],
-    ids=["sho", "henon_heiles", "damped"],
-)
-def test_plain_callable_takes_the_same_steps_as_the_system(system, x0):
-    # A callable f(t, y) is called row by row on the same arithmetic as the
-    # system's field, so the two solves agree bit for bit.
-    x0 = np.array(x0)
-    want = itg.integrate(system, x0, 5.0)
-    got = itg.integrate(lambda t, y: system.vector_field(y), x0, 5.0)
-    assert (got.n_steps, got.n_rejected) == (want.n_steps, want.n_rejected)
-    assert np.array_equal(got.ys, want.ys) and np.array_equal(got.coeffs, want.coeffs)
-
-
 def test_interpolation_range_checked():
     sol = itg.integrate(sy.Sho(), np.array([1.0, 0.0]), 1.0)
     with pytest.raises(DimensionError):
         sol(1.5)
 
 
+@pytest.mark.parametrize("t", [np.nan, np.inf, [0.5, np.nan]])
+def test_interpolation_time_must_be_finite(t):
+    sol = itg.integrate(sy.Sho(), np.array([1.0, 0.0]), 1.0)
+    with pytest.raises(DimensionError, match="t contains non-finite"):
+        sol(t)
+
+
+class _BlowUp(sy.HamiltonianSystem):
+    """H = q^2 p: from (1, 0), q' = q^2 reaches infinity at t = 1 while p stays 0."""
+
+    d = 1
+
+    def _rates(self, q, p):
+        return q * q, -2.0 * q * p
+
+
 def test_stiffness_error():
     # Blow-up in finite time forces the step size to underflow.
-    f = lambda t, y: np.array([y[0] ** 2])
-    with pytest.raises(IntegrationError):
-        itg.integrate(f, np.array([1.0]), 2.0)
+    with pytest.raises(IntegrationError, match="step size underflow at t=1 "):
+        itg.integrate(_BlowUp(), np.array([1.0, 0.0]), 2.0)
+
+
+def test_a_callable_is_not_a_system():
+    f = lambda t, y: -y  # noqa: E731
+    with pytest.raises(UnsupportedSystemError, match="HamiltonianSystem"):
+        itg.integrate(f, [1.0, 0.0], 1.0)
+    with pytest.raises(UnsupportedSystemError, match="HamiltonianSystem"):
+        itg.sample_states(f, [1.0, 0.0], [0.5])
 
 
 def test_fixed_step_empirical_order():
@@ -224,61 +229,51 @@ def test_final_and_dense_states_match_scipy_dop853(case):
 
 @pytest.mark.parametrize("fixed_step", [None, 0.1])
 def test_nonfinite_last_stage_is_named(fixed_step):
-    # K_12 = f(t + h, y_new) has no weight in the error estimate; a NaN there
-    # still fails the step.  The calls before it are the field at t = 0, the
+    # K_12 = f(y_new) has no weight in the error estimate; a NaN there still
+    # fails the step.  The field calls before it are the one at x0, the
     # starting-step probe (adaptive only) and the stages K_1 .. K_11.
     last_stage = 12 + (fixed_step is None)
-    calls = []
-
-    def f(t, y):
-        calls.append(t)
-        return np.full(2, np.nan) if len(calls) == last_stage + 1 else np.array([y[1], -y[0]])
-
+    s = FaultyOscillator(lambda call, x: call == last_stage + 1)
     with pytest.raises(IntegrationError, match="non-finite state at t=0"):
-        itg.integrate(f, np.array([1.0, 0.0]), 1.0, fixed_step=fixed_step)
-    assert len(calls) == last_stage + 1
+        itg.integrate(s, np.array([1.0, 0.0]), 1.0, fixed_step=fixed_step)
+    assert s.calls == last_stage + 1
 
 
 def _nan_in_one_extra_stage():
-    """An oscillator whose field is NaN only where step 1's first extra dense stage lands."""
-    sho = lambda t, y: np.array([y[1], -y[0]])  # noqa: E731
+    """An oscillator whose field is NaN only at the state of step 1's first extra dense stage."""
     x0, t_end = np.array([1.0, 0.0]), 2.0
-    sol = itg.integrate(sho, x0, t_end)
+    seen = []
+
+    def record(call, x):
+        seen.append(x.copy())
+        return False
+
+    sol = itg.integrate(FaultyOscillator(record), x0, t_end)
     assert sol.n_rejected == 0 and sol.n_steps > 3
-    t0, h = sol.ts[1], sol.ts[2] - sol.ts[1]
-    # Extra stage 13 sits at t0 + 0.1 h; the nearest stages of a step, at
-    # 0.079 h and 0.118 h, stay outside.
-    lo, hi = t0 + 0.09 * h, t0 + 0.11 * h
-
-    def f(t, y):
-        return np.full(2, np.nan) if lo < t < hi else sho(t, y)
-
-    return f, x0, t_end, t0 + 0.5 * h, sol
+    # integrate forms the extra stages of every step after the solve, one
+    # row per step: its last three field calls.  Row 1 of the first is
+    # step 1's stage 13; a batch of any size forms it with the same bits.
+    assert len(seen[-3]) == sol.n_steps
+    target = seen[-3][1]
+    s = FaultyOscillator(lambda call, x: (x == target).all(axis=1))
+    return s, x0, t_end, sol.ts[1] + 0.5 * (sol.ts[2] - sol.ts[1]), sol
 
 
 def test_nonfinite_dense_output_fails_integrate():
-    f, x0, t_end, _, _ = _nan_in_one_extra_stage()
-    with pytest.raises(IntegrationError, match="non-finite dense output"):
-        itg.integrate(f, x0, t_end)
+    s, x0, t_end, _, sol = _nan_in_one_extra_stage()
+    with pytest.raises(IntegrationError, match=f"non-finite dense output in the step from t={sol.ts[1]:.6g}$"):
+        itg.integrate(s, x0, t_end)
 
 
 def test_nonfinite_dense_output_fails_only_its_sampled_row():
-    f, x0, t_end, t_mid, sol = _nan_in_one_extra_stage()
+    s, x0, t_end, t_mid, sol = _nan_in_one_extra_stage()
     # Row 0 asks for a time inside step 1; row 1 only for the end, on the last step.
-    states, errors = itg._sample_rows(f, np.stack([x0, x0]), np.array([[t_mid, t_end], [t_end, t_end]]))
+    states, errors = itg._sample_rows(s, np.stack([x0, x0]), np.array([[t_mid, t_end], [t_end, t_end]]))
     assert list(errors) == [0] and "non-finite dense output" in errors[0]
     assert np.isnan(states[0]).all()
     np.testing.assert_allclose(states[1], np.stack([sol.ys[-1]] * 2), rtol=0, atol=1e-14)
     with pytest.raises(IntegrationError, match="non-finite dense output"):
-        itg.sample_states(f, x0, [t_mid])
-
-
-@pytest.mark.parametrize("value", [lambda t, y: 1.0, lambda t, y: np.ones(3), lambda t, y: np.ones((2, 1))])
-def test_callable_field_not_shaped_like_the_state_is_rejected(value):
-    with pytest.raises(DimensionError, match="shape"):
-        itg.integrate(value, [0.0, 0.0], 1.0)
-    with pytest.raises(DimensionError, match="shape"):
-        itg.sample_states(value, [0.0, 0.0], [0.5])
+        itg.sample_states(s, x0, [t_mid, t_end])  # t_end keeps step 1 whole
 
 
 @pytest.mark.parametrize("max_steps", [0, -3, 2.5, 10.0, True, "5", None])

@@ -141,6 +141,14 @@ def test_config_number_keys_are_not_rounded_or_coerced(tmp_path, payload):
         sio.load_config(path)
 
 
+@pytest.mark.parametrize("payload", [{"system": 5}, {"dataset_dir": ["a"]}, {"regime": None}, {"model_kind": True}])
+def test_config_string_keys_take_only_json_strings(tmp_path, payload):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ConfigError, match=next(iter(payload))):
+        sio.load_config(path)
+
+
 def test_config_integral_float_loads_as_an_integer(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"epochs": 2.0, "mass": 2}))
@@ -177,6 +185,14 @@ def test_cli_rejects_a_nan_mass(tmp_path, capsys):
     cfg = _write_cfg(tmp_path, "data.json", payload)
     assert cli_dispatch(["generate-data", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
     assert "mass must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("omega", [[], [[-1, 1], 2]])
+def test_cli_train_rejects_a_box_of_no_bounds(tmp_path, capsys, omega):
+    payload = {"system": "sho", "model_kind": "mlp", "regime": "residual_only", "epochs": 1, "omega": omega}
+    cfg = _write_cfg(tmp_path, "train.json", payload)
+    assert cli_dispatch(["train", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    assert "omega" in capsys.readouterr().err
 
 
 def test_cli_help_exits_zero(capsys):

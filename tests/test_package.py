@@ -165,6 +165,20 @@ BAD_ARGUMENTS = {
 }
 
 
+SEEDED = {
+    "generate_dataset": lambda s, seed: sympflow.generate_dataset(s, (-1, 1), 2, 2, 0.5, seed=seed),
+    "evaluate_model": lambda s, seed: sympflow.evaluate_model(None, s, (-1, 1), 0.5, n_samples=2, ks=(1,), seed=seed),
+    "sample_collocation": lambda s, seed: sympflow.train.sample_collocation((-1, 1), 0.5, 4, seed),
+}
+
+
+@pytest.mark.parametrize("seed", [1.5, -1, True, "3", None])
+@pytest.mark.parametrize("call", SEEDED.values(), ids=SEEDED.keys())
+def test_seed_must_be_a_nonnegative_integer(call, seed):
+    with pytest.raises(DimensionError, match="seed"):
+        call(sympflow.Sho(), seed)
+
+
 @pytest.mark.parametrize("call", BAD_ARGUMENTS.values(), ids=BAD_ARGUMENTS.keys())
 def test_bad_counts_and_steps_raise_dimension_error(call):
     with warnings.catch_warnings():
