@@ -87,9 +87,6 @@ from .train import (
     TrainReport,
     adam_step,
     build_model,
-    loss_energy_reg,
-    loss_ham_match,
-    loss_residual,
     loss_supervised,
     sample_collocation,
     total_loss,

@@ -30,6 +30,11 @@ input ``xab = c`` adds ``<grad V, c>`` to the mixed output, so one pullback
 of ``xab = 1`` differentiates ``<b, Hess V a> + <grad V, c>``, a sum of a
 second-order and a first-order quantity with independent weights.
 
+Parameters.  A chain's weights are ``(A, b)`` pairs, one per affine map.
+:func:`flatten` and :func:`unflatten` fix their canonical order, and
+:func:`random_chain`, :func:`zero_chain` and :func:`check_chain` the init
+law and the shape and finiteness checks, for every net in the package.
+
 Plans.  Which products a sweep forms, and on which arrays, depends only on
 its signature: the batch size, the components present in the input jet
 (and, for a pullback, in the cotangent) and the widths of the chain.  The
@@ -108,7 +113,9 @@ import numpy as np
 
 from .errors import DimensionError, StaleJetError
 
-__all__ = ["Jet", "chain_forward", "chain_backward", "flatten", "unflatten"]
+__all__ = [
+    "Jet", "chain_forward", "chain_backward", "flatten", "unflatten", "random_chain", "zero_chain", "check_chain"
+]
 
 
 @dataclass
@@ -512,3 +519,31 @@ def unflatten(vec, like) -> list:
         pairs.append((vec[ofs:mid].reshape(A.shape), vec[mid : mid + b.size]))
         ofs = mid + b.size
     return pairs
+
+
+def random_chain(widths, rng) -> list:
+    """Seeded ``(A, b)`` pairs of the chain ``widths[0] -> ... -> widths[-1]``: the init law.
+
+    Map by map from ``rng``, A (row-major) then b, each entry uniform on +-sqrt(1/fan_in).
+    """
+    pairs = []
+    for n_in, n_out in zip(widths, widths[1:]):
+        s = np.sqrt(1.0 / n_in)
+        pairs.append((rng.uniform(-s, s, size=(n_out, n_in)), rng.uniform(-s, s, size=(n_out,))))
+    return pairs
+
+
+def zero_chain(widths) -> list:
+    """All-zero ``(A, b)`` pairs of the chain ``widths[0] -> ... -> widths[-1]``."""
+    return [(np.zeros((n_out, n_in)), np.zeros(n_out)) for n_in, n_out in zip(widths, widths[1:])]
+
+
+def check_chain(weights, widths) -> None:
+    """DimensionError unless each pair of ``weights`` is finite and shaped for its map of ``widths``."""
+    for k, ((A, b), n_in, n_out) in enumerate(zip(weights, widths, widths[1:])):
+        if A.shape != (n_out, n_in) or b.shape != (n_out,):
+            raise DimensionError(
+                f"affine map {k} expects A {(n_out, n_in)} / b {(n_out,)}, got {A.shape} / {b.shape}"
+            )
+        if not (np.isfinite(A).all() and np.isfinite(b).all()):
+            raise DimensionError(f"affine map {k} contains non-finite entries")

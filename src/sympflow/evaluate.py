@@ -182,38 +182,20 @@ def _references(sys, omega, n_samples, ks, delta_t, seed):
     return ics, {k: states[:, j] for j, k in enumerate(ks)}, failed
 
 
-def _relative_error(pred, refs):
-    """Mean of |pred - ref| / |ref| over the rows with |ref| >= 1e-12.
+def _mean_ratio(num, den, what):
+    """Mean of num / den over the rows with den >= 1e-12, of per-row magnitudes num and den.
 
     Returns ``(mean, skipped)``, skipped counting the other rows; the mean is
-    NaN when there are no rows at all.
+    NaN when there are no rows at all.  DimensionError, naming ``what``, when
+    every den is near zero.
     """
-    if not len(refs):
+    if not len(den):
         return float("nan"), 0
-    norm = np.linalg.norm(refs, axis=1)
-    near_zero = norm < 1e-12
+    near_zero = den < 1e-12
     if near_zero.all():
-        raise DimensionError("all reference states were near zero")
+        raise DimensionError(f"all {what} were near zero")
     ok = ~near_zero
-    errs = np.linalg.norm(pred[ok] - refs[ok], axis=1) / norm[ok]
-    return float(np.mean(errs)), int(near_zero.sum())
-
-
-def _energy_variation(sys, x0, pred):
-    """Mean of |H(pred) - H(x0)| / |H(x0)| over the rows with |H(x0)| >= 1e-12.
-
-    Returns ``(mean, skipped)``, skipped counting the other rows; the mean is
-    NaN when there are no rows at all.
-    """
-    if not len(x0):
-        return float("nan"), 0
-    e0 = sys.hamiltonian(x0)
-    near_zero = np.abs(e0) < 1e-12
-    if near_zero.all():
-        raise DimensionError("all initial energies were near zero")
-    ok = ~near_zero
-    vals = np.abs(sys.hamiltonian(pred[ok]) - e0[ok]) / np.abs(e0[ok])
-    return float(np.mean(vals)), int(near_zero.sum())
+    return float(np.mean(num[ok] / den[ok])), int(near_zero.sum())
 
 
 def energy_drift_series(
@@ -226,6 +208,7 @@ def energy_drift_series(
     project=None,
 ):
     """(t, H(psi_t(x0)) - H(x0)) along the rollout; first entry is zero."""
+    HamiltonianSystem.check(sys)
     spec = RolloutSpec(delta_t=delta_t, horizon=horizon, step=step, x0=np.asarray(x0, float))
     times, states = rollout_path(model_obj, spec, project=project)
     h0 = sys.hamiltonian(np.asarray(x0, dtype=float))
@@ -297,8 +280,10 @@ def evaluate_model(
     ``report.failed`` and model states that turn non-finite in
     ``report.nonfinite[k]``; both are left out of the means and logged.
     ``n_samples`` and every k must be integers of at least 1, and ``ks``
-    must name at least one k; otherwise DimensionError.
+    must name at least one k; otherwise DimensionError.  A sys that is not
+    a HamiltonianSystem raises UnsupportedSystemError.
     """
+    HamiltonianSystem.check(sys)
     delta_t = check_positive(delta_t, "delta_t")
     n_samples = check_positive_int(n_samples, "n_samples")
     ks = sorted(check_positive_int(k, "each of ks") for k in ks)
@@ -319,8 +304,13 @@ def evaluate_model(
         report.nonfinite[k] = len(ics) - report.failed - len(rows)
         if report.nonfinite[k]:
             log.warning("evaluate_model: %d non-finite model states after %d windows", report.nonfinite[k], k)
-        report.relative_errors[k], report.skipped_error[k] = _relative_error(x, refs[k][rows])
-        report.energy_variations[k], report.skipped_energy[k] = _energy_variation(sys, ics[rows], x)
+        ref, e0 = refs[k][rows], sys.hamiltonian(ics[rows])
+        report.relative_errors[k], report.skipped_error[k] = _mean_ratio(
+            np.linalg.norm(x - ref, axis=1), np.linalg.norm(ref, axis=1), "reference states"
+        )
+        report.energy_variations[k], report.skipped_energy[k] = _mean_ratio(
+            np.abs(sys.hamiltonian(x) - e0), np.abs(e0), "initial energies"
+        )
     if drift_x0 is not None and drift_horizon is not None:
         times, vals = energy_drift_series(
             model_obj, sys, drift_x0, drift_horizon, drift_step, delta_t, project=project

@@ -5,10 +5,10 @@ Dormand and Prince in the form of Hairer, Nørsett and Wanner (*Solving ODEs
 I*, §II.10, and Hairer's ``dop853.f``): twelve stages per step, a combined
 5th/3rd-order error estimate, a PI step-size controller scaled to order 8,
 Hairer's starting-step heuristic, and a 7th-order continuous extension that
-costs three more field calls on each step it serves.  Defaults are tight
-(rtol 1e-10, atol 1e-12) because the solutions serve as ground truth for the
-learned models; a fixed-step mode bypasses the controller for
-convergence-order studies.
+costs three more field calls on each step it serves.  The tolerances are
+tight (rtol 1e-10, atol 1e-12) because the solutions serve as ground truth
+for the learned models; only ``integrate`` takes others, and a fixed-step
+mode bypasses the controller for convergence-order studies.
 
 DOP853 is used rather than the 5(4) pair DOPRI5 because at these
 tolerances it takes 7-8 times fewer steps for twice the field calls per step
@@ -53,7 +53,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, IntegrationError, UnsupportedSystemError
+from .errors import DimensionError, IntegrationError
 from .systems import HamiltonianSystem
 from .validation import as_box, as_float_array, check_finite_scalar, check_positive, check_positive_int
 
@@ -66,6 +66,7 @@ __all__ = [
 ]
 
 _MAX_STEPS = 10_000_000
+_RTOL, _ATOL = 1e-10, 1e-12  # the reference tolerances (see the module docstring)
 
 
 def _lower(*rows):
@@ -264,8 +265,7 @@ def _dop853(sys, y, t_end, rtol, atol, fixed_step, max_steps, on_accept):
     Returns ``(n_steps, n_rejected, errors)``: per-row counts and a message
     for each failed row.
     """
-    if not isinstance(sys, HamiltonianSystem):
-        raise UnsupportedSystemError(f"the integrator takes a HamiltonianSystem, got {type(sys).__name__}")
+    HamiltonianSystem.check(sys)
     k0 = sys.vector_field(y)
     f = sys._vector_field
     adaptive = fixed_step is None
@@ -433,8 +433,8 @@ def integrate(
     sys: HamiltonianSystem,
     x0,
     t_end: float,
-    rtol: float = 1e-10,
-    atol: float = 1e-12,
+    rtol: float = _RTOL,
+    atol: float = _ATOL,
     fixed_step: float | None = None,
     max_steps: int = _MAX_STEPS,
 ) -> DenseSolution:
@@ -470,7 +470,7 @@ def integrate(
     return DenseSolution(ts, ys, coeffs, int(n_steps[0]), int(n_rejected[0]))
 
 
-def _sample_rows(sys, x0, times, rtol=1e-10, atol=1e-12):
+def _sample_rows(sys, x0, times):
     """States of the rows of x0 (B, n) at their own times (B, m), from one solve of sys.
 
     Each row is stepped to its latest time, and its states are interpolated
@@ -502,18 +502,18 @@ def _sample_rows(sys, x0, times, rtol=1e-10, atol=1e-12):
             states[rows[u[r]], c] = _nested(x[:, None], y0[u[r]], F[r])
             pending[rows[u]] = np.where(T > t1[:, None], T, np.inf).min(axis=1)
 
-    _, _, errors = _dop853(sys, x0, times.max(axis=1), rtol, atol, None, _MAX_STEPS, interpolate)
+    _, _, errors = _dop853(sys, x0, times.max(axis=1), _RTOL, _ATOL, None, _MAX_STEPS, interpolate)
     errors.update(dense_errors)  # a dense output fails on a step before any failure of the stepper
     states[list(errors)] = np.nan
     return states, errors
 
 
-def sample_states(sys: HamiltonianSystem, x0, times, rtol: float = 1e-10, atol: float = 1e-12) -> np.ndarray:
+def sample_states(sys: HamiltonianSystem, x0, times) -> np.ndarray:
     """States of sys from x0 at the requested times (any order); one DOP853 integration pass."""
     times = as_float_array(times, "times").reshape(-1)
     if np.any(times < 0):
         raise DimensionError("sample times must be nonnegative")
-    states, errors = _sample_rows(sys, _one_state(x0)[None], times[None], rtol, atol)
+    states, errors = _sample_rows(sys, _one_state(x0)[None], times[None])
     if errors:
         raise IntegrationError(errors[0])
     return states[0]
@@ -575,8 +575,6 @@ def generate_dataset(
     delta_t: float,
     noise_std: float = 0.0,
     seed: int = 0,
-    rtol: float = 1e-10,
-    atol: float = 1e-12,
 ) -> TrajectoryDataset:
     """Sample initial conditions uniformly in the box and observe them.
 
@@ -584,6 +582,7 @@ def generate_dataset(
     observations come from the reference integrator (DOP853) plus i.i.d.
     Gaussian noise per component.  Fully reproducible from the seed.
     """
+    HamiltonianSystem.check(sys)
     n_trajectories = check_positive_int(n_trajectories, "n_trajectories")
     m_samples = check_positive_int(m_samples, "m_samples")
     delta_t = check_positive(delta_t, "delta_t")
@@ -601,7 +600,7 @@ def generate_dataset(
         else np.zeros((n_trajectories, m_samples, 2 * sys.d))
     )
     traj_ids = np.repeat(np.arange(n_trajectories), m_samples)
-    states, errors = _sample_rows(sys, ics, times, rtol, atol)
+    states, errors = _sample_rows(sys, ics, times)
     if errors:
         n = min(errors)
         raise IntegrationError(f"trajectory {n}: {errors[n]}")

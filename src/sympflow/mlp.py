@@ -14,6 +14,7 @@ from typing import ClassVar
 import numpy as np
 
 from ._jet import Jet, chain_backward, chain_forward, flatten, unflatten
+from ._jet import check_chain, random_chain, zero_chain
 from .errors import DimensionError
 from .validation import as_phase_points, check_time
 
@@ -43,19 +44,7 @@ class MlpFlowModel:
                 f"an MLP needs d and hidden of at least 1 and at least one affine layer, "
                 f"got d={self.d}, hidden={self.hidden} and {len(self.weights)} layers"
             )
-        widths = self._widths()
-        for (A, b), (n_out, n_in) in zip(self.weights, widths):
-            if A.shape != (n_out, n_in) or b.shape != (n_out,):
-                raise DimensionError(
-                    f"layer expects A {(n_out, n_in)} / b {(n_out,)}, "
-                    f"got {A.shape} / {b.shape}"
-                )
-            if not (np.isfinite(A).all() and np.isfinite(b).all()):
-                raise DimensionError("weights contain non-finite entries")
-
-    def _widths(self):
-        dims = [2 * self.d + 1] + [self.hidden] * (len(self.weights) - 1) + [2 * self.d]
-        return [(dims[k + 1], dims[k]) for k in range(len(self.weights))]
+        check_chain(self.weights, _widths(self.d, len(self.weights), self.hidden))
 
     @property
     def n_layers(self) -> int:
@@ -74,27 +63,18 @@ def param_count(model: MlpFlowModel) -> int:
     return sum(A.size + b.size for A, b in model.weights)
 
 
+def _widths(d: int, n_layers: int, hidden: int):
+    """2d+1, hidden, ..., hidden, 2d for n_layers affine maps; one width, no map, for none."""
+    return ([2 * d + 1] + [hidden] * (n_layers - 1) + [2 * d])[: n_layers + 1]
+
+
 def random_mlp_flow(d: int, n_layers: int, rng: np.random.Generator, hidden: int = 10) -> MlpFlowModel:
-    dims = [2 * d + 1] + [hidden] * (n_layers - 1) + [2 * d]
-    weights = []
-    for k in range(n_layers):
-        s = np.sqrt(1.0 / dims[k])
-        weights.append(
-            (
-                rng.uniform(-s, s, size=(dims[k + 1], dims[k])),
-                rng.uniform(-s, s, size=(dims[k + 1],)),
-            )
-        )
-    return MlpFlowModel(d, tuple(weights), hidden)
+    """Seeded init by the package's law, :func:`sympflow._jet.random_chain`."""
+    return MlpFlowModel(d, tuple(random_chain(_widths(d, n_layers, hidden), rng)), hidden)
 
 
 def zero_mlp_flow(d: int, n_layers: int, hidden: int = 10) -> MlpFlowModel:
-    dims = [2 * d + 1] + [hidden] * (n_layers - 1) + [2 * d]
-    weights = tuple(
-        (np.zeros((dims[k + 1], dims[k])), np.zeros(dims[k + 1]))
-        for k in range(n_layers)
-    )
-    return MlpFlowModel(d, weights, hidden)
+    return MlpFlowModel(d, tuple(zero_chain(_widths(d, n_layers, hidden))), hidden)
 
 
 def params_to_vector(model: MlpFlowModel) -> np.ndarray:

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._jet import Jet, chain_backward, chain_forward, flatten, inputs, unflatten
+from ._jet import check_chain, random_chain, zero_chain
 from .errors import DimensionError
 
 __all__ = [
@@ -50,20 +51,7 @@ class PotentialNet:
     def __post_init__(self):
         if self.d < 1 or self.h < 1:
             raise DimensionError("d and h must be positive")
-        shapes = {
-            "A1": (self.h, self.d + 1),
-            "b1": (self.h,),
-            "A2": (self.h, self.h),
-            "b2": (self.h,),
-            "A3": (1, self.h),
-            "b3": (1,),
-        }
-        for name, want in shapes.items():
-            arr = getattr(self, name)
-            if arr.shape != want:
-                raise DimensionError(f"{name} must have shape {want}, got {arr.shape}")
-            if not np.isfinite(arr).all():
-                raise DimensionError(f"{name} contains non-finite entries")
+        check_chain(self.weights, _widths(self.d, self.h))
 
     @property
     def weights(self):
@@ -75,37 +63,26 @@ class PotentialNet:
 
 
 def param_count(net: PotentialNet) -> int:
-    h, d = net.h, net.d
-    return h * (d + 1) + h + h * h + h + h + 1
+    return sum(A.size + b.size for A, b in net.weights)
 
 
-def random_potential_net(d: int, rng: np.random.Generator, h: int = 10) -> PotentialNet:
-    """Seeded init, uniform on +-sqrt(1/fan_in) per layer (biases included)."""
+def _widths(d: int, h: int):
+    """The widths of the chain [q; t] -> h -> h -> V."""
+    return (d + 1, h, h, 1)
 
-    def layer(n_out, n_in):
-        s = np.sqrt(1.0 / n_in)
-        return (
-            rng.uniform(-s, s, size=(n_out, n_in)),
-            rng.uniform(-s, s, size=(n_out,)),
-        )
 
-    A1, b1 = layer(h, d + 1)
-    A2, b2 = layer(h, h)
-    A3, b3 = layer(1, h)
+def _from_chain(d: int, h: int, pairs) -> PotentialNet:
+    (A1, b1), (A2, b2), (A3, b3) = pairs
     return PotentialNet(d, h, A1, b1, A2, b2, A3, b3)
 
 
+def random_potential_net(d: int, rng: np.random.Generator, h: int = 10) -> PotentialNet:
+    """Seeded init by the package's law, :func:`sympflow._jet.random_chain`."""
+    return _from_chain(d, h, random_chain(_widths(d, h), rng))
+
+
 def zero_potential_net(d: int, h: int = 10) -> PotentialNet:
-    return PotentialNet(
-        d,
-        h,
-        np.zeros((h, d + 1)),
-        np.zeros(h),
-        np.zeros((h, h)),
-        np.zeros(h),
-        np.zeros((1, h)),
-        np.zeros(1),
-    )
+    return _from_chain(d, h, zero_chain(_widths(d, h)))
 
 
 def params_to_vector(net: PotentialNet) -> np.ndarray:
@@ -119,8 +96,7 @@ def net_with_params(net: PotentialNet, vec: np.ndarray) -> PotentialNet:
 
 def _net_over(net: PotentialNet, buf: np.ndarray) -> PotentialNet:
     """A net of ``net``'s shape whose weights are views of the flat float vector ``buf``."""
-    (A1, b1), (A2, b2), (A3, b3) = unflatten(buf, net.weights)
-    return PotentialNet(net.d, net.h, A1, b1, A2, b2, A3, b3)
+    return _from_chain(net.d, net.h, unflatten(buf, net.weights))
 
 
 # ---------------------------------------------------------------------------

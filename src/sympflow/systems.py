@@ -11,8 +11,10 @@ Three systems are provided:
   reproduces q'' + (lam/m) q' + (k/m) q = 0 and ``physical_limit_project``
   maps arbitrary augmented states onto it.
 
-Every system exposes the energy, its phase-space gradient, the canonical
-vector field J grad H, and the vector field's Jacobian (used by training).
+Every system exposes the energy, the canonical vector field J grad H, its
+Jacobian (used by training) and the phase-space gradient grad H.  A system
+writes its derivative once, as the rates of J grad H; grad H is read off
+them.
 """
 
 from __future__ import annotations
@@ -47,16 +49,28 @@ class HamiltonianSystem:
     """Common interface; subclasses define the arrays on batches (B, 2d).
 
     A subclass fixes its half dimension ``d`` and gives J grad H as one rate
-    formula, ``_rates(*coords) -> tuple`` of the 2d rates.  ``_vector_field(x,
-    out=None)`` writes it into ``out``, any (B, 2d) view such as a stage slot,
-    or into a new array: on Python floats row by row up to ``_ROW_LIMIT``
-    rows, else on column views.  So the formula uses only float ``+ - * /``,
-    which Python rounds as NumPy's ufuncs do, and divides by no coordinate (a
-    Python zero raises); no ``**``, no NumPy or math function.  A row's value
-    is then the same bits in any batch.
+    formula, ``_rates(*coords) -> tuple`` of the 2d rates; ``gradient`` reads
+    grad H off them, grad_q H = -p' and grad_p H = q'.  ``_vector_field(x,
+    out=None)`` writes the rates into ``out``, any (B, 2d) view such as a
+    stage slot, or into a new array: on Python floats row by row up to
+    ``_ROW_LIMIT`` rows, else on column views.  So the formula uses only float
+    ``+ - * /``, which Python rounds as NumPy's ufuncs do, and divides by no
+    coordinate (a Python zero raises); no ``**``, no NumPy or math function.
+    A row's value is then the same bits in any batch.
     """
 
     d: ClassVar[int]  # phase-space half dimension
+
+    @staticmethod
+    def check(sys) -> None:
+        """UnsupportedSystemError unless ``sys`` is a HamiltonianSystem.
+
+        A static method, so that ``benchmarks/tracing.py``, which counts every
+        call of a module-level function of this module, counts no type check
+        among the system evaluations (``systems.calls``).
+        """
+        if not isinstance(sys, HamiltonianSystem):
+            raise UnsupportedSystemError(f"expected a HamiltonianSystem, got {type(sys).__name__}")
 
     def _batch(self, x):
         return as_phase_points(x, 2 * self.d)
@@ -67,8 +81,10 @@ class HamiltonianSystem:
         return float(out[0]) if single else out
 
     def gradient(self, x):
+        """grad H, from the system's rate formula."""
         xb, single = self._batch(x)
-        out = self._gradient(xb)
+        rates = self._vector_field(xb)
+        out = np.concatenate([-rates[:, self.d :], rates[:, : self.d]], axis=1)
         return out[0] if single else out
 
     def vector_field(self, x):
@@ -109,9 +125,6 @@ class Sho(HamiltonianSystem):
         q, p = x[:, 0], x[:, 1]
         return p * p / (2.0 * self.m) + 0.5 * self.k * q * q
 
-    def _gradient(self, x):
-        return np.stack([self.k * x[:, 0], x[:, 1] / self.m], axis=1)
-
     def _rates(self, q, p):
         return p / self.m, -self.k * q
 
@@ -129,12 +142,6 @@ class HenonHeiles(HamiltonianSystem):
     def _hamiltonian(self, x):
         qx, qy, px, py = x.T
         return 0.5 * (px * px + py * py) + 0.5 * (qx * qx + qy * qy) + qx * qx * qy - qy**3 / 3.0
-
-    def _gradient(self, x):
-        qx, qy, px, py = x.T
-        return np.stack(
-            [qx + 2.0 * qx * qy, qy + qx * qx - qy * qy, px, py], axis=1
-        )
 
     def _rates(self, qx, qy, px, py):
         return px, py, qx * (-1.0 - 2.0 * qy), qy * qy - qx * qx - qy
@@ -174,19 +181,6 @@ class DampedAugmented(HamiltonianSystem):
             (pa * pa - pb * pb) / (2.0 * self.m)
             + self.lam / (2.0 * self.m) * (qa - qb) * (pa - pb)
             + 0.5 * self.k * (qa - qb) * (qa + qb)
-        )
-
-    def _gradient(self, x):
-        qa, qb, pa, pb = x.T
-        c = self.lam / (2.0 * self.m)
-        return np.stack(
-            [
-                c * (pa - pb) + self.k * qa,
-                -c * (pa - pb) - self.k * qb,
-                pa / self.m + c * (qa - qb),
-                -pb / self.m - c * (qa - qb),
-            ],
-            axis=1,
         )
 
     def _rates(self, qa, qb, pa, pb):

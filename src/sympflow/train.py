@@ -15,8 +15,8 @@ velocity)``, which returns ``(x_out, v, tape)``; and ``_pullback(m, t, tape,
 wx, wv)``, which returns ``(gx, gtheta)``.  A term pulls its exact parameter
 gradient, when asked for it, back through the tape of its own forward pass.
 :func:`_kind` is the one place that reads the model kind, and :func:`_loss`
-the one path behind :func:`loss_and_grad`, :func:`total_loss` and the
-``loss_*`` functions.  Every derivative is exact, and every gradient is
+the one path behind :func:`loss_and_grad`, :func:`total_loss` and
+:func:`loss_supervised`.  Every derivative is exact, and every gradient is
 checked against finite differences in the tests.
 
 In a two-term phase (``regularized``, and ``mixed`` before its fine-tune)
@@ -54,9 +54,6 @@ __all__ = [
     "adam_step",
     "sample_collocation",
     "loss_supervised",
-    "loss_residual",
-    "loss_ham_match",
-    "loss_energy_reg",
     "total_loss",
     "train",
     "build_model",
@@ -171,24 +168,19 @@ class AdamState:
         return cls(np.zeros(n), np.zeros(n), 0)
 
 
-def adam_step(
-    params: np.ndarray,
-    grads: np.ndarray,
-    state: AdamState,
-    lr: float = 1e-3,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
-):
+_BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8  # Adam's moment decay rates and its denominator's floor
+
+
+def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState, lr: float = 1e-3):
     """Textbook Adam update with bias correction; returns (params, state)."""
     if params.shape != grads.shape:
         raise DimensionError("params and grads must have matching shapes")
     t = state.step + 1
-    m = beta1 * state.m + (1.0 - beta1) * grads
-    v = beta2 * state.v + (1.0 - beta2) * grads * grads
-    m_hat = m / (1.0 - beta1**t)
-    v_hat = v / (1.0 - beta2**t)
-    new_params = params - lr * m_hat / (np.sqrt(v_hat) + eps)
+    m = _BETA1 * state.m + (1.0 - _BETA1) * grads
+    v = _BETA2 * state.v + (1.0 - _BETA2) * grads * grads
+    m_hat = m / (1.0 - _BETA1**t)
+    v_hat = v / (1.0 - _BETA2**t)
+    new_params = params - lr * m_hat / (np.sqrt(v_hat) + _EPS)
     return new_params, AdamState(m, v, t)
 
 
@@ -278,6 +270,7 @@ def _loss(model_obj, regime, sys, samples, residual_batch, matching_batch, need_
         return value, g, {"supervised": value}
     if sys is None or residual_batch is None:
         raise ConfigError(f"the {regime} loss needs a system and a residual batch")
+    HamiltonianSystem.check(sys)
     two_term = regime in ("regularized", "mixed")
     if two_term:
         _, name, term = _kind(model_obj)
@@ -311,7 +304,9 @@ def loss_and_grad(
     """Total loss with its exact parameter gradient; returns (value, grad, parts).
 
     An unknown regime, or a missing dataset, system or batch, raises
-    :class:`ConfigError`.  The matching batch defaults to the residual batch.
+    :class:`ConfigError`, and a system that is not a
+    :class:`HamiltonianSystem` :class:`UnsupportedSystemError`.  The
+    matching batch defaults to the residual batch.
     """
     samples = _samples(dataset)
     return _loss(model_obj, regime, sys, samples, residual_batch, matching_batch, True)
@@ -333,23 +328,6 @@ def total_loss(
 def loss_supervised(model_obj, dataset: TrajectoryDataset) -> float:
     """Mean squared error of the flow map against the observed samples."""
     return total_loss(model_obj, "supervised", dataset=dataset)
-
-
-def loss_residual(model_obj, points, sys: HamiltonianSystem) -> float:
-    """Mean squared residual of d/dt psi - J grad H(psi) over (t_i, x_i)."""
-    return total_loss(model_obj, "residual_only", sys=sys, residual_batch=points)
-
-
-def loss_ham_match(model_obj, points, sys: HamiltonianSystem) -> float:
-    """Mean squared mismatch between the extracted Hamiltonian and H."""
-    if _kind(model_obj)[1] != "matching":
-        raise ConfigError("Hamiltonian matching is defined only for sympflow models")
-    return _matching(model_obj, points, sys, False)[0]
-
-
-def loss_energy_reg(model_obj, points, sys: HamiltonianSystem) -> float:
-    """Mean squared drift of the target energy along the map (MLP term)."""
-    return _energy_reg(model_obj, points, sys, False)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -554,7 +532,9 @@ def train(
     mixed regime runs ``epochs`` with the matching term, then
     ``fine_tune_epochs`` with the residual term alone.  Deterministic under
     the config seed.  Raises :class:`ConfigError` when the model's kind is
-    not ``config.model_kind``, and :class:`TrainingDivergedError`, carrying
+    not ``config.model_kind``, :class:`UnsupportedSystemError` when an
+    unsupervised regime's system is not a :class:`HamiltonianSystem`, and
+    :class:`TrainingDivergedError`, carrying
     the report of the epochs completed, on a non-finite loss, gradient or
     updated parameter vector.
 

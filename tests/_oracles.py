@@ -45,6 +45,17 @@ def fd_directional(f, x, v, step):
     return (np.asarray(f(x + step * v)) - np.asarray(f(x - step * v))) / (2.0 * step)
 
 
+def init_law(widths, rng):
+    """The package's init law, written out: per affine map A, then b, uniform on +-sqrt(1/fan_in)."""
+    pairs = []
+    for fan_in, fan_out in zip(widths[:-1], widths[1:]):
+        bound = np.sqrt(1.0 / fan_in)
+        A = rng.uniform(-bound, bound, size=(fan_out, fan_in))
+        b = rng.uniform(-bound, bound, size=fan_out)
+        pairs.append((A, b))
+    return pairs
+
+
 def potential_value(net, t, q):
     """V(t, q) = A3 tanh(A2 tanh(A1 [q; t] + b1) + b2) + b3 at one point, written out in NumPy."""
     u = np.concatenate([np.atleast_1d(q), [t]])
@@ -604,8 +615,14 @@ def rowmajor_chain_forward(weights, x):
 
 
 def rowmajor_chain_backward(weights, jets, g, with_params=True):
-    """``(g_in, g_params)`` as in ``chain_backward``, through the tape of the oracle."""
-    grads, idx = [], len(jets) - 1
+    """``(g_in, g_params, scales)``: ``chain_backward``'s result through the tape of the oracle.
+
+    ``scales`` holds per map the sums of the magnitudes of the terms that its
+    parameter gradients add up over the batch, ``|g|^T |x|`` for gA and
+    ``sum |g|`` for gb.  Summed in any order, a gradient's rounding error is
+    a small multiple of eps times that sum, however much the terms cancel.
+    """
+    grads, scales, idx = [], [], len(jets) - 1
     for k in range(len(weights) - 1, -1, -1):
         if k != len(weights) - 1:
             z, a0 = jets[idx - 1], jets[idx].x0
@@ -623,10 +640,13 @@ def rowmajor_chain_backward(weights, jets, g, with_params=True):
             )
             idx -= 1
         A, x = weights[k][0], jets[idx - 1]
-        gA = sum((gc.T @ xc for gc, xc in zip(g.components(), x.components())
-                  if gc is not None and xc is not None), np.zeros_like(A))
+        pairs = [(gc, xc) for gc, xc in zip(g.components(), x.components()) if gc is not None and xc is not None]
+        gA = sum((gc.T @ xc for gc, xc in pairs), np.zeros_like(A))
+        sA = sum((np.abs(gc).T @ np.abs(xc) for gc, xc in pairs), np.zeros_like(A))
         gb = np.zeros(A.shape[0]) if g.x0 is None else g.x0.sum(axis=0)
+        sb = np.zeros(A.shape[0]) if g.x0 is None else np.abs(g.x0).sum(axis=0)
         grads.insert(0, (gA, gb))
+        scales.insert(0, (sA, sb))
         g = Jet(*(None if c is None else c @ A for c in g.components()))
         idx -= 1
-    return g, grads if with_params else None
+    return (g, grads, scales) if with_params else (g, None, None)

@@ -1,6 +1,7 @@
 """Package-level checks: submodules stay reachable as attributes of ``sympflow``,
 and the two model kinds share one kernel protocol."""
 
+import dataclasses
 import importlib
 import inspect
 import os
@@ -14,9 +15,10 @@ import pytest
 
 import sympflow
 from sympflow import mlp, model
-from sympflow.errors import DimensionError
+from sympflow import potential as pot
+from sympflow.errors import DimensionError, UnsupportedSystemError
 
-from _oracles import weight_arrays
+from _oracles import init_law, weight_arrays
 
 
 def test_submodules_not_shadowed_by_reexports():
@@ -59,7 +61,7 @@ def test_import_loads_no_worker_modules(top):
 REMOVED = (
     "QuantityKind", "value", "time_partial", "grad_input", "mixed_time_input_gradient",
     "hessian_vector_product", "param_grad", "value_b", "grad_time_b", "hvp_b", "mixed_b", "value_vjp",
-    "avg_relative_error", "avg_energy_variation",
+    "avg_relative_error", "avg_energy_variation", "loss_residual", "loss_ham_match", "loss_energy_reg",
 )
 
 
@@ -67,7 +69,7 @@ def test_every_exported_name_resolves_and_removed_names_are_gone():
     for info in pkgutil.iter_modules(sympflow.__path__):
         mod = importlib.import_module("sympflow." + info.name)
         assert [n for n in getattr(mod, "__all__", ()) if not hasattr(mod, n)] == [], info.name
-    for mod in (sympflow, sympflow.potential, sympflow.evaluate):
+    for mod in (sympflow, sympflow.potential, sympflow.evaluate, sympflow.train):
         assert [n for n in REMOVED if hasattr(mod, n)] == [], mod.__name__
     assert not hasattr(sympflow.train, "FD_STEP") and not hasattr(sympflow.validation, "_central")
 
@@ -185,3 +187,68 @@ def test_bad_counts_and_steps_raise_dimension_error(call):
         warnings.simplefilter("error")  # a RuntimeWarning on the way fails the test
         with pytest.raises(DimensionError):
             call(MODELS["sympflow"](), sympflow.Sho())
+
+
+@pytest.mark.parametrize("d, L, h, seed", [(1, 1, 1, 0), (1, 3, 10, 1), (2, 2, 5, 7), (3, 4, 2, 2024)])
+def test_both_kinds_draw_the_init_law(d, L, h, seed):
+    sf = model.random_sympflow(d, L, np.random.default_rng(seed), h=h)
+    baseline = mlp.random_mlp_flow(d, L, np.random.default_rng(seed), hidden=h)
+    rng = np.random.default_rng(seed)
+    want = [pair for _ in range(2 * L) for pair in init_law((d + 1, h, h, 1), rng)]
+    want += init_law([2 * d + 1] + [h] * (L - 1) + [2 * d], np.random.default_rng(seed))
+    got = [pair for layer in sf.layers for net in layer for pair in net.weights] + list(baseline.weights)
+    assert len(got) == len(want)
+    for (A, b), (want_A, want_b) in zip(got, want):
+        assert np.array_equal(A, want_A) and np.array_equal(b, want_b)
+
+
+def _narrow(A):
+    return A[:, :-1]
+
+
+def _with_nan(A):
+    A = A.copy()
+    A[0, 0] = np.nan
+    return A
+
+
+@pytest.mark.parametrize("kind", sorted(MODELS))
+@pytest.mark.parametrize(
+    "corrupt, match",
+    [
+        (_narrow, r"affine map 1 expects A \(4, 4\) / b \(4,\), got \(4, 3\) / \(4,\)"),
+        (_with_nan, "affine map 1 contains non-finite entries"),
+    ],
+    ids=["shape", "nan"],
+)
+def test_a_net_checks_the_shape_and_finiteness_of_each_map(kind, corrupt, match):
+    rng = np.random.default_rng(3)
+    if kind == "sympflow":
+        net = pot.random_potential_net(1, rng, h=4)
+        make = lambda: dataclasses.replace(net, A2=corrupt(net.A2))  # noqa: E731
+    else:
+        baseline = mlp.random_mlp_flow(1, 3, rng, hidden=4)
+        (A0, b0), (A1, b1), last = baseline.weights
+        make = lambda: dataclasses.replace(baseline, weights=((A0, b0), (corrupt(A1), b1), last))  # noqa: E731
+    with pytest.raises(DimensionError, match=match):
+        make()
+
+
+# Each entry that takes a system, given a callable in its place.
+ONE_POINT = (np.zeros(1), np.ones((1, 2)))
+NOT_A_SYSTEM = {
+    "generate_dataset": lambda m, f: sympflow.generate_dataset(f, (-1, 1), 2, 2, 0.5),
+    "evaluate_model": lambda m, f: sympflow.evaluate_model(m, f, (-1, 1), 0.5, n_samples=2, ks=(1,)),
+    "energy_drift_series": lambda m, f: sympflow.energy_drift_series(m, f, [0.5, 0.0], 1.0, 0.5, 0.5),
+    "train": lambda m, f: sympflow.train.train(
+        m, sympflow.TrainConfig(regime="residual_only", epochs=1, batch_collocation=4), sys=f
+    ),
+    "total_loss": lambda m, f: sympflow.total_loss(m, "residual_only", sys=f, residual_batch=ONE_POINT),
+    "loss_and_grad": lambda m, f: sympflow.train.loss_and_grad(m, "residual_only", sys=f, residual_batch=ONE_POINT),
+}
+
+
+@pytest.mark.parametrize("call", NOT_A_SYSTEM.values(), ids=NOT_A_SYSTEM.keys())
+def test_a_callable_is_not_a_system_at_any_entry(call):
+    with pytest.raises(UnsupportedSystemError, match="HamiltonianSystem"):
+        call(MODELS["sympflow"](), lambda t, y: -y)

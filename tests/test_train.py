@@ -29,6 +29,15 @@ def tiny_mlp(seed=0, d=1):
     return mlp.random_mlp_flow(d, 2, np.random.default_rng(seed), hidden=4)
 
 
+def residual_loss(model_obj, batch, sys):
+    return tr.total_loss(model_obj, "residual_only", sys=sys, residual_batch=batch)
+
+
+def regularized_parts(model_obj, batch, sys):
+    """The parts of the regularized loss, with the matching batch the residual batch."""
+    return tr.loss_and_grad(model_obj, "regularized", sys=sys, residual_batch=batch)[2]
+
+
 def make_dataset(n=4, m=3, seed=2):
     rng = np.random.default_rng(seed)
     ics = rng.uniform(-1, 1, size=(n, 2))
@@ -84,7 +93,7 @@ def test_residual_loss_zero_weight_model_on_sho():
     # identity model with zero velocity: per-point residual is |J grad H|^2
     model = sfm.zero_sympflow(1, 1)
     batch = (np.array([0.3]), np.array([[1.0, 0.0]]))
-    assert tr.loss_residual(model, batch, Sho()) == pytest.approx(1.0, rel=1e-14)
+    assert residual_loss(model, batch, Sho()) == pytest.approx(1.0, rel=1e-14)
 
 
 def test_residual_loss_zero_for_trivial_system():
@@ -97,29 +106,24 @@ def test_residual_loss_zero_for_trivial_system():
 
     model = sfm.zero_sympflow(1, 2)
     batch = (np.array([0.5, 0.8]), np.array([[0.4, 0.1], [0.2, 0.2]]))
-    assert tr.loss_residual(model, batch, ZeroField()) == 0.0
+    assert residual_loss(model, batch, ZeroField()) == 0.0
 
 
 def test_residual_loss_empty_batch_rejected():
     with pytest.raises(DimensionError):
-        tr.loss_residual(tiny_sympflow(), (np.zeros(0), np.zeros((0, 2))), Sho())
+        residual_loss(tiny_sympflow(), (np.zeros(0), np.zeros((0, 2))), Sho())
 
 
 def test_ham_match_zero_weight_on_sho():
     model = sfm.zero_sympflow(1, 2)
     batch = (np.array([0.3]), np.array([[1.0, 0.0]]))
-    assert tr.loss_ham_match(model, batch, Sho()) == pytest.approx(0.25, rel=1e-14)
-
-
-def test_ham_match_rejects_mlp():
-    with pytest.raises(ConfigError):
-        tr.loss_ham_match(tiny_mlp(), (np.array([0.1]), np.zeros((1, 2))), Sho())
+    assert regularized_parts(model, batch, Sho())["matching"] == pytest.approx(0.25, rel=1e-14)
 
 
 def test_energy_reg_zero_at_t0():
     model = tiny_mlp(5)
     batch = (np.zeros(3), np.random.default_rng(0).uniform(-1, 1, (3, 2)))
-    assert tr.loss_energy_reg(model, batch, Sho()) == 0.0
+    assert regularized_parts(model, batch, Sho())["energy_reg"] == 0.0
 
 
 def test_total_loss_dispatch():
@@ -127,22 +131,12 @@ def test_total_loss_dispatch():
     batch_r = (np.array([0.2, 0.6]), np.array([[0.4, 0.1], [0.3, -0.2]]))
     batch_m = (np.array([0.5]), np.array([[0.7, 0.2]]))
     s = Sho()
-    assert tr.total_loss(model, "residual_only", sys=s, residual_batch=batch_r) == (
-        tr.loss_residual(model, batch_r, s)
-    )
-    assert tr.total_loss(
-        model, "regularized", sys=s, residual_batch=batch_r, matching_batch=batch_m
-    ) == pytest.approx(
-        tr.loss_residual(model, batch_r, s) + tr.loss_ham_match(model, batch_m, s),
-        rel=1e-14,
-    )
-    baseline = tiny_mlp(8)
-    assert tr.total_loss(
-        baseline, "regularized", sys=s, residual_batch=batch_r, matching_batch=batch_m
-    ) == pytest.approx(
-        tr.loss_residual(baseline, batch_r, s) + tr.loss_energy_reg(baseline, batch_m, s),
-        rel=1e-14,
-    )
+    kwargs = dict(sys=s, residual_batch=batch_r, matching_batch=batch_m)
+    for model_obj, second in ((model, "matching"), (tiny_mlp(8), "energy_reg")):
+        value, _, parts = tr.loss_and_grad(model_obj, "regularized", **kwargs)
+        assert set(parts) == {"residual", second}
+        assert tr.total_loss(model_obj, "regularized", **kwargs) == value == parts["residual"] + parts[second]
+        assert residual_loss(model_obj, batch_r, s) == parts["residual"]
     ds = make_dataset()
     assert tr.total_loss(model, "supervised", dataset=ds) == tr.loss_supervised(model, ds)
 
@@ -203,7 +197,7 @@ def test_residual_grad_sympflow_fd():
     t, x = _batches()
     s = Sho()
     _, got, _ = tr.loss_and_grad(model, "residual_only", sys=s, residual_batch=(t, x))
-    want = _fd_param_grad(model, lambda m: tr.loss_residual(m, (t, x), s))
+    want = _fd_param_grad(model, lambda m: residual_loss(m, (t, x), s))
     assert_close(got, want, rtol=1e-3, floor=1e-7, label="residual grad")
 
 
@@ -212,7 +206,7 @@ def test_residual_grad_sympflow_two_layers_d2():
     t, x = _batches(seed=6, d=2)
     s = HenonHeiles()
     _, got, _ = tr.loss_and_grad(model, "residual_only", sys=s, residual_batch=(t, x))
-    want = _fd_param_grad(model, lambda m: tr.loss_residual(m, (t, x), s))
+    want = _fd_param_grad(model, lambda m: residual_loss(m, (t, x), s))
     assert_close(got, want, rtol=1e-3, floor=1e-7, label="residual grad d=2")
 
 
@@ -221,7 +215,7 @@ def test_residual_grad_mlp_fd():
     t, x = _batches(seed=5)
     s = Sho()
     _, got, _ = tr.loss_and_grad(model, "residual_only", sys=s, residual_batch=(t, x))
-    want = _fd_param_grad(model, lambda m: tr.loss_residual(m, (t, x), s))
+    want = _fd_param_grad(model, lambda m: residual_loss(m, (t, x), s))
     assert_close(got, want, rtol=1e-3, floor=1e-7, label="mlp residual grad")
 
 
@@ -232,10 +226,7 @@ def test_ham_match_grad_fd():
     _, got, _ = tr.loss_and_grad(
         model, "regularized", sys=s, residual_batch=(t, x), matching_batch=(t, x)
     )
-    want = _fd_param_grad(
-        model,
-        lambda m: tr.loss_residual(m, (t, x), s) + tr.loss_ham_match(m, (t, x), s),
-    )
+    want = _fd_param_grad(model, lambda m: tr.total_loss(m, "regularized", sys=s, residual_batch=(t, x)))
     assert_close(got, want, rtol=1e-3, floor=1e-7, label="regularized grad")
 
 
@@ -246,10 +237,7 @@ def test_energy_reg_grad_fd():
     _, got, _ = tr.loss_and_grad(
         model, "regularized", sys=s, residual_batch=(t, x), matching_batch=(t, x)
     )
-    want = _fd_param_grad(
-        model,
-        lambda m: tr.loss_residual(m, (t, x), s) + tr.loss_energy_reg(m, (t, x), s),
-    )
+    want = _fd_param_grad(model, lambda m: tr.total_loss(m, "regularized", sys=s, residual_batch=(t, x)))
     assert_close(got, want, rtol=1e-3, floor=1e-7, label="mlp regularized grad")
 
 
@@ -775,7 +763,7 @@ def test_exact_residual_loss_runs_the_shear_chain_once(monkeypatch):
         return chain_forward(*args, **kwargs)
 
     monkeypatch.setattr(pot, "chain_forward", counted)
-    got = tr.loss_residual(model, (t, x), sys)
+    got = residual_loss(model, (t, x), sys)
     # one sweep over [t; 0] per potential net: 2 nets per layer, 3 layers
     assert len(sweeps) == 6
     assert got == pytest.approx(want, rel=1e-12)
