@@ -55,7 +55,12 @@ def _train_config(cfg: dict) -> TrainConfig:
 
 
 def _project_fn(cfg: dict):
-    return sysmod.physical_limit_project if cfg.get("project_physical") else None
+    """The damped system's projection, if ``project_physical`` is set; ConfigError on another system or none."""
+    if not cfg.get("project_physical"):
+        return None
+    if cfg.get("system") != "damped":
+        raise ConfigError(f"project_physical needs system 'damped', got {cfg.get('system')!r}")
+    return sysmod.physical_limit_project
 
 
 def _cmd_generate_data(cfg: dict, out: Path, args) -> int:
@@ -129,6 +134,7 @@ def _load_model(cfg: dict, args):
 
 def _cmd_rollout(cfg: dict, out: Path, args) -> int:
     _require(cfg, "delta_t", "horizon", "step", "x0")
+    project = _project_fn(cfg)
     model = _load_model(cfg, args)
     spec = ev.RolloutSpec(
         delta_t=cfg["delta_t"],
@@ -136,7 +142,7 @@ def _cmd_rollout(cfg: dict, out: Path, args) -> int:
         step=cfg["step"],
         x0=np.asarray(cfg["x0"], dtype=float),
     )
-    times, states = ev.rollout_path(model, spec, project=_project_fn(cfg))
+    times, states = ev.rollout_path(model, spec, project=project)
     with open(out / "rollout.csv", "w") as fh:
         dim = states.shape[1]
         fh.write("t," + ",".join(f"x_{i + 1}" for i in range(dim)) + "\n")
@@ -149,6 +155,7 @@ def _cmd_rollout(cfg: dict, out: Path, args) -> int:
 def _cmd_evaluate(cfg: dict, out: Path, args) -> int:
     _require(cfg, "system", "omega", "delta_t")
     system = _build_system(cfg)
+    project = _project_fn(cfg)
     model = _load_model(cfg, args)
     drift_x0 = np.asarray(cfg["x0"], dtype=float) if "x0" in cfg else None
     report = ev.evaluate_model(
@@ -162,7 +169,7 @@ def _cmd_evaluate(cfg: dict, out: Path, args) -> int:
         drift_x0=drift_x0,
         drift_horizon=cfg.get("horizon"),
         drift_step=cfg.get("step", 0.1),
-        project=_project_fn(cfg),
+        project=project,
     )
     with open(out / "metrics.csv", "w") as fh:
         fh.write("k,relative_error,energy_variation,skipped_error,skipped_energy,nonfinite,failed\n")
@@ -194,6 +201,7 @@ def _cmd_evaluate(cfg: dict, out: Path, args) -> int:
 
 def _cmd_poincare(cfg: dict, out: Path, args) -> int:
     _require(cfg, "delta_t", "horizon", "x0")
+    project = _project_fn(cfg)
     model = _load_model(cfg, args)
     spec = ev.RolloutSpec(
         delta_t=cfg["delta_t"],
@@ -201,7 +209,7 @@ def _cmd_poincare(cfg: dict, out: Path, args) -> int:
         step=cfg.get("step", 0.01),
         x0=np.asarray(cfg["x0"], dtype=float),
     )
-    path = ev.rollout_path(model, spec, project=_project_fn(cfg))
+    path = ev.rollout_path(model, spec, project=project)
     t_cross, states = ev.poincare_crossings(path)
     with open(out / "poincare.csv", "w") as fh:
         fh.write("t,q_y,p_y\n")

@@ -19,6 +19,13 @@ the one path behind :func:`loss_and_grad`, :func:`total_loss` and
 :func:`loss_supervised`.  Every derivative is exact, and every gradient is
 checked against finite differences in the tests.
 
+The entries check their inputs once per call and the terms take checked
+arrays.  :func:`loss_and_grad` and :func:`total_loss` pass the regime, the
+system and each batch they read through :func:`_checked`; :func:`train`
+checks its system, or its dataset, once before its first epoch, and draws
+every collocation batch from a box it has checked.  Nothing below the
+entries, the forked worker's term included, checks a batch again.
+
 In a two-term phase (``regularized``, and ``mixed`` before its fine-tune)
 :func:`train` starts one forked worker process, wherever the machine has a
 CPU to spare and the process may fork safely.  Each epoch the worker
@@ -31,6 +38,7 @@ those of computing everything here.  See :func:`train`.
 from __future__ import annotations
 
 import functools
+import math
 import os
 import pickle
 import sys as _sys
@@ -198,30 +206,37 @@ def _kind(model_obj):
 
 
 def _batch(model_obj, points, what):
-    t, x = points
+    """``points`` as ``(t, x, *rest)``, ``x`` a non-empty batch of phase points and ``t`` a finite time for it."""
+    t, x, *rest = points
     x, _ = as_phase_points(x, 2 * model_obj.d)
     if x.shape[0] == 0:
         raise DimensionError(f"empty {what} batch")
-    return check_time(t, x.shape[0]), x
+    return (check_time(t, x.shape[0]), x, *rest)
+
+
+def _mean_square(err):
+    """``np.mean(np.sum(err**2, axis=1))``, or ``np.mean(err**2)`` of a vector: NumPy's arithmetic, not its wrappers."""
+    sq = err**2 if err.ndim == 1 else np.add.reduce(err**2, axis=1)
+    return float(np.add.reduce(sq) / len(sq))
 
 
 def _supervised(model_obj, samples, need_grad):
-    t, x0 = _batch(model_obj, samples[:2], "supervised")
+    t, x0, y = samples
     k = _kind(model_obj)[0]
     pred, _, tape = k._taped(model_obj, t, x0)
-    resid = pred - samples[2]
-    value = float(np.mean(np.sum(resid**2, axis=1)))
+    resid = pred - y
+    value = _mean_square(resid)
     if not need_grad:
         return value, None
     return value, k._pullback(model_obj, t, tape, (2.0 / len(x0)) * resid)[1]
 
 
 def _residual(model_obj, points, sys, need_grad, job=None):
-    t, x = _batch(model_obj, points, "collocation")
+    t, x = points
     k = _kind(model_obj)[0]
     x_out, v, tape = k._taped(model_obj, t, x, velocity=True)
     resid = v - sys.vector_field(x_out)
-    value = float(np.mean(np.sum(resid**2, axis=1)))
+    value = _mean_square(resid)
     if not need_grad:
         return value, None
     wv = (2.0 / len(x)) * resid
@@ -231,21 +246,21 @@ def _residual(model_obj, points, sys, need_grad, job=None):
 
 
 def _matching(model_obj, points, sys, need_grad):
-    t, x = _batch(model_obj, points, "matching")
+    t, x = points
     vals, tape = extraction._extract_tape(model_obj, t, x)
     err = vals - sys.hamiltonian(x)
-    value = float(np.mean(err**2))
+    value = _mean_square(err)
     if not need_grad:
         return value, None
     return value, extraction._extract_pullback(model_obj, t, tape, (2.0 / len(x)) * err)[1]
 
 
 def _energy_reg(model_obj, points, sys, need_grad):
-    t, x = _batch(model_obj, points, "matching")
+    t, x = points
     k = _kind(model_obj)[0]
     pred, _, tape = k._taped(model_obj, t, x)
     err = sys.hamiltonian(pred) - sys.hamiltonian(x)
-    value = float(np.mean(err**2))
+    value = _mean_square(err)
     if not need_grad:
         return value, None
     w = (2.0 / len(x)) * err[:, None] * sys.gradient(pred)
@@ -255,22 +270,16 @@ def _energy_reg(model_obj, points, sys, need_grad):
 def _loss(model_obj, regime, sys, samples, residual_batch, matching_batch, need_grad, worker=None):
     """``(value, flat gradient or None, parts)`` of a regime; samples are ``(t, x0, y)``.
 
-    With a :class:`_Worker` the second term of a two-term regime runs there,
-    on its batch handed over before the residual and collected after it, and
-    so do the time-0 sweeps of the residual's pullback that
-    :func:`sympflow.model._pullback` hands to it; the sum is the same, in
-    the same order.
+    The inputs are those :func:`_checked` returns, or batches drawn from a
+    checked box; nothing here checks them again.  With a :class:`_Worker`
+    the second term of a two-term regime runs there, on its batch handed
+    over before the residual and collected after it, and so do the time-0
+    sweeps of the residual's pullback that :func:`sympflow.model._pullback`
+    hands to it; the sum is the same, in the same order.
     """
-    if regime not in REGIMES:
-        raise ConfigError(f"regime must be one of {REGIMES}, got {regime!r}")
     if regime == "supervised":
-        if samples is None:
-            raise ConfigError("the supervised loss needs a dataset")
         value, g = _supervised(model_obj, samples, need_grad)
         return value, g, {"supervised": value}
-    if sys is None or residual_batch is None:
-        raise ConfigError(f"the {regime} loss needs a system and a residual batch")
-    HamiltonianSystem.check(sys)
     two_term = regime in ("regularized", "mixed")
     if two_term:
         _, name, term = _kind(model_obj)
@@ -293,6 +302,27 @@ def _samples(dataset):
     return None if dataset is None else (dataset.sample_t, dataset.x0_per_sample, dataset.sample_y)
 
 
+def _checked(model_obj, regime, sys, dataset, residual_batch, matching_batch):
+    """``(samples, residual batch, matching batch)`` for :func:`_loss`, each batch the regime reads checked once.
+
+    Raises ConfigError for an unknown regime or a missing input, then
+    UnsupportedSystemError for a system of another type, then DimensionError.
+    """
+    if regime not in REGIMES:
+        raise ConfigError(f"regime must be one of {REGIMES}, got {regime!r}")
+    if regime == "supervised":
+        if dataset is None:
+            raise ConfigError("the supervised loss needs a dataset")
+        return _batch(model_obj, _samples(dataset), "supervised"), None, None
+    if sys is None or residual_batch is None:
+        raise ConfigError(f"the {regime} loss needs a system and a residual batch")
+    HamiltonianSystem.check(sys)
+    residual_batch = _batch(model_obj, residual_batch, "collocation")
+    if regime != "residual_only" and matching_batch is not None:
+        matching_batch = _batch(model_obj, matching_batch, "matching")
+    return None, residual_batch, matching_batch
+
+
 def loss_and_grad(
     model_obj,
     regime: str,
@@ -308,8 +338,8 @@ def loss_and_grad(
     :class:`HamiltonianSystem` :class:`UnsupportedSystemError`.  The
     matching batch defaults to the residual batch.
     """
-    samples = _samples(dataset)
-    return _loss(model_obj, regime, sys, samples, residual_batch, matching_batch, True)
+    inputs = _checked(model_obj, regime, sys, dataset, residual_batch, matching_batch)
+    return _loss(model_obj, regime, sys, *inputs, True)
 
 
 def total_loss(
@@ -321,8 +351,8 @@ def total_loss(
     matching_batch=None,
 ) -> float:
     """The value of :func:`loss_and_grad`, without the gradient."""
-    samples = _samples(dataset)
-    return _loss(model_obj, regime, sys, samples, residual_batch, matching_batch, False)[0]
+    inputs = _checked(model_obj, regime, sys, dataset, residual_batch, matching_batch)
+    return _loss(model_obj, regime, sys, *inputs, False)[0]
 
 
 def loss_supervised(model_obj, dataset: TrajectoryDataset) -> float:
@@ -528,7 +558,7 @@ def train(
 
     Unsupervised regimes draw fresh collocation batches every epoch from the
     configured box; the supervised regime draws uniform minibatches of size
-    ``batch_collocation`` (full batch when the dataset is smaller).  The
+    ``batch_collocation`` (full batch when the dataset is not larger).  The
     mixed regime runs ``epochs`` with the matching term, then
     ``fine_tune_epochs`` with the residual term alone.  Deterministic under
     the config seed.  Raises :class:`ConfigError` when the model's kind is
@@ -545,7 +575,12 @@ def train(
     the updated vector stands in for the finiteness checks a rebuild made.
     The working model never leaves this function: ``checkpoint_fn(epoch,
     model)`` and the return value each get a fresh ``model_with_params``
-    copy, which later epochs leave untouched.
+    copy, which later epochs leave untouched.  The dataset is checked once,
+    before the first epoch.  A minibatch is gathered, rows ``[t, x0, y]``,
+    into one buffer that this call allocates and drops when it returns.  Its
+    ``(t, x0, y)`` are fixed views of it, and each epoch overwrites it, so
+    they hold an epoch's rows only until its loss and gradient are computed;
+    nothing keeps them longer.
 
     In a two-term phase the second term (``matching`` for SympFlow,
     ``energy_reg`` for the MLP) runs in one worker process forked at the
@@ -581,11 +616,15 @@ def train(
         raise ConfigError(
             f"config.model_kind is {config.model_kind!r} but the model is a {model_obj.kind} model"
         )
+    samples = None
     if config.regime == "supervised":
         if dataset is None:
             raise ConfigError("supervised training needs a dataset")
+        samples = _batch(model_obj, _samples(dataset), "supervised")
     elif sys is None:
         raise ConfigError("unsupervised training needs a system")
+    else:
+        HamiltonianSystem.check(sys)
 
     k = _kind(model_obj)[0]
     rng = np.random.default_rng(config.seed)
@@ -599,12 +638,13 @@ def train(
     current = k._model_over(model_obj, params)
     state = AdamState.zeros(params.size)
     box = as_box(config.omega, 2 * model_obj.d) if sys is not None else None
-    samples = _samples(dataset)
-    stacked = None
-    if config.regime == "supervised" and config.batch_collocation < len(samples[0]):
-        # Rows [t, x0, y]: one fancy index per epoch gathers a minibatch.
+    minibatch = None
+    if samples is not None and config.batch_collocation < len(samples[0]):
+        # Rows [t, x0, y]; each epoch gathers its rows into buf, which minibatch views.
         stacked = np.column_stack(samples)
+        buf = np.empty((config.batch_collocation, stacked.shape[1]))
         cut = 1 + samples[1].shape[1]
+        minibatch = (buf[:, 0], buf[:, 1:cut], buf[:, cut:])
 
     def diverged(what):
         report.wall_clock_s = _time.perf_counter() - start
@@ -620,9 +660,11 @@ def train(
                 batch = residual_batch = matching_batch = None
                 if phase_regime == "supervised":
                     batch = samples
-                    if stacked is not None:
-                        rows = stacked[rng.integers(0, len(stacked), size=config.batch_collocation)]
-                        batch = (rows[:, 0], rows[:, 1:cut], rows[:, cut:])
+                    if minibatch is not None:
+                        idx = rng.integers(0, len(stacked), size=config.batch_collocation)
+                        # The indices are in range, so "clip" changes no row; "raise" gathers via a copy.
+                        stacked.take(idx, 0, buf, "clip")
+                        batch = minibatch
                 else:
                     residual_batch = _draw_collocation(
                         rng, box, config.delta_t, config.batch_collocation
@@ -641,10 +683,10 @@ def train(
                     True,
                     worker,
                 )
-                if not np.isfinite(value) or not np.all(np.isfinite(grad)):
+                if not math.isfinite(value) or not np.isfinite(grad).all():
                     raise diverged("loss")
                 new_params, state = adam_step(params, grad, state, lr=config.learning_rate)
-                if not np.all(np.isfinite(new_params)):
+                if not np.isfinite(new_params).all():
                     raise diverged("parameters")
                 params[:] = new_params
                 report.record(total=value, **parts)

@@ -7,9 +7,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from sympflow import cli
 from sympflow import io as sio
 from sympflow import mlp
 from sympflow import model as sfm
+from sympflow import systems as sysmod
 from sympflow import train as tr
 from sympflow.cli import cli_dispatch
 from sympflow.errors import CheckpointError, ConfigError, KindMismatchError
@@ -193,6 +195,30 @@ def test_cli_train_rejects_a_box_of_no_bounds(tmp_path, capsys, omega):
     cfg = _write_cfg(tmp_path, "train.json", payload)
     assert cli_dispatch(["train", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
     assert "omega" in capsys.readouterr().err
+
+
+# Configs of each command that projects, none of them on the damped system.
+PROJECTING = {
+    "evaluate": {"system": "henon_heiles", "omega": [-0.5, 0.5], "delta_t": 1.0, "n_eval_samples": 2, "k_steps": [1]},
+    "rollout": {"delta_t": 1.0, "horizon": 2.0, "step": 0.5, "x0": [0.1, 0.2, 0.3, 0.4]},
+    "poincare": {"system": "sho", "delta_t": 1.0, "horizon": 2.0, "x0": [0.1, 0.2, 0.3, 0.4]},
+}
+
+
+@pytest.mark.parametrize("command", sorted(PROJECTING))
+def test_cli_project_physical_needs_the_damped_system(tmp_path, capsys, command):
+    cfg = {**PROJECTING[command], "project_physical": True}
+    with pytest.raises(ConfigError, match="project_physical needs system 'damped'"):
+        cli._project_fn(cfg)
+    ckpt = tmp_path / "model.json"
+    sio.save_checkpoint(sfm.random_sympflow(2, 1, np.random.default_rng(0), h=3), ckpt)
+    out = tmp_path / "out"
+    argv = [command, "--config", _write_cfg(tmp_path, "c.json", cfg), "--out", str(out), "--checkpoint", str(ckpt)]
+    assert cli_dispatch(argv) == 1
+    assert "project_physical needs system 'damped'" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+    assert cli._project_fn({**cfg, "system": "damped"}) is sysmod.physical_limit_project
+    assert cli._project_fn({**cfg, "project_physical": False}) is None
 
 
 def test_cli_help_exits_zero(capsys):

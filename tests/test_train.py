@@ -160,6 +160,49 @@ def test_bad_loss_arguments_raise_config_error(factory, fn, bad):
         fn(factory(), **kwargs)
 
 
+GOOD_BATCH = (np.array([0.2, 0.6]), np.array([[0.4, 0.1], [0.3, -0.2]]))
+BAD_BATCHES = {
+    "nonfinite-time": ((np.array([0.2, np.nan]), GOOD_BATCH[1]), "t must be finite"),
+    "nonfinite-state": ((GOOD_BATCH[0], np.array([[0.4, np.inf], [0.3, -0.2]])), "non-finite"),
+    "wrong-width": ((GOOD_BATCH[0], np.ones((2, 4))), r"shape \(2,\) or \(B, 2\)"),
+    "t-shape": ((np.zeros(3), GOOD_BATCH[1]), r"t must be scalar or shape \(2,\)"),
+    "empty": ((np.zeros(0), np.zeros((0, 2))), "empty {what} batch"),
+}
+
+
+def _dataset_of(t, x):
+    """A dataset whose samples are ``(t, x, x)``, its fields set past the constructor's checks."""
+    ds = make_dataset()
+    ds.ics, ds.sample_traj, ds.sample_t, ds.sample_y = x, np.arange(len(x)), t, x
+    return ds
+
+
+# Each public loss entry, given a bad batch in one of the places it takes one.
+LOSS_ENTRIES = {
+    f"{fn.__name__}-{where}": (call, what)
+    for fn in (tr.loss_and_grad, tr.total_loss)
+    for where, what, call in (
+        ("residual", "collocation", lambda b, fn=fn: fn(tiny_sympflow(), "residual_only", sys=Sho(), residual_batch=b)),
+        (
+            "matching",
+            "matching",
+            lambda b, fn=fn: fn(tiny_mlp(), "regularized", sys=Sho(), residual_batch=GOOD_BATCH, matching_batch=b),
+        ),
+        ("dataset", "supervised", lambda b, fn=fn: fn(tiny_sympflow(), "supervised", dataset=_dataset_of(*b))),
+    )
+}
+LOSS_ENTRIES["loss_supervised"] = (lambda b: tr.loss_supervised(tiny_mlp(), _dataset_of(*b)), "supervised")
+
+
+@pytest.mark.parametrize("bad", sorted(BAD_BATCHES))
+@pytest.mark.parametrize("entry", sorted(LOSS_ENTRIES))
+def test_loss_entries_reject_a_bad_batch_with_dimension_error(entry, bad):
+    call, what = LOSS_ENTRIES[entry]
+    batch, match = BAD_BATCHES[bad]
+    with pytest.raises(DimensionError, match=match.format(what=what)):
+        call(batch)
+
+
 def test_unknown_derivative_mode_raises_config_error():
     assert tr.TrainConfig(derivative_mode="exact").derivative_mode == "exact"
     for mode in ("fd", "central"):
@@ -415,12 +458,21 @@ LOOP_CASES = {
         regime="mixed", epochs=3, fine_tune_epochs=2, batch_collocation=6, batch_matching=5
     ),
     "residual-only": dict(regime="residual_only", batch_collocation=6),
+    # supervised_mlp_sho's shape: 64-row minibatches of a 20 x 8 SHO dataset.
+    "supervised-benchmark-shape": dict(regime="supervised", layers=3, hidden=10, batch_collocation=64, epochs=200),
 }
 
 
 def _loop_config(kind, **kwargs):
     base = dict(model_kind=kind, epochs=4, learning_rate=1e-2, layers=2, hidden=3, seed=7)
     return tr.TrainConfig(**{**base, **kwargs})
+
+
+def _loop_data(case):
+    """The keyword arguments of :func:`train` that give a loop case its system or dataset."""
+    if case == "supervised-benchmark-shape":
+        return dict(dataset=generate_dataset(Sho(), [-1.2, 1.2], 20, 8, 1.0, seed=1))
+    return dict(dataset=make_dataset()) if LOOP_CASES[case]["regime"] == "supervised" else dict(sys=Sho())
 
 
 TWO_TERM_CASES = ("regularized", "mixed-fine-tune")
@@ -449,7 +501,7 @@ def worker_starts(monkeypatch):
 def test_train_matches_the_rebuilding_loop_bitwise(kind, case, worker_starts):
     cfg = _loop_config(kind, **LOOP_CASES[case])
     model = tr.build_model(cfg, d=1)
-    data = dict(dataset=make_dataset()) if cfg.regime == "supervised" else dict(sys=Sho())
+    data = _loop_data(case)
     want_params, want_history = train_rebuilding(model, cfg, **data)
     trained, report = tr.train(model, cfg, **data)
     assert report.loss_history == want_history
@@ -718,6 +770,34 @@ def test_train_calls_adam_step_through_the_module_once_per_epoch(kind, monkeypat
     cfg = _loop_config(kind, **LOOP_CASES["mixed-fine-tune"])
     _, report = tr.train(tr.build_model(cfg, d=1), cfg, sys=Sho())
     assert len(calls) == report.epochs_run == 5
+
+
+@pytest.mark.parametrize("case", ["supervised-minibatch", "supervised-full-batch", "residual-only"])
+def test_train_checks_its_inputs_once_per_call_not_per_epoch(case, monkeypatch):
+    calls = []
+    for name in ("as_phase_points", "check_time"):
+        check = getattr(tr, name)
+        monkeypatch.setattr(tr, name, lambda *a, _check=check, _name=name, **k: calls.append(_name) or _check(*a, **k))
+    counts = []
+    for epochs in (1, 40):
+        calls.clear()
+        cfg = _loop_config("mlp", **{**LOOP_CASES[case], "epochs": epochs})
+        _, report = tr.train(tr.build_model(cfg, d=1), cfg, **_loop_data(case))
+        assert report.epochs_run == epochs
+        counts.append(sorted(calls))
+    assert counts[0] == counts[1]
+    # The dataset is checked; a collocation batch is drawn from the checked box.
+    assert counts[0] == (["as_phase_points", "check_time"] if case.startswith("supervised") else [])
+
+
+@pytest.mark.parametrize("batch", [5, 64], ids=["minibatch", "full-batch"])
+def test_supervised_train_rejects_a_dataset_of_another_width_before_its_first_epoch(batch, monkeypatch):
+    steps = []
+    monkeypatch.setattr(tr, "adam_step", lambda *args, **kwargs: steps.append(1))
+    cfg = _loop_config("mlp", regime="supervised", batch_collocation=batch)
+    with pytest.raises(DimensionError, match=r"\(B, 4\)"):
+        tr.train(tr.build_model(cfg, d=2), cfg, dataset=make_dataset())
+    assert steps == []
 
 
 @pytest.mark.parametrize("kind", sorted(KERNELS))
