@@ -16,12 +16,14 @@ tolerances it takes 7-8 times fewer steps for twice the field calls per step
 defaults it takes 617 steps against DOPRI5's 4,815, and its largest energy
 error is 3.3e-12 against 6.4e-11.
 
-At one row a step costs fixed Python overhead, not arithmetic: about 110 µs
-of stepper work besides its 12 Hénon-Heiles field calls of about 2.5 µs each
-(the fields of a few rows are evaluated on Python floats; best of 21 solves
-to T = 100, 617 steps, on a 2-core x86-64 VM in its slower clock state,
-where the whole step takes about 140 µs).  So a step makes as few NumPy
-calls as it can.
+At a few rows a step costs Python overhead, not arithmetic, so it makes as
+few NumPy calls as it can, and the step-size controller has two forms.  Up
+to ``_FEW_ROWS`` live rows the error norm, the decision and the next step
+run on Python floats, with the bits of the array form that larger batches
+and any step that rejects or fails a row take; the stages, the estimates and
+the powers stay NumPy's.  On Hénon-Heiles to T = 10 a step costs about 34 µs
+at one row (45 µs in the array form) and 44 µs at two (52 µs; best of 7
+solves on a 2-core x86-64 VM, Python 3.11, NumPy 2.4).
 The stages are held stage-major, in one (13, B·n) buffer that is allocated
 only when the set of live rows changes: each stage's state is one product of
 its tableau row with the stages before it, written into one flat buffer,
@@ -38,23 +40,22 @@ The stepper advances a (B, n) batch of initial states of one
 time of its own; anything else is an UnsupportedSystemError.  Its rows are
 independent: each keeps its own time, step size, error history and counts,
 so a row takes the same steps in a batch as alone, and a row that fails
-leaves the others untouched.  ``integrate`` is the one-row case and builds
-the dense output of every step after the solve, in one batched pass;
-``sample_states``, ``generate_dataset`` and the evaluation references
-interpolate each row at its requested times while it steps, and evaluate
-the extra stages only on the steps that contain such a time.  Every stage,
-the extra ones included, is checked for finiteness, so a state that blows
-up fails its row and names the time it happened.
+leaves the others untouched.  The accepted steps that hold a requested
+time (every step, for ``integrate``) are kept, and their dense output is
+built after the solve in one batched pass.  Every stage, the extra ones
+included, is checked for finiteness, so a state that blows up fails its
+row and names the time it happened.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionError, IntegrationError
-from .systems import HamiltonianSystem
+from .systems import HamiltonianSystem  # alone: the benchmark's tracer counts systems' functions as evaluations
 from .validation import as_box, as_float_array, check_finite_scalar, check_positive, check_positive_int
 
 __all__ = [
@@ -67,6 +68,9 @@ __all__ = [
 
 _MAX_STEPS = 10_000_000
 _RTOL, _ATOL = 1e-10, 1e-12  # the reference tolerances (see the module docstring)
+# The largest live set whose step-size controller runs on Python floats: the
+# float form costs as much as the array form at 5-6 rows (solves to T = 10).
+_FEW_ROWS = 4
 
 
 def _lower(*rows):
@@ -175,6 +179,34 @@ def _dense_failure(t0):
     return f"non-finite dense output in the step from t={t0:.6g}"
 
 
+class _Steps:
+    """The ``record`` of :func:`_dop853`: the steps that hold a requested time, for one dense pass.
+
+    ``due`` (B,) is each row's next requested time; zeros keep every step.
+    Given the times (B, m), each kept step notes in ``samples`` the (kept
+    row-step, column) of the times it holds and moves its rows' due times on.
+    """
+
+    def __init__(self, due, times=None):
+        self.due, self.times = due, times
+        self.parts, self.samples, self.kept = [], [], 0
+
+    def __call__(self, rows, t0, h, y0, y1, K):
+        self.parts.append((rows, t0, h, y0, y1, K.copy()))  # K may be the stepper's buffer
+        if self.times is not None:
+            T, t0 = self.times[rows], np.asarray(t0)
+            t1 = (t0 + h)[:, None]
+            r, c = np.nonzero((T > t0[:, None]) & (T <= t1))
+            self.samples.append((self.kept + r, c))
+            self.due[rows] = np.where(T > t1, T, np.inf).min(axis=1)
+        self.kept += len(rows)
+
+    def dense(self, sys):
+        """``(rows, t0, h, y0, y1, F, finite)`` of the kept steps, F and finite from :func:`_coefficients`."""
+        rows, t0, h, y0, y1, K = (np.concatenate(part) for part in zip(*self.parts))
+        return (rows, t0, h, y0, y1, *_coefficients(sys, h, y0, y1, K))
+
+
 @dataclass
 class DenseSolution:
     """Accepted step endpoints plus a polynomial over each step between them.
@@ -247,23 +279,44 @@ def _error_norm(e, h, scale):
     return err
 
 
-def _dop853(sys, y, t_end, rtol, atol, fixed_step, max_steps, on_accept):
+def _row_error(h, y0, y1, e5, e3, rtol, atol):
+    """:func:`_error_norm` of one row on Python floats, bit for bit.
+
+    Its maxima keep a NaN, as NumPy's do (Python's max can return the other
+    argument), so that the float form accepts no row the array form fails.
+    """
+    s5 = s3 = 0.0
+    for a, b, c5, c3 in zip(y0, y1, e5, e3):
+        a, b = abs(a), abs(b)
+        scale = (a if a >= b or a != a else b) * rtol + atol
+        c5 /= scale
+        c3 /= scale
+        # Left to right, as np.add.reduce sums so few terms; e0 + ((e1 + e2)
+        # + e3) differs in the last bit on about a fifth of the rows.
+        s5 += c5 * c5
+        s3 += c3 * c3
+    den = math.sqrt((s3 * 0.01 + s5) * len(y0))
+    return h * s5 / (den if den >= 1e-300 or den != den else 1e-300)
+
+
+def _dop853(sys, y, t_end, rtol, atol, fixed_step, max_steps, record):
     """Step every row of y (B, n) along the flow of sys from t = 0 to its own t_end (B,).
 
     sys must be a :class:`HamiltonianSystem`, else UnsupportedSystemError.
     Its public ``vector_field`` checks the width and finiteness of y once;
     every stage calls the unchecked ``_vector_field``.  Rows are independent:
     each has its own t, h, error history and step and rejection counts, and
-    takes the same steps as it would alone.  After every step with an
-    accepted row, ``on_accept(rows, t0, h, y0, y1, K)`` receives the accepted
-    rows (indices into the batch) with the start, length and end state of
-    their steps and the stages K (rows, 13, n); K is a view of a buffer that
-    the next step overwrites.  A row that reaches its t_end leaves the live
-    set.  So does a row that fails: a stage that is not finite (every stage
-    is checked, including K_12, which has no weight in the error estimate),
-    a step size below 1e-14 of its span, or more than max_steps steps.
-    Returns ``(n_steps, n_rejected, errors)``: per-row counts and a message
-    for each failed row.
+    takes the same steps as it would alone.  After a step, the :class:`_Steps`
+    ``record(rows, t0, h, y0, y1, K)`` receives the accepted rows (indices into
+    the batch) whose step reaches their ``record.due`` time, with the start,
+    length and end state of their steps (t0 and h may be lists; y0 and y1 are
+    not written again) and the stages K (rows, 13, n), maybe a view of a
+    buffer that the next step overwrites.  A row that reaches its t_end
+    leaves the live set.  So does a row that fails: a stage that is not finite
+    (every stage is checked, including K_12, which has no weight in the error
+    estimate), a step size below 1e-14 of its span, or more than max_steps
+    steps.  Returns ``(n_steps, n_rejected, errors)``: per-row counts and a
+    message for each failed row.
     """
     HamiltonianSystem.check(sys)
     k0 = sys.vector_field(y)
@@ -297,12 +350,18 @@ def _dop853(sys, y, t_end, rtol, atol, fixed_step, max_steps, on_accept):
     failed = None
     passes = 0
     K = None  # the stage buffer of the live set; None until (re)allocated
+    few = False  # whether the controller runs on Python floats (see the module docstring)
     while True:
-        h_step = np.minimum(h, t_end - t)
+        if few:
+            h_step = [min(hj, te - tj) for hj, te, tj in zip(h, t_end_f, t)]
+            if failed is not None or min(h_step) <= h_floor:
+                k0, K = slots[0], None  # the bookkeeping below takes lists, and rebuilds the buffers
+        else:
+            h_step = np.minimum(h, t_end - t)
         # Past the first pass only a failure, a row at its t_end (h_step <= 0)
         # or a step size below h_min (h_step <= h < h_min <= h_floor) can end
         # a row, so one comparison decides whether to look for them.
-        if K is None or failed is not None or h_step.min() <= h_floor:
+        if K is None or not few and (failed is not None or h_step.min() <= h_floor):
             keep = t < t_end
             if failed is not None:
                 keep &= ~failed
@@ -320,7 +379,7 @@ def _dop853(sys, y, t_end, rtol, atol, fixed_step, max_steps, on_accept):
                 if K is not None:
                     k0 = slots[0]
                 rows, t, y2, h_step, h_min, k0, carry, t_end, steps, rejected = (
-                    v[keep] for v in (rows, t, y2, h_step, h_min, k0, carry, t_end, steps, rejected)
+                    np.asarray(v)[keep] for v in (rows, t, y2, h_step, h_min, k0, carry, t_end, steps, rejected)
                 )
                 if not rows.size:
                     return n_steps, n_rejected, errors
@@ -328,9 +387,9 @@ def _dop853(sys, y, t_end, rtol, atol, fixed_step, max_steps, on_accept):
             if K is None:
                 # Stage-major buffers, kept until the live set changes: stage
                 # i of every row is K[i], seen by the field as the (R, n) slot
-                # slots[i] and by the callbacks through by_row (R, 13, n).
-                # Columns are padded with zeros to a multiple of 4 (see the
-                # module docstring); y is flat and padded, y2 its (R, n) view.
+                # slots[i] and by record through by_row (R, 13, n).  Columns
+                # are padded with zeros to a multiple of 4 (see the module
+                # docstring); y is flat and padded, y2 its (R, n) view.
                 R, m = rows.size, rows.size * n
                 w = -(-m // 4) * 4
                 K = np.zeros((s + 1, w))
@@ -347,11 +406,16 @@ def _dop853(sys, y, t_end, rtol, atol, fixed_step, max_steps, on_accept):
                 est3 = est[:, :m].reshape(2, R, n)
                 y = np.zeros(w)
                 y[:m] = y2.reshape(-1)
-                h_floor = h_min.max()
+                h_floor = float(h_min.max())
+                few = adaptive and R <= _FEW_ROWS
+                if few:
+                    t, h_step, carry, steps = (np.asarray(v).tolist() for v in (t, h_step, carry, steps))
+                    rows_f, t_end_f = rows.tolist(), t_end.tolist()
 
         h = h_step
-        hn2[...] = h[:, None]
-        # Each stage's state y + h (a_i . K) is formed in place in one buffer.
+        hn2.T[...] = h
+        # Each stage's state y + h (a_i . K) is formed in place in one buffer, in both forms (floats
+        # cannot give BLAS's fused products), by _vector_field, which a system may override.
         for a_i, K_i, slot in plan:
             np.dot(a_i, K_i, stage)
             stage *= hn
@@ -364,59 +428,87 @@ def _dop853(sys, y, t_end, rtol, atol, fixed_step, max_steps, on_accept):
         f(y_new2, slots[s])
         finite = None if np.isfinite(K).all() else np.isfinite(by_row).all(axis=(1, 2))
         if adaptive:
-            scale = np.maximum(np.abs(y2), np.abs(y_new2))
-            scale *= rtol
-            scale += atol
             np.dot(_E53, K, est)
-            err = _error_norm(est3, h, scale)
-            if finite is not None:
-                err[~finite] = np.nan
-            # One power call for both of the controller's factors: the bases
-            # are err + 1e-16 and max(err + 1e-16, 2e-16), which is bit for
-            # bit max(err, 1e-16) + 1e-16, the next step's err_prev + 1e-16.
-            powers = np.maximum(err + 1e-16, _FLOORS)
-            powers **= _POWERS
-            fac = powers[0] * 0.9
-            fac *= carry
-            h_next = h * np.minimum(5.0, np.maximum(0.2, fac))
-            all_accepted = err.max() <= 1.0  # False where err is not finite
-        else:
-            all_accepted = finite is None
-            if not all_accepted:
-                err = np.where(finite, 0.0, np.nan)  # read only by the finiteness check
-            h_next = h
-
-        if all_accepted:
-            on_accept(rows, t, h, y2, y_new2, by_row)
-            t, y, y2 = t + h, y_new, y_new2
-            K[0] = K[s]
+        t0 = t
+        if few:
+            if finite is None:
+                err = [_row_error(*r, rtol, atol) for r in zip(h, y2.tolist(), y_new2.tolist(), *est3.tolist())]
+            if finite is not None or not all(e <= 1.0 for e in err):
+                # A step that rejects or fails a row is rare: the array form
+                # below takes it, and the buffers are rebuilt after it.
+                t, h, carry, steps = map(np.array, (t, h, carry, steps))
+                few, k0, K = False, slots[0], None
+            else:
+                # The power stays in NumPy, whose float64 power differs from
+                # Python's ** in the last bit on about 6% of inputs.  Every
+                # err is finite here, so max and min agree with NumPy's.
+                powers = np.power([[e + 1e-16 for e in err], [max(e + 1e-16, 2e-16) for e in err]], _POWERS).tolist()
+                h_next = [hj * min(5.0, max(0.2, p * 0.9 * c)) for hj, p, c in zip(h, powers[0], carry)]
+                all_accepted, carry, t = True, powers[1], [tj + hj for tj, hj in zip(t, h)]
+                steps = [k + 1 for k in steps]
+                u = [j for j in range(R) if record.due[rows_f[j]] <= t[j]]
+        if not few:
             if adaptive:
-                carry = powers[1]
-            steps += 1
-        else:
-            accept = err <= 1.0  # False where err is not finite
-            failed = ~np.isfinite(err)
-            for j in np.flatnonzero(failed):
-                errors[int(rows[j])] = f"non-finite state at t={t[j]:.6g}"
-            reject = ~accept & ~failed
-            if reject.any():  # retry with a smaller step
-                rejected += reject
-                h_next[reject] = h[reject] * np.maximum(0.2, np.minimum(1.0, 0.9 * err[reject] ** (-1 / _Q)))
-            if accept.any():
-                on_accept(rows[accept], t[accept], h[accept], y2[accept], y_new2[accept], by_row[accept])
-                t = np.where(accept, t + h, t)
-                y = y.copy()  # y2 may be held by a callback
-                y2 = y[:m].reshape(R, n)
-                np.copyto(y2, y_new2, where=accept[:, None])
-                np.copyto(slots[0], slots[s], where=accept[:, None])
+                scale = np.maximum(np.abs(y2), np.abs(y_new2))
+                scale *= rtol
+                scale += atol
+                err = _error_norm(est3, h, scale)
+                if finite is not None:
+                    err[~finite] = np.nan
+                # One power call for both of the controller's factors: the bases
+                # are err + 1e-16 and max(err + 1e-16, 2e-16), which is bit for
+                # bit max(err, 1e-16) + 1e-16, the next step's err_prev + 1e-16.
+                powers = np.maximum(err + 1e-16, _FLOORS)
+                powers **= _POWERS
+                fac = powers[0] * 0.9
+                fac *= carry
+                h_next = h * np.minimum(5.0, np.maximum(0.2, fac))
+                all_accepted = err.max() <= 1.0  # False where err is not finite
+            else:
+                all_accepted = finite is None
+                if not all_accepted:
+                    err = np.where(finite, 0.0, np.nan)  # read only by the finiteness check
+                h_next = h
+            t1 = t + h
+            if all_accepted:
+                t = t1
+                u = np.flatnonzero(record.due[rows] <= t1)
+                if adaptive:
+                    carry = powers[1]
+                steps += 1
+            else:
+                accept = err <= 1.0  # False where err is not finite
+                failed = ~np.isfinite(err)
+                for j in np.flatnonzero(failed):
+                    errors[int(rows[j])] = f"non-finite state at t={t[j]:.6g}"
+                reject = ~accept & ~failed
+                if reject.any():  # retry with a smaller step
+                    rejected += reject
+                    h_next[reject] = h[reject] * np.maximum(0.2, np.minimum(1.0, 0.9 * err[reject] ** (-1 / _Q)))
+                t = np.where(accept, t1, t)
+                u = np.flatnonzero(accept & (record.due[rows] <= t1))
                 if adaptive:
                     carry = np.where(accept, powers[1], carry)
                 steps += accept
+
+        if len(u) == R:
+            record(rows, t0, h, y2, y_new2, by_row)
+        elif len(u):
+            record(rows[u], np.take(t0, u), np.take(h, u), y2[u], y_new2[u], by_row[u])
+        if all_accepted:
+            y, y2 = y_new, y_new2
+            K[0] = K[s]
+        elif np.any(accept):
+            accept = np.reshape(accept, (R, 1))
+            y = y.copy()  # y2 may be held by record
+            y2 = y[:m].reshape(R, n)
+            np.copyto(y2, y_new2, where=accept)
+            np.copyto(slots[0], slots[s], where=accept)
         h = h_next
 
         passes += 1
         if passes > max_steps:  # no row can have more steps than passes
-            over = steps > max_steps
+            over = np.greater(steps, max_steps)
             for j in np.flatnonzero(over):
                 errors[int(rows[j])] = f"exceeded {max_steps} steps at t={t[j]:.6g}"
             failed = over if failed is None else failed | over
@@ -451,18 +543,13 @@ def integrate(
     t_end = check_positive(t_end, "t_end")
     max_steps = check_positive_int(max_steps, "max_steps")
     x0 = _one_state(x0)
-    steps = []
-
-    def record(rows, t0, h, y0, y1, K):
-        steps.append((t0, h, y0, y1, K.copy()))  # the stepper reuses K's buffer
-
+    steps = _Steps(np.zeros(1))
     n_steps, n_rejected, errors = _dop853(
-        sys, x0[None], np.array([t_end]), rtol, atol, fixed_step, max_steps, record
+        sys, x0[None], np.array([t_end]), rtol, atol, fixed_step, max_steps, steps
     )
     if errors:
         raise IntegrationError(errors[0])
-    t0, h, y0, y1, K = (np.concatenate(part) for part in zip(*steps))
-    coeffs, finite = _coefficients(sys, h, y0, y1, K)
+    _, t0, h, y0, y1, coeffs, finite = steps.dense(sys)
     if not finite.all():
         raise IntegrationError(_dense_failure(t0[np.argmin(finite)]))
     ts = np.append(t0, t0[-1] + h[-1])
@@ -473,9 +560,9 @@ def integrate(
 def _sample_rows(sys, x0, times):
     """States of the rows of x0 (B, n) at their own times (B, m), from one solve of sys.
 
-    Each row is stepped to its latest time, and its states are interpolated
-    while it steps, with the dense output of :class:`DenseSolution`; only a
-    step that contains a requested time gets its coefficients.  Times must
+    Each row is stepped to its latest time; the steps that contain a
+    requested time are kept, and after the solve their dense output (that of
+    :class:`DenseSolution`) is built and evaluated in one pass.  Times must
     be nonnegative.  Returns ``(states, errors)``: states has shape (B, m,
     n), and errors maps each failed row to its message; that row's states
     are NaN.  A row also fails if the dense output of one of its steps is
@@ -484,26 +571,16 @@ def _sample_rows(sys, x0, times):
     states = np.full(times.shape + (x0.shape[1],), np.nan)
     zero = times == 0.0
     states[zero] = np.broadcast_to(x0[:, None], states.shape)[zero]
-    dense_errors = {}
-    # Each row's earliest requested time after its current t; a step
-    # interpolates only when it reaches one.
-    pending = np.where(times > 0.0, times, np.inf).min(axis=1)
-
-    def interpolate(rows, t0, h, y0, y1, K):
-        t1 = t0 + h
-        u = np.flatnonzero(pending[rows] <= t1)
-        if u.size:
-            T, t0, t1, h = times[rows[u]], t0[u], t1[u], h[u]
-            r, c = np.nonzero((T > t0[:, None]) & (T <= t1[:, None]))
-            F, finite = _coefficients(sys, h, y0[u], y1[u], K[u])
-            for j in np.flatnonzero(~finite):
-                dense_errors.setdefault(int(rows[u[j]]), _dense_failure(t0[j]))
-            x = (T[r, c] - t0[r]) / h[r]
-            states[rows[u[r]], c] = _nested(x[:, None], y0[u[r]], F[r])
-            pending[rows[u]] = np.where(T > t1[:, None], T, np.inf).min(axis=1)
-
-    _, _, errors = _dop853(sys, x0, times.max(axis=1), _RTOL, _ATOL, None, _MAX_STEPS, interpolate)
-    errors.update(dense_errors)  # a dense output fails on a step before any failure of the stepper
+    steps = _Steps(np.where(times > 0.0, times, np.inf).min(axis=1), times)
+    _, _, errors = _dop853(sys, x0, times.max(axis=1), _RTOL, _ATOL, None, _MAX_STEPS, steps)
+    if steps.parts:
+        rows, t0, h, y0, _, F, finite = steps.dense(sys)
+        # A row's first failing step is named, over any later failure of the stepper.
+        for j in np.flatnonzero(~finite)[::-1]:
+            errors[int(rows[j])] = _dense_failure(t0[j])
+        i, c = (np.concatenate(part) for part in zip(*steps.samples))
+        x = (times[rows[i], c] - t0[i]) / h[i]
+        states[rows[i], c] = _nested(x[:, None], y0[i], F[i])
     states[list(errors)] = np.nan
     return states, errors
 

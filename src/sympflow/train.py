@@ -53,7 +53,7 @@ from . import extraction, mlp, model as sfm
 from .errors import ConfigError, DimensionError, TrainingDivergedError
 from .integrate import TrajectoryDataset
 from .systems import HamiltonianSystem
-from .validation import as_box, as_phase_points, check_positive, check_positive_int, check_time
+from .validation import as_box, as_float_array, as_phase_points, check_positive, check_positive_int, check_time
 
 __all__ = [
     "TrainConfig",
@@ -206,12 +206,15 @@ def _kind(model_obj):
 
 
 def _batch(model_obj, points, what):
-    """``points`` as ``(t, x, *rest)``, ``x`` a non-empty batch of phase points and ``t`` a finite time for it."""
-    t, x, *rest = points
+    """``points`` as ``(t, x, *y)``: x non-empty phase points, t a finite time, y finite targets of x's shape."""
+    t, x, *y = points
     x, _ = as_phase_points(x, 2 * model_obj.d)
     if x.shape[0] == 0:
         raise DimensionError(f"empty {what} batch")
-    return (check_time(t, x.shape[0]), x, *rest)
+    y = [as_float_array(v, "sample_y") for v in y]
+    if any(v.shape != x.shape for v in y):
+        raise DimensionError(f"sample_y must have the shape {x.shape} of its states, got {y[0].shape}")
+    return (check_time(t, x.shape[0]), x, *y)
 
 
 def _mean_square(err):

@@ -540,6 +540,15 @@ class FaultyOscillator(HamiltonianSystem):
         return out
 
 
+class BlowUp(HamiltonianSystem):
+    """H = q^2 p: from (q0, 0), q' = q^2 reaches infinity at t = 1/q0 while p stays 0."""
+
+    d = 1
+
+    def _rates(self, q, p):
+        return q * q, -2.0 * q * p
+
+
 def draw_ics(sys, omega, n_samples, seed):
     """The initial conditions ``evaluate_model`` draws: uniform over the box, from ``default_rng(seed)``."""
     box = as_box(omega, 2 * sys.d)

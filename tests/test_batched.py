@@ -150,6 +150,57 @@ def test_orbit_leaving_the_box_is_named():
         itg.integrate(sy.HenonHeiles(), np.array([0.0, 0.9, 0.3, 0.0]), 50.0, fixed_step=0.05)
 
 
+def _solve_rows(s, X, t_end, rtol, max_steps):
+    """Each row's counts, message and kept steps (t0, h, y1) from one batched solve of X."""
+    steps = itg._Steps(np.zeros(len(X)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        n_steps, n_rejected, errors = itg._dop853(s, X, t_end, rtol, 1e-2 * rtol, None, max_steps, steps)
+    rows, t0, h, _, y1, _ = (np.concatenate(part) for part in zip(*steps.parts))
+    return [(n_steps[i], n_rejected[i], errors.get(i), t0[rows == i], h[rows == i], y1[rows == i]) for i in range(len(X))]
+
+
+# Six rows each, some of which fail: (system, rows, t_end, rtol, max_steps, the failure).
+FAILING_ROWS = {
+    # From (q0, 0) the state is q0 (cos t, -sin t); the field turns NaN below q = 0.5.
+    "nonfinite": lambda rng: (
+        orc.FaultyOscillator(lambda call, x: x[:, 0] < 0.5),
+        np.column_stack([rng.uniform(0.55, 1.0, 6), np.zeros(6)]),
+        np.full(6, 0.9), 1e-10, 10**7, "non-finite state",
+    ),
+    # q blows up at t = 1/q0.  Rows with q0 > 1/1.5 fail when the step size
+    # underflows; those just below it survive, after rejected steps.
+    "underflow": lambda rng: (
+        orc.BlowUp(), np.array([[q0, 0.0] for q0 in (0.5, 0.62, 0.66, 0.7, 1.0, 1.2)]), np.full(6, 1.5), 1e-10,
+        10**7, "step size underflow",
+    ),
+    "max-steps": lambda rng: (
+        sy.HenonHeiles(), rng.uniform(-0.25, 0.25, (6, 4)), rng.uniform(2.0, 8.0, 6), 1e-10, 30, "exceeded 30 steps",
+    ),
+    # Above the escape energy at a loose tolerance: rejected steps, then underflow.
+    "rejections": lambda rng: (
+        sy.HenonHeiles(), rng.uniform(-0.5, 0.5, (6, 4)), np.full(6, 40.0), 1e-3, 10**7, "step size underflow",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FAILING_ROWS))
+def test_failing_rows_fail_alike_in_both_controller_forms(case):
+    # Alone and in a batch of three a row's controller runs on floats; in a
+    # batch of six on arrays, until at most four rows are left.  Either way
+    # it takes the same steps, counts and message, and the others survive.
+    s, X, t_end, rtol, max_steps, failure = FAILING_ROWS[case](np.random.default_rng(11))
+    alone = [_solve_rows(s, X[i : i + 1], t_end[i : i + 1], rtol, max_steps)[0] for i in range(6)]
+    messages = [row[2] for row in alone]
+    assert any(m is None for m in messages) and any(m is not None and failure in m for m in messages)
+    if case == "underflow":
+        assert any(row[1] > 0 and row[2] is None for row in alone)
+    for rows in ([0, 1, 2], [3, 4, 5], [2, 0, 4, 1, 5, 3]):
+        for i, got in zip(rows, _solve_rows(s, X[rows], t_end[rows], rtol, max_steps)):
+            assert got[:3] == alone[i][:3], f"row {i} in {rows}"
+            for a, b in zip(got[3:], alone[i][3:]):
+                assert np.array_equal(a, b), f"row {i} in {rows}"
+
+
 def test_integrate_rejects_a_batch_or_a_wrong_width():
     with pytest.raises(DimensionError):
         itg.integrate(sy.Sho(), np.zeros((2, 2)), 1.0)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from _oracles import FaultyOscillator
+from _oracles import BlowUp, FaultyOscillator
 from sympflow import integrate as itg
 from sympflow import systems as sy
 from sympflow.errors import DimensionError, IntegrationError, UnsupportedSystemError
@@ -58,19 +58,10 @@ def test_interpolation_time_must_be_finite(t):
         sol(t)
 
 
-class _BlowUp(sy.HamiltonianSystem):
-    """H = q^2 p: from (1, 0), q' = q^2 reaches infinity at t = 1 while p stays 0."""
-
-    d = 1
-
-    def _rates(self, q, p):
-        return q * q, -2.0 * q * p
-
-
 def test_stiffness_error():
     # Blow-up in finite time forces the step size to underflow.
     with pytest.raises(IntegrationError, match="step size underflow at t=1 "):
-        itg.integrate(_BlowUp(), np.array([1.0, 0.0]), 2.0)
+        itg.integrate(BlowUp(), np.array([1.0, 0.0]), 2.0)
 
 
 def test_a_callable_is_not_a_system():
@@ -274,6 +265,22 @@ def test_nonfinite_dense_output_fails_only_its_sampled_row():
     np.testing.assert_allclose(states[1], np.stack([sol.ys[-1]] * 2), rtol=0, atol=1e-14)
     with pytest.raises(IntegrationError, match="non-finite dense output"):
         itg.sample_states(s, x0, [t_mid, t_end])  # t_end keeps step 1 whole
+
+
+def test_dense_output_is_built_once_per_solve(monkeypatch):
+    calls = []
+    coefficients = itg._coefficients
+    monkeypatch.setattr(itg, "_coefficients", lambda *args: calls.append(len(args[1])) or coefficients(*args))
+    s = sy.HenonHeiles()
+    X = np.random.default_rng(3).uniform(-0.25, 0.25, size=(3, 4))
+    T = np.random.default_rng(4).uniform(0.0, 5.0, size=(3, 8))
+    states, errors = itg._sample_rows(s, X, T)
+    assert errors == {} and len(calls) == 1
+    for i in range(3):
+        assert np.array_equal(states[i], itg.sample_states(s, X[i], T[i]))
+    assert len(calls) == 4
+    sol = itg.integrate(s, X[0], 5.0)
+    assert calls[-1] == sol.n_steps and len(calls) == 5
 
 
 @pytest.mark.parametrize("max_steps", [0, -3, 2.5, 10.0, True, "5", None])

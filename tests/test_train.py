@@ -800,6 +800,35 @@ def test_supervised_train_rejects_a_dataset_of_another_width_before_its_first_ep
     assert steps == []
 
 
+BAD_TARGETS = {
+    "width-3": (np.zeros((12, 3)), r"sample_y must have the shape \(12, 2\) of its states, got \(12, 3\)"),
+    "nan": (np.full((12, 2), np.nan), "sample_y contains non-finite entries"),
+}
+SUPERVISED_ENTRIES = {
+    "loss_supervised": lambda ds: tr.loss_supervised(tiny_mlp(), ds),
+    "loss_and_grad": lambda ds: tr.loss_and_grad(tiny_sympflow(), "supervised", dataset=ds),
+    "train": lambda ds: tr.train(
+        tr.build_model(_loop_config("mlp", regime="supervised", batch_collocation=5), d=1),
+        _loop_config("mlp", regime="supervised", batch_collocation=5),
+        dataset=ds,
+    ),
+}
+
+
+@pytest.mark.parametrize("bad", sorted(BAD_TARGETS))
+@pytest.mark.parametrize("entry", sorted(SUPERVISED_ENTRIES))
+def test_supervised_entries_check_targets_set_after_the_dataset_was_built(entry, bad, monkeypatch):
+    # The dataset checks its fields when it is built; the entries check the
+    # targets again, so a reassigned sample_y is named, not broadcast.
+    steps = []
+    monkeypatch.setattr(tr, "adam_step", lambda *args, **kwargs: steps.append(1))
+    ds = make_dataset()
+    ds.sample_y, match = BAD_TARGETS[bad]
+    with pytest.raises(DimensionError, match=match):
+        SUPERVISED_ENTRIES[entry](ds)
+    assert steps == []
+
+
 @pytest.mark.parametrize("kind", sorted(KERNELS))
 def test_checkpoints_keep_their_parameters_and_share_no_memory(kind):
     k = KERNELS[kind]
