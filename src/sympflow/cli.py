@@ -1,16 +1,16 @@
-"""Command-line interface.
+"""Command-line interface: ``sympflow`` when installed, else ``python -m sympflow``.
 
 Subcommands: ``generate-data``, ``train``, ``rollout``, ``evaluate``,
 ``poincare``.  Each reads a flat JSON config (see :mod:`sympflow.io`),
-writes CSV/JSON artifacts into the output directory, and exits 0 on
-success or nonzero with a one-line diagnostic.
+writes CSV/JSON artifacts into the output directory through
+:mod:`sympflow.io`, and exits 0 on success or nonzero with a one-line
+diagnostic.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import sys as _sys
 from pathlib import Path
 
@@ -21,24 +21,17 @@ from . import io as sio
 from . import systems as sysmod
 from .errors import ConfigError
 from .integrate import generate_dataset
-from .io import _fmt
 from .train import TrainConfig, build_model, train as run_training
 
 __all__ = ["main", "cli_dispatch"]
 
+# Config key -> keyword of the system constructors.
+_SYSTEM_PARAMS = {"mass": "m", "spring_k": "k", "damping": "lam"}
+
 
 def _build_system(cfg: dict):
-    name = cfg.get("system")
-    if name is None:
-        raise ConfigError("config needs a 'system' key")
-    params = {}
-    if "mass" in cfg:
-        params["m"] = cfg["mass"]
-    if "spring_k" in cfg:
-        params["k"] = cfg["spring_k"]
-    if "damping" in cfg:
-        params["lam"] = cfg["damping"]
-    return sysmod.system_from_name(name, **params)
+    params = {kw: cfg[key] for key, kw in _SYSTEM_PARAMS.items() if key in cfg}
+    return sysmod.system_from_name(cfg["system"], **params)
 
 
 def _require(cfg: dict, *keys):
@@ -63,7 +56,23 @@ def _project_fn(cfg: dict):
     return sysmod.physical_limit_project
 
 
-def _cmd_generate_data(cfg: dict, out: Path, args) -> int:
+def _load_model(args):
+    if args.checkpoint is None:
+        raise ConfigError("this command needs --checkpoint <path>")
+    return sio.load_checkpoint(args.checkpoint)
+
+
+def _rollout_path(cfg: dict, args, default_step=None):
+    """The checkpoint's rollout path from ``x0``; ``step`` is required when there is no default."""
+    _require(cfg, "delta_t", "horizon", *(["step"] if default_step is None else []), "x0")
+    project = _project_fn(cfg)
+    model = _load_model(args)
+    x0 = np.asarray(cfg["x0"], dtype=float)
+    spec = ev.RolloutSpec(delta_t=cfg["delta_t"], horizon=cfg["horizon"], step=cfg.get("step", default_step), x0=x0)
+    return ev.rollout_path(model, spec, project=project)
+
+
+def _cmd_generate_data(cfg: dict, out: Path, args) -> None:
     _require(cfg, "system", "omega", "n_trajectories", "m_samples", "delta_t")
     system = _build_system(cfg)
     ds = generate_dataset(
@@ -77,10 +86,9 @@ def _cmd_generate_data(cfg: dict, out: Path, args) -> int:
     )
     sio.save_dataset(ds, out)
     print(f"wrote {ds.n_trajectories} initial conditions, {ds.n_samples} samples to {out}")
-    return 0
 
 
-def _cmd_train(cfg: dict, out: Path, args) -> int:
+def _cmd_train(cfg: dict, out: Path, args) -> None:
     _require(cfg, "system", "model_kind", "regime", "epochs")
     system = _build_system(cfg)
     config = _train_config(cfg)
@@ -102,62 +110,27 @@ def _cmd_train(cfg: dict, out: Path, args) -> int:
         checkpoint_fn=checkpoint_fn if config.checkpoint_every else None,
     )
     sio.save_checkpoint(trained, ckpt_path, seed=config.seed)
-    with open(out / "loss_history.csv", "w") as fh:
-        keys = sorted(report.loss_history)
-        fh.write("epoch," + ",".join(keys) + "\n")
-        for i in range(report.epochs_run):
-            row = [
-                _fmt(report.loss_history[k][i]) if i < len(report.loss_history[k]) else ""
-                for k in keys
-            ]
-            fh.write(f"{i}," + ",".join(row) + "\n")
-    summary = {
-        "epochs_run": report.epochs_run,
-        "final_loss": report.final_loss,
-        "wall_clock_s": report.wall_clock_s,
-        "seed": report.seed,
-        "second_term_worker": report.second_term_worker,
-        "second_term_wait_s": report.second_term_wait_s,
-        "second_term_busy_s": report.second_term_busy_s,
-    }
-    (out / "train_report.json").write_text(json.dumps(summary, indent=2) + "\n")
+    history, keys = report.loss_history, sorted(report.loss_history)
+    rows = ([i, *(history[k][i] if i < len(history[k]) else "" for k in keys)] for i in range(report.epochs_run))
+    sio.write_csv(out / "loss_history.csv", ["epoch", *keys], rows)
+    summary = {k: v for k, v in dataclasses.asdict(report).items() if k != "loss_history"}
+    sio.write_json(out / "train_report.json", summary)
     print(f"trained {config.model_kind} for {report.epochs_run} epochs, "
           f"final loss {report.final_loss:.6g}; checkpoint at {ckpt_path}")
-    return 0
 
 
-def _load_model(cfg: dict, args):
-    if args.checkpoint is None:
-        raise ConfigError("this command needs --checkpoint <path>")
-    return sio.load_checkpoint(args.checkpoint)
-
-
-def _cmd_rollout(cfg: dict, out: Path, args) -> int:
-    _require(cfg, "delta_t", "horizon", "step", "x0")
-    project = _project_fn(cfg)
-    model = _load_model(cfg, args)
-    spec = ev.RolloutSpec(
-        delta_t=cfg["delta_t"],
-        horizon=cfg["horizon"],
-        step=cfg["step"],
-        x0=np.asarray(cfg["x0"], dtype=float),
-    )
-    times, states = ev.rollout_path(model, spec, project=project)
-    with open(out / "rollout.csv", "w") as fh:
-        dim = states.shape[1]
-        fh.write("t," + ",".join(f"x_{i + 1}" for i in range(dim)) + "\n")
-        for t, row in zip(times, states):
-            fh.write(_fmt(t) + "," + ",".join(_fmt(v) for v in row) + "\n")
+def _cmd_rollout(cfg: dict, out: Path, args) -> None:
+    times, states = _rollout_path(cfg, args)
+    header = ["t"] + [f"x_{i + 1}" for i in range(states.shape[1])]
+    sio.write_csv(out / "rollout.csv", header, ([t, *row] for t, row in zip(times, states)))
     print(f"wrote {len(times)} rollout samples to {out / 'rollout.csv'}")
-    return 0
 
 
-def _cmd_evaluate(cfg: dict, out: Path, args) -> int:
+def _cmd_evaluate(cfg: dict, out: Path, args) -> None:
     _require(cfg, "system", "omega", "delta_t")
     system = _build_system(cfg)
     project = _project_fn(cfg)
-    model = _load_model(cfg, args)
-    drift_x0 = np.asarray(cfg["x0"], dtype=float) if "x0" in cfg else None
+    model = _load_model(args)
     report = ev.evaluate_model(
         model,
         system,
@@ -166,57 +139,27 @@ def _cmd_evaluate(cfg: dict, out: Path, args) -> int:
         n_samples=cfg.get("n_eval_samples", 100),
         ks=cfg.get("k_steps", [1, 10, 100]),
         seed=cfg.get("seed", 0),
-        drift_x0=drift_x0,
+        drift_x0=np.asarray(cfg["x0"], dtype=float) if "x0" in cfg else None,
         drift_horizon=cfg.get("horizon"),
         drift_step=cfg.get("step", 0.1),
         project=project,
     )
-    with open(out / "metrics.csv", "w") as fh:
-        fh.write("k,relative_error,energy_variation,skipped_error,skipped_energy,nonfinite,failed\n")
-        for k in sorted(report.relative_errors):
-            fh.write(
-                f"{k},{_fmt(report.relative_errors[k])},{_fmt(report.energy_variations[k])},"
-                f"{report.skipped_error[k]},{report.skipped_energy[k]},"
-                f"{report.nonfinite[k]},{report.failed}\n"
-            )
+    per_k = ("relative_errors", "energy_variations", "skipped_error", "skipped_energy", "nonfinite")
+    rows = ([k, *(getattr(report, name)[k] for name in per_k), report.failed] for k in sorted(report.relative_errors))
+    sio.write_csv(out / "metrics.csv", ["k", "relative_error", "energy_variation", *per_k[2:], "failed"], rows)
     if report.drift_times is not None:
-        with open(out / "energy_drift.csv", "w") as fh:
-            # raw drift plus the drift-per-elapsed-time column
-            fh.write("t,drift,drift_per_time\n")
-            for t, v in zip(report.drift_times, report.drift_values):
-                per_time = v / t if t > 0 else 0.0
-                fh.write(f"{_fmt(t)},{_fmt(v)},{_fmt(per_time)}\n")
-    summary = {
-        "n_samples": report.n_samples,
-        "relative_errors": {str(k): v for k, v in report.relative_errors.items()},
-        "energy_variations": {str(k): v for k, v in report.energy_variations.items()},
-        "nonfinite": {str(k): v for k, v in report.nonfinite.items()},
-        "failed": report.failed,
-        "drift_slope": report.drift_slope,
-    }
-    (out / "evaluation.json").write_text(json.dumps(summary, indent=2) + "\n")
+        rows = ([t, v, v / t if t > 0 else 0.0] for t, v in zip(report.drift_times, report.drift_values))
+        sio.write_csv(out / "energy_drift.csv", ["t", "drift", "drift_per_time"], rows)
+    keys = ("n_samples", "relative_errors", "energy_variations", "nonfinite", "failed", "drift_slope")
+    sio.write_json(out / "evaluation.json", {key: getattr(report, key) for key in keys})
     print(f"wrote metrics to {out / 'metrics.csv'}")
-    return 0
 
 
-def _cmd_poincare(cfg: dict, out: Path, args) -> int:
-    _require(cfg, "delta_t", "horizon", "x0")
-    project = _project_fn(cfg)
-    model = _load_model(cfg, args)
-    spec = ev.RolloutSpec(
-        delta_t=cfg["delta_t"],
-        horizon=cfg["horizon"],
-        step=cfg.get("step", 0.01),
-        x0=np.asarray(cfg["x0"], dtype=float),
-    )
-    path = ev.rollout_path(model, spec, project=project)
-    t_cross, states = ev.poincare_crossings(path)
-    with open(out / "poincare.csv", "w") as fh:
-        fh.write("t,q_y,p_y\n")
-        for t, row in zip(t_cross, states):
-            fh.write(f"{_fmt(t)},{_fmt(row[1])},{_fmt(row[3])}\n")
+def _cmd_poincare(cfg: dict, out: Path, args) -> None:
+    t_cross, states = ev.poincare_crossings(_rollout_path(cfg, args, default_step=0.01))
+    rows = ([t, row[1], row[3]] for t, row in zip(t_cross, states))
+    sio.write_csv(out / "poincare.csv", ["t", "q_y", "p_y"], rows)
     print(f"wrote {len(t_cross)} section points to {out / 'poincare.csv'}")
-    return 0
 
 
 _COMMANDS = {
@@ -255,7 +198,8 @@ def cli_dispatch(argv) -> int:
             cfg["seed"] = args.seed
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        return _COMMANDS[args.command](cfg, out, args)
+        _COMMANDS[args.command](cfg, out, args)
+        return 0
     except Exception as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return 1
@@ -263,3 +207,7 @@ def cli_dispatch(argv) -> int:
 
 def main() -> int:
     return cli_dispatch(_sys.argv[1:])
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

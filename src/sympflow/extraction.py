@@ -25,7 +25,7 @@ import numpy as np
 
 from . import potential as pot
 from .errors import DimensionError
-from .model import SympFlowModel, _shear, _shear_step, _shear_vjp
+from .model import SympFlowModel, _shear, _shear_vjp
 from .validation import as_phase_points, check_finite_scalar, check_positive, check_positive_int
 
 __all__ = [
@@ -65,10 +65,8 @@ def _pair_b(vq, vp, t, y: np.ndarray, last: bool):
 
 def _tail_inverse_b(model: SympFlowModel, i: int, t, x: np.ndarray) -> np.ndarray:
     """Inverse of the composition of layer pairs i..L (1-based, i = L+1 is identity)."""
-    for j in range(model.n_layers - 1, i - 2, -1):
-        vq, vp = model.layers[j]
-        x = _shear_step(vp, t, x, momentum=True, sign=-1.0)[0]
-        x = _shear_step(vq, t, x, sign=-1.0)[0]
+    for vq, vp in reversed(model.layers[i - 1 :]):
+        x = _pair_b(vq, vp, t, x, last=False)[2]
     return x
 
 

@@ -1,4 +1,4 @@
-"""Checkpoints, dataset CSV files, and config parsing.
+"""The on-disk formats: checkpoints, CSV and JSON artifacts, and configs.
 
 Checkpoint format: a JSON object with ``magic: "sympflow-ckpt-v1"``,
 ``kind`` ("sympflow" or "mlp"), ``d``, ``L``, ``h`` (the hidden width),
@@ -10,17 +10,25 @@ either looks the kind's kernel module up in ``_KINDS``, whose
 ``params_to_vector`` and ``model_with_params`` do the rest.  Round-trips
 are bit-exact.
 
-Datasets are two CSV files: ``ics.csv`` (header ``traj_id,x_1..x_{2d}``) and
-``samples.csv`` (header ``traj_id,t,y_1..y_{2d}``), floats written with 17
-significant digits.
+:func:`write_csv` writes every CSV artifact, floats with 17 significant
+digits (they read back bit for bit): a dataset's ``ics.csv`` (header
+``traj_id,x_1..x_{2d}``) and ``samples.csv`` (``traj_id,t,y_1..y_{2d}``),
+and the CLI's ``loss_history.csv``, ``rollout.csv``, ``metrics.csv``,
+``energy_drift.csv`` and ``poincare.csv``.  :func:`write_json` writes
+``train_report.json`` and ``evaluation.json``, with a non-finite float as
+``null`` (JSON has no NaN).
 
-Configs are flat JSON objects; unknown keys are rejected.
+Configs are flat JSON objects; unknown keys are rejected.  ``CONFIG_KEYS``
+holds every ``TrainConfig`` field, typed as its default, and the other
+commands' keys.
 """
 
 from __future__ import annotations
 
 import base64
+import dataclasses
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +37,7 @@ from . import mlp as mlpmod
 from . import model as sfm
 from .errors import CheckpointError, ConfigError, KindMismatchError
 from .integrate import TrajectoryDataset
+from .train import TrainConfig
 
 __all__ = [
     "save_checkpoint",
@@ -36,6 +45,8 @@ __all__ = [
     "save_dataset",
     "load_dataset",
     "load_config",
+    "write_csv",
+    "write_json",
     "CONFIG_KEYS",
 ]
 
@@ -101,28 +112,45 @@ def load_checkpoint(path, expect_kind: str | None = None):
     return kernels.model_with_params(skeleton, vec)
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
+def _cell(v) -> str:
+    return format(float(v), ".17g") if isinstance(v, (float, np.floating)) else str(v)
+
+
+def write_csv(path, header, rows) -> None:
+    """Write a CSV file: floats with 17 significant digits, integers and strings as they are."""
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(_cell(v) for v in row) + "\n")
+
+
+def _finite_or_null(obj):
+    if isinstance(obj, dict):
+        return {k: _finite_or_null(v) for k, v in obj.items()}
+    return None if isinstance(obj, float) and not math.isfinite(obj) else obj
+
+
+def write_json(path, summary: dict) -> None:
+    """Write a JSON summary, indented by two spaces; a non-finite float becomes null."""
+    Path(path).write_text(json.dumps(_finite_or_null(summary), indent=2, allow_nan=False) + "\n")
 
 
 def save_dataset(dataset: TrajectoryDataset, out_dir) -> None:
-    """Write ics.csv and samples.csv with 17-significant-digit floats."""
+    """Write ics.csv, samples.csv (see :func:`write_csv`) and meta.json."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     dim = dataset.ics.shape[1]
-    with open(out / "ics.csv", "w") as fh:
-        fh.write("traj_id," + ",".join(f"x_{i + 1}" for i in range(dim)) + "\n")
-        for n, row in enumerate(dataset.ics):
-            fh.write(str(n) + "," + ",".join(_fmt(v) for v in row) + "\n")
-    with open(out / "samples.csv", "w") as fh:
-        fh.write("traj_id,t," + ",".join(f"y_{i + 1}" for i in range(dim)) + "\n")
-        for tid, t, row in zip(dataset.sample_traj, dataset.sample_t, dataset.sample_y):
-            fh.write(f"{tid},{_fmt(t)}," + ",".join(_fmt(v) for v in row) + "\n")
-    meta = {
-        "delta_t": dataset.delta_t,
-        "noise_std": dataset.noise_std,
-        "seed": dataset.seed,
-    }
+    write_csv(
+        out / "ics.csv",
+        ["traj_id"] + [f"x_{i + 1}" for i in range(dim)],
+        ([n, *row] for n, row in enumerate(dataset.ics)),
+    )
+    write_csv(
+        out / "samples.csv",
+        ["traj_id", "t"] + [f"y_{i + 1}" for i in range(dim)],
+        ([tid, t, *row] for tid, t, row in zip(dataset.sample_traj, dataset.sample_t, dataset.sample_y)),
+    )
+    meta = {"delta_t": dataset.delta_t, "noise_std": dataset.noise_std, "seed": dataset.seed}
     (out / "meta.json").write_text(json.dumps(meta) + "\n")
 
 
@@ -182,20 +210,7 @@ CONFIG_KEYS = {
     "mass": float,
     "spring_k": float,
     "damping": float,
-    "model_kind": str,
-    "regime": str,
-    "epochs": int,
-    "fine_tune_epochs": int,
-    "learning_rate": float,
-    "batch_collocation": int,
-    "batch_matching": int,
-    "delta_t": float,
-    "omega": list,
-    "seed": int,
-    "derivative_mode": str,
-    "layers": int,
-    "hidden": int,
-    "checkpoint_every": int,
+    **{f.name: list if isinstance(f.default, tuple) else type(f.default) for f in dataclasses.fields(TrainConfig)},
     "n_trajectories": int,
     "m_samples": int,
     "noise_std": float,

@@ -115,11 +115,13 @@ class TrainConfig:
 
 @dataclass
 class TrainReport:
+    """One run's record; the CLI writes every field but ``loss_history``, in this order, to train_report.json."""
+
     loss_history: dict = field(default_factory=dict)
     epochs_run: int = 0
+    final_loss: float = float("nan")
     wall_clock_s: float = 0.0
     seed: int = 0
-    final_loss: float = float("nan")
     second_term_worker: bool = False  # the regime's second term ran in a forked worker
     second_term_wait_s: float = 0.0  # time the loop spent waiting for the worker's results
     second_term_busy_s: float = 0.0  # time the worker spent computing its jobs

@@ -1,13 +1,18 @@
 """Checkpoints, dataset files, config parsing, and the CLI surface."""
 
 import dataclasses
+import functools
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from sympflow import cli
+from sympflow import evaluate as ev
 from sympflow import io as sio
 from sympflow import mlp
 from sympflow import model as sfm
@@ -17,6 +22,9 @@ from sympflow.cli import cli_dispatch
 from sympflow.errors import CheckpointError, ConfigError, KindMismatchError
 from sympflow.integrate import generate_dataset
 from sympflow.systems import Sho
+
+# A Henon-Heiles SympFlow trained by benchmarks/make_checkpoint.py.
+HH_CHECKPOINT = Path(__file__).resolve().parents[1] / "benchmarks" / "hh_sympflow.json"
 
 
 def test_checkpoint_roundtrip_sympflow(tmp_path):
@@ -38,11 +46,10 @@ def test_checkpoint_roundtrip_mlp(tmp_path):
 
 
 def test_checkpoint_bytes_survive_a_round_trip(tmp_path):
-    stored = Path(__file__).resolve().parents[1] / "benchmarks" / "hh_sympflow.json"
-    payload = json.loads(stored.read_text())
+    payload = json.loads(HH_CHECKPOINT.read_text())
     path = tmp_path / "model.json"
-    sio.save_checkpoint(sio.load_checkpoint(stored), path, seed=payload["seed"])
-    assert path.read_bytes() == stored.read_bytes()
+    sio.save_checkpoint(sio.load_checkpoint(HH_CHECKPOINT), path, seed=payload["seed"])
+    assert path.read_bytes() == HH_CHECKPOINT.read_bytes()
 
 
 @pytest.mark.parametrize("kind", ["sympflow", "mlp"])
@@ -115,6 +122,19 @@ def test_dataset_column_counts_must_agree(tmp_path):
     (data / "ics.csv").write_text("\n".join(",".join(r) for r in rows) + "\n")
     with pytest.raises(ConfigError, match=r"samples\.csv:1: 2 state columns, but ics\.csv has 3"):
         sio.load_dataset(data)
+
+
+def test_write_csv_writes_integers_as_they_are_and_floats_bit_for_bit(tmp_path):
+    floats = [-0.0, 5e-324, 1 / 3, 0.1 + 0.2, np.nextafter(1.0, 2.0), 1e300]  # 0.1 + 0.2 and 1 + 2**-52 need 17 digits
+    path = tmp_path / "t.csv"
+    header = ["id", "name", *(f"v_{i}" for i in range(len(floats)))]
+    sio.write_csv(path, header, [[np.int64(7), "a", *floats], [3, "", *floats]])
+    first, *rows = path.read_text().split("\n")[:-1]
+    assert first == "id,name,v_0,v_1,v_2,v_3,v_4,v_5"
+    assert [r.split(",")[:2] for r in rows] == [["7", "a"], ["3", ""]]
+    for row in rows:
+        back = np.array([float(v) for v in row.split(",")[2:]])
+        assert back.tobytes() == np.array(floats).tobytes()
 
 
 def test_config_rejects_unknown_keys(tmp_path):
@@ -227,6 +247,34 @@ def test_cli_help_exits_zero(capsys):
     assert "generate-data" in out
 
 
+def test_python_m_sympflow_runs_the_cli(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(Path(sio.__file__).resolve().parents[1]))
+    run = functools.partial(subprocess.run, env=env, capture_output=True, text=True, timeout=60)
+    shown = run([sys.executable, "-m", "sympflow", "--help"])
+    assert shown.returncode == 0 and shown.stdout.startswith("usage: sympflow")
+    for module in ("sympflow", "sympflow.cli"):
+        failed = run([sys.executable, "-m", module, "train", "--config", str(tmp_path / "missing.json")])
+        assert failed.returncode == 1 and failed.stderr.startswith("error:")
+
+
+def test_cli_json_artifacts_hold_no_nan(tmp_path):
+    def strict(path):
+        def reject(name):
+            raise ValueError(f"{path.name} holds {name}, which is not JSON")
+
+        return json.loads(path.read_text(), parse_constant=reject)
+
+    train_cfg = {"system": "sho", "model_kind": "sympflow", "regime": "residual_only", "epochs": 0, "hidden": 3}
+    out = tmp_path / "run"
+    assert cli_dispatch(["train", "--config", _write_cfg(tmp_path, "train.json", train_cfg), "--out", str(out)]) == 0
+    assert strict(out / "train_report.json")["final_loss"] is None
+    assert (out / "loss_history.csv").read_text() == "epoch\n"
+    eval_cfg = {"system": "sho", "omega": [-1.0, 1.0], "delta_t": 1.0, "n_eval_samples": 2, "k_steps": [1]}
+    argv = ["evaluate", "--config", _write_cfg(tmp_path, "eval.json", eval_cfg), "--out", str(out)]
+    assert cli_dispatch([*argv, "--checkpoint", str(out / "model.json")]) == 0
+    assert strict(out / "evaluation.json")["drift_slope"] is None
+
+
 def test_cli_generate_data_and_determinism(tmp_path):
     cfg = _write_cfg(
         tmp_path,
@@ -284,14 +332,10 @@ def test_cli_train_rollout_evaluate_poincare(tmp_path):
     assert rows[0] == "t,x_1,x_2"
     assert len(rows) == 8  # header + 7 samples
 
-    # rows match direct library calls
+    # 17 significant digits read back bit for bit: every row is the library's
     model = sio.load_checkpoint(ckpt)
-    from sympflow import evaluate as ev
-
-    for line in rows[1:3]:
-        t, x1, x2 = (float(v) for v in line.split(","))
-        want = ev.rollout(model, 1.0, t, np.array([1.0, 0.0]))
-        assert np.max(np.abs(np.array([x1, x2]) - want)) < 1e-15
+    times, states = ev.rollout_path(model, ev.RolloutSpec(1.0, 3.0, 0.5, np.array([1.0, 0.0])))
+    assert [[float(v) for v in line.split(",")] for line in rows[1:]] == np.column_stack([times, states]).tolist()
 
     eval_cfg = _write_cfg(
         tmp_path,
@@ -316,47 +360,18 @@ def test_cli_train_rollout_evaluate_poincare(tmp_path):
     drift_rows = (out / "energy_drift.csv").read_text().strip().split("\n")
     assert drift_rows[0] == "t,drift,drift_per_time"
 
-    # poincare on a 4-dimensional model
-    train_cfg_hh = _write_cfg(
-        tmp_path,
-        "train_hh.json",
-        {
-            "system": "henon_heiles",
-            "model_kind": "sympflow",
-            "regime": "residual_only",
-            "epochs": 2,
-            "layers": 1,
-            "hidden": 3,
-            "batch_collocation": 4,
-            "omega": [-1.0, 1.0],
-            "delta_t": 1.0,
-            "seed": 3,
-        },
-    )
-    out_hh = tmp_path / "run_hh"
-    assert cli_dispatch(["train", "--config", train_cfg_hh, "--out", str(out_hh)]) == 0
-    poin_cfg = _write_cfg(
-        tmp_path,
-        "poin.json",
-        {
-            "delta_t": 1.0,
-            "horizon": 20.0,
-            "step": 0.05,
-            "x0": [0.3, -0.3, 0.3, 0.0],
-        },
-    )
-    assert cli_dispatch(
-        [
-            "poincare",
-            "--config",
-            poin_cfg,
-            "--out",
-            str(out_hh),
-            "--checkpoint",
-            str(out_hh / "model.json"),
-        ]
-    ) == 0
-    assert (out_hh / "poincare.csv").read_text().startswith("t,q_y,p_y")
+    # poincare on a trained Henon-Heiles model, whose orbit crosses the section
+    x0 = [0.0, 0.1, 0.3, 0.05]
+    poin_cfg = _write_cfg(tmp_path, "poin.json", {"delta_t": 1.0, "horizon": 30.0, "x0": x0})
+    argv = ["poincare", "--config", poin_cfg, "--out", str(out), "--checkpoint", str(HH_CHECKPOINT)]
+    assert cli_dispatch(argv) == 0
+    lines = (out / "poincare.csv").read_text().strip().split("\n")
+    assert lines[0] == "t,q_y,p_y"
+    path = ev.rollout_path(sio.load_checkpoint(HH_CHECKPOINT), ev.RolloutSpec(1.0, 30.0, 0.01, np.array(x0)))
+    t_cross, crossings = ev.poincare_crossings(path)
+    assert len(t_cross) >= 3
+    want = np.column_stack([t_cross, crossings[:, 1], crossings[:, 3]]).tolist()
+    assert [[float(v) for v in line.split(",")] for line in lines[1:]] == want
 
 
 def test_cli_train_deterministic_outputs(tmp_path):
