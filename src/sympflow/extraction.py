@@ -8,11 +8,13 @@ Hamiltonian, the composed map is itself a Hamiltonian flow.  The pair
 
 and the full model's Hamiltonian aggregates the pairs from the last layer to
 the first, each evaluated at the point pulled back through the inverses of
-the later pairs.  ``extract`` evaluates the closed-form sum; its gradient is
-assembled by one reverse sweep over the inverse chain.  A pair's tap and its
-inverse read the same points, so each potential is swept once per time in
-each pass: 4 sweeps per pair forward and 4 back, 3 each for the first pair,
-whose inverse is never needed.
+the later pairs.  Both terms are the d_t V of an inverse shear at the point
+it reads, so ``extract`` runs the model's inverse shear chain
+(:func:`sympflow.model._chain_b` over ``model._inverse``) and sums the d_t V
+it returns; the gradient is the chain's one pullback, with the cotangent on
+every d_t V.  Each potential is swept once per time in each pass: 4 sweeps
+per pair forward and 4 back, 3 each for the first pair, whose inverse is
+never needed.
 
 The extracted Hamiltonian is defined up to an additive function of time
 alone; this module fixes the representative produced by the recursion, with
@@ -25,7 +27,7 @@ import numpy as np
 
 from . import potential as pot
 from .errors import DimensionError
-from .model import SympFlowModel, _shear, _shear_vjp
+from .model import SympFlowModel, _chain_b, _chain_vjp, _halves
 from .validation import as_phase_points, check_finite_scalar, check_positive, check_positive_int
 
 __all__ = [
@@ -43,44 +45,21 @@ def _check_pair_index(model: SympFlowModel, i: int, allow_plus_one: bool = False
         raise DimensionError(f"layer index must be in [1, {top}], got {i}")
 
 
-def _pair_b(vq, vp, t, y: np.ndarray, last: bool):
-    """Pair Hamiltonian at y, the points its potentials read, and the inverse pair.
-
-    The pair reads Vp at p and Vq at the shifted point s = q - (grad Vp(t, p)
-    - grad Vp(0, p)), which is also the position of the inverse pair's
-    output; the sweep of Vq at (t, s) yields both d_t Vq and the inverse
-    shear's grad Vq.  Returns ``(H, (s, p), inverse pair of y or None when
-    last)``.
-    """
-    d = vq.d
-    q, p = y[:, :d], y[:, d:]
-    delta_p, _, vtp = _shear(vp, t, p)
-    s = q - delta_p
-    if last:
-        vtq = pot.jet_grad_b(vq, t, s)[0][:, d]
-        return vtp + vtq, (s, p), None
-    delta_q, _, vtq = _shear(vq, t, s)
-    return vtp + vtq, (s, p), np.concatenate([s, p + delta_q], axis=1)
-
-
-def _tail_inverse_b(model: SympFlowModel, i: int, t, x: np.ndarray) -> np.ndarray:
-    """Inverse of the composition of layer pairs i..L (1-based, i = L+1 is identity)."""
-    for vq, vp in reversed(model.layers[i - 1 :]):
-        x = _pair_b(vq, vp, t, x, last=False)[2]
-    return x
-
-
 def _extract_tape(model: SympFlowModel, t, x: np.ndarray):
-    """Extracted Hamiltonian values and the points (s, p) read by each pair, pair 1 first."""
-    total = np.zeros(x.shape[0])
+    """Extracted Hamiltonian values and the tape of :func:`_extract_pullback`, the input of each inverse shear.
+
+    All inverse shears run but the last, Vq_1's, whose d_t V alone comes from one sweep at t: a paired
+    sweep would add the sweep at 0, and its d_t V can differ from the single sweep's in the last bit.
+    """
     tape = []
-    y = x
-    for i in range(model.n_layers, 0, -1):
-        vq, vp = model.layers[i - 1]
-        val, points, y = _pair_b(vq, vp, t, y, last=i == 1)
-        total += val
-        tape.append(points)
-    return total, tape[::-1]
+    y, _, vts = _chain_b(model._inverse[:-1], t, x, tape=tape)
+    tape.append((y, None))
+    _, net, momentum, _ = model._inverse[-1]
+    vts.append(pot.jet_grad_b(net, t, y[:, _halves(model.d, momentum)[0]])[0][:, model.d])
+    total = np.zeros(x.shape[0])
+    for vtp, vtq in zip(vts[::2], vts[1::2]):
+        total += vtp + vtq
+    return total, tape
 
 
 def _extract_b(model: SympFlowModel, t, x: np.ndarray) -> np.ndarray:
@@ -92,8 +71,7 @@ def pair_hamiltonian(model: SympFlowModel, i: int, t, x):
     _check_pair_index(model, i)
     xb, single = as_phase_points(x, 2 * model.d)
     t = check_finite_scalar(t, "t")
-    vq, vp = model.layers[i - 1]
-    vals = _pair_b(vq, vp, t, xb, last=True)[0]
+    vals = _extract_b(SympFlowModel(model.d, (model.layers[i - 1],)), t, xb)
     return float(vals[0]) if single else vals
 
 
@@ -102,7 +80,7 @@ def tail_inverse(model: SympFlowModel, i: int, t, x):
     _check_pair_index(model, i, allow_plus_one=True)
     xb, single = as_phase_points(x, 2 * model.d)
     t = check_finite_scalar(t, "t")
-    out = _tail_inverse_b(model, i, t, xb)
+    out = _chain_b(model._inverse[: 2 * (model.n_layers + 1 - i)], t, xb)[0]
     return out[0] if single else out
 
 
@@ -115,24 +93,11 @@ def extract(model: SympFlowModel, t, x) -> float:
 
 
 def _extract_pullback(model: SympFlowModel, t, tape, c: np.ndarray):
-    """Gradient of sum_i c_i * extract(model, t, x_i) from the tape of :func:`_extract_tape`.
+    """Gradient ``(gx, gtheta)`` of sum_i c_i * extract(model, t, x_i) from the tape of :func:`_extract_tape`.
 
-    Walks the pairs from the first (deepest) to the last with the cotangent
-    w on the pair's output; each potential takes one fused pullback per
-    time, with c on its time partial and w on its shear.  Returns ``(gx,
-    gtheta)``.
+    The inverse chain's pullback, with c on every d_t V and no cotangent on the output.
     """
-    d = model.d
-    grads = []
-    w = None
-    for (vq, vp), (s, p) in zip(model.layers, tape):
-        wq, wp = (None, None) if w is None else (w[:, :d], w[:, d:])
-        gs, _, gth_q = _shear_vjp(vq, t, s, w=wp, wt=c)
-        ws = gs if wq is None else wq + gs
-        gp, _, gth_p = _shear_vjp(vp, t, p, w=-ws, wt=c)
-        w = np.concatenate([ws, gp if wp is None else wp + gp], axis=1)
-        grads += [gth_q, gth_p]
-    return w, np.concatenate(grads)
+    return _chain_vjp(model._inverse, t, tape, None, wt=c)
 
 
 def extract_vjp(model: SympFlowModel, t, x: np.ndarray, c: np.ndarray):

@@ -134,6 +134,11 @@ def test_evaluate_model_leaves_nonfinite_model_states_out(monkeypatch, caplog):
     assert report.energy_variations[3] == 0.0
     assert np.isfinite(report.relative_errors[3])
     assert "1 non-finite model states after 1 windows" in caplog.text
+    # Every state diverging leaves no row to average: the means are NaN, not an error.
+    monkeypatch.setattr(ev, "_forward_b", lambda m, t, x: np.full_like(x, np.nan))
+    report = ev.evaluate_model(None, s, [-1.2, 1.2], 1.0, n_samples=5, ks=(1, 3), seed=2)
+    assert report.nonfinite == {1: 5, 3: 5}
+    assert all(np.isnan(report.relative_errors[k]) and np.isnan(report.energy_variations[k]) for k in (1, 3))
 
 
 def test_nonfinite_field_is_named():

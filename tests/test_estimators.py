@@ -51,6 +51,13 @@ def test_supervised_fit_shape_checks():
         est.fit(np.zeros((4, 2)), np.zeros((4, 2)))  # even column count
     with pytest.raises(DimensionError):
         est.fit(np.zeros((4, 3)), np.zeros((3, 2)))  # mismatched rows
+    with pytest.raises(DimensionError, match="non-finite"):
+        est.fit(np.array([[0.1, np.nan, 0.2]]), np.zeros((1, 2)))
+    with pytest.raises(ConfigError, match="requires regime='supervised'"):
+        SympFlowRegressor(regime="residual_only").fit(np.zeros((4, 3)), np.zeros((4, 2)))
+    fitted = SympFlowRegressor(layers=1, hidden=2, epochs=1).fit(np.zeros((4, 3)), np.zeros((4, 2)))
+    with pytest.raises(DimensionError, match="X must have 3 columns, got 5"):
+        fitted.predict(np.zeros((1, 5)))
 
 
 def test_unsupervised_fit_requires_system():

@@ -9,7 +9,7 @@ from sympflow import evaluate as ev
 from sympflow import model as sfm
 from sympflow.errors import DimensionError
 from sympflow.integrate import _sample_rows, sample_states
-from sympflow.systems import HenonHeiles, Sho
+from sympflow.systems import HenonHeiles, Sho, embed_physical, physical_limit_project
 
 import _oracles as orc
 from _oracles import assert_close
@@ -64,6 +64,21 @@ def test_rollout_path_consistency(model):
     assert np.all(np.diff(times) > 0)
     for j in (0, 3, 7, 12, 20):
         single = ev.rollout(model, 1.0, times[j], spec.x0)
+        assert np.max(np.abs(states[j] - single)) < 1e-14
+
+
+def test_projected_rollouts_project_after_every_map():
+    model4 = sfm.random_sympflow(2, 2, np.random.default_rng(3), h=4)
+    x0 = embed_physical(0.4, -0.3)
+    manual = x0
+    for t in (1.0, 1.0, 0.5):
+        manual = physical_limit_project(sfm.forward(model4, t, manual))
+    assert np.array_equal(ev.rollout(model4, 1.0, 2.5, x0, project=physical_limit_project), manual)
+    spec = ev.RolloutSpec(delta_t=1.0, horizon=3.0, step=0.25, x0=x0)
+    times, states = ev.rollout_path(model4, spec, project=physical_limit_project)
+    assert np.array_equal(states[:, 0], states[:, 1]) and np.array_equal(states[:, 2], -states[:, 3])
+    for j, t in enumerate(times):
+        single = ev.rollout(model4, 1.0, t, x0, project=physical_limit_project)
         assert np.max(np.abs(states[j] - single)) < 1e-14
 
 
@@ -261,6 +276,8 @@ def test_poincare_no_crossings():
     times = np.linspace(0, 10, 101)
     states = np.tile(np.array([0.1, 0.2, 0.3, 0.4]), (101, 1))
     assert ev.poincare_section((times, states)).shape == (0, 2)
+    with pytest.raises(DimensionError, match="4-dimensional states"):
+        ev.poincare_crossings((times, states[:, :2]))
 
 
 def test_poincare_synthetic_signal():

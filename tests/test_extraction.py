@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sympflow import extraction as ext
 from sympflow import model as sfm
@@ -123,20 +125,31 @@ def test_extract_gradient_fd(model3):
     assert_close(got, want, rtol=1e-5, floor=1e-9, label="extract gradient")
 
 
-def test_flow_hamiltonian_consistency():
+flow_cases = st.fixed_dictionaries(
+    {
+        "d": st.integers(1, 2),
+        "layers": st.integers(1, 4),
+        "h": st.integers(1, 12),
+        "seed": st.integers(0, 2**32 - 1),
+        "t": st.one_of(st.sampled_from([0.0, 1e-300, 1e-8, 2.0]), st.floats(0.0, 2.0)),
+        "batch": st.integers(1, 7),
+    }
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(flow_cases)
+def test_flow_hamiltonian_consistency(case):
     # d/dt forward(t, x0) equals J grad extract at the image point: the
     # composition rule for the generating Hamiltonian, checked end to end.
-    rng = np.random.default_rng(18)
-    for _ in range(50):
-        d = int(rng.integers(1, 3))
-        L = int(rng.choice([1, 2, 3]))
-        model = sfm.random_sympflow(d, L, rng, h=5)
-        t = float(rng.uniform(0.05, 1.5))
-        x0 = rng.uniform(-1, 1, size=2 * d)
-        lhs = sfm.time_derivative(model, t, x0)
-        image = sfm.forward(model, t, x0)
-        rhs = symplectic_matrix(d) @ ext.extract_gradient(model, t, image)
-        assert_close(lhs, rhs, rtol=1e-4, floor=1e-7, label="flow consistency")
+    rng = np.random.default_rng(case["seed"])
+    d, t = case["d"], case["t"]
+    model = sfm.random_sympflow(d, case["layers"], rng, h=case["h"])
+    x0 = rng.uniform(-1, 1, size=(case["batch"], 2 * d))
+    lhs = sfm.time_derivative(model, t, x0)
+    rhs = ext.extract_gradient(model, t, sfm.forward(model, t, x0)) @ symplectic_matrix(d).T
+    err = np.abs(lhs - rhs) / (1.0 + np.abs(rhs))
+    assert err.max() <= 1e-13, f"max |lhs - rhs| / (1 + |rhs|) = {err.max():.3e}"
 
 
 def test_piecewise_hamiltonian(model3):
@@ -146,6 +159,8 @@ def test_piecewise_hamiltonian(model3):
     assert ext.piecewise_hamiltonian(model3, 1.0, 0.3, x) == ext.extract(model3, 0.3, x)
     with pytest.raises(DimensionError):
         ext.piecewise_hamiltonian(model3, 0.0, 1.0, x)
+    with pytest.raises(DimensionError, match="nonnegative"):
+        ext.piecewise_hamiltonian(model3, 1.0, -0.5, x)
 
 
 def test_extract_vjp_parameter_gradient_fd():

@@ -95,6 +95,8 @@ def test_sample_states():
     # unsorted input handled
     out2 = itg.sample_states(s, np.array([1.0, 0.0]), [1.0, 0.0, 0.5])
     assert np.allclose(out2[[1, 2, 0]], out, atol=1e-12)
+    with pytest.raises(DimensionError, match="nonnegative"):
+        itg.sample_states(s, np.array([1.0, 0.0]), [0.5, -0.1])
 
 
 def test_generate_dataset_counts_and_accuracy():
@@ -156,6 +158,9 @@ def test_generate_dataset_rejects_bad_args():
         ("sample_t", [[0.1], [0.2]], "shapes"),
         ("ics", [[0.1, 0.2, 0.3], [0.2, 0.3, 0.4]], r"\(N, 2d\)"),
         ("ics", [0.1, 0.2], r"\(N, 2d\)"),
+        ("sample_traj", [0, 2], "must index the initial conditions"),
+        ("sample_t", [0.1, 1.5], r"must lie in \[0, delta_t\]"),
+        ("sample_t", [-0.1, 0.2], r"must lie in \[0, delta_t\]"),
     ],
 )
 def test_a_dataset_is_checked_when_it_is_built(field, value, match):
@@ -181,6 +186,14 @@ def test_nonfinite_or_nonpositive_end_time_raises_up_front():
 def test_nan_tolerance_or_fixed_step_raises_up_front(name):
     with pytest.raises(DimensionError, match=name):
         itg.integrate(sy.Sho(), np.array([1.0, 0.0]), 1.0, **{name: np.nan})
+
+
+def test_generate_dataset_names_the_trajectory_that_fails():
+    # The field is NaN where q < -0.5: of the 4 initial conditions of seed 1 only the
+    # second, (-0.71, 0.90), starts there, and the other orbits stay above it in the window.
+    s = FaultyOscillator(lambda call, x: x[:, 0] < -0.5)
+    with pytest.raises(IntegrationError, match=r"^trajectory 1: non-finite state at t=0"):
+        itg.generate_dataset(s, [-1.0, 1.0], 4, 3, 1.0, seed=1)
 
 
 def test_generate_dataset_rejects_a_nonfinite_window():

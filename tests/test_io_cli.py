@@ -71,6 +71,33 @@ def test_checkpoint_bad_magic(tmp_path):
         sio.load_checkpoint(path)
 
 
+def test_save_checkpoint_rejects_a_non_model(tmp_path):
+    with pytest.raises(CheckpointError, match="cannot checkpoint object of type dict"):
+        sio.save_checkpoint({"kind": "sympflow"}, tmp_path / "model.json")
+
+
+# Edits of a valid checkpoint's JSON text, each making it unloadable.
+BROKEN_CHECKPOINTS = {
+    "invalid-json": (lambda text: text[:-2], "cannot read checkpoint"),
+    "unknown-kind": (lambda text: text.replace('"sympflow"', '"rnn"'), "unknown checkpoint kind 'rnn'"),
+    "missing-key": (lambda text: json.dumps({k: v for k, v in json.loads(text).items() if k != "h"}), "malformed"),
+    "short-params": (
+        lambda text: json.dumps({**json.loads(text), "params": sio._encode(np.zeros(3))}),
+        "parameter vector length does not match the header",
+    ),
+}
+
+
+@pytest.mark.parametrize("broken", sorted(BROKEN_CHECKPOINTS))
+def test_load_checkpoint_rejects_a_broken_file(tmp_path, broken):
+    edit, match = BROKEN_CHECKPOINTS[broken]
+    path = tmp_path / "model.json"
+    sio.save_checkpoint(sfm.random_sympflow(1, 1, np.random.default_rng(6), h=2), path)
+    path.write_text(edit(path.read_text()))
+    with pytest.raises(CheckpointError, match=match):
+        sio.load_checkpoint(path)
+
+
 def test_checkpoint_kind_mismatch(tmp_path):
     model = sfm.random_sympflow(1, 1, np.random.default_rng(3))
     path = tmp_path / "model.json"
@@ -102,6 +129,15 @@ def test_dataset_truncated_row_names_file_and_line(tmp_path):
     lines[2] = lines[2].rsplit(",", 1)[0]  # drop the last column of the second sample
     (data / "samples.csv").write_text("\n".join(lines) + "\n")
     with pytest.raises(ConfigError, match=r"samples\.csv:3: expected 4 columns, got 3"):
+        sio.load_dataset(data)
+
+
+def test_dataset_unparsable_cell_names_file_and_line(tmp_path):
+    data = _saved_dataset(tmp_path)
+    lines = (data / "samples.csv").read_text().splitlines()
+    lines[3] = lines[3].rsplit(",", 1)[0] + ",zero"
+    (data / "samples.csv").write_text("\n".join(lines) + "\n")
+    with pytest.raises(ConfigError, match=r"samples\.csv:4: "):
         sio.load_dataset(data)
 
 
@@ -141,6 +177,9 @@ def test_config_rejects_unknown_keys(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"system": "sho", "bogus": 1}))
     with pytest.raises(ConfigError):
+        sio.load_config(path)
+    path.write_text(json.dumps([{"system": "sho"}]))
+    with pytest.raises(ConfigError, match="config must be a JSON object"):
         sio.load_config(path)
 
 
@@ -293,6 +332,23 @@ def test_cli_generate_data_and_determinism(tmp_path):
     assert cli_dispatch(["generate-data", "--config", cfg, "--out", str(out2)]) == 0
     assert (out1 / "ics.csv").read_text() == (out2 / "ics.csv").read_text()
     assert (out1 / "samples.csv").read_text() == (out2 / "samples.csv").read_text()
+
+
+def test_cli_supervised_training_from_a_dataset_writes_periodic_checkpoints(tmp_path, capsys):
+    data_cfg = {"system": "sho", "omega": [-1.0, 1.0], "n_trajectories": 4, "m_samples": 3, "delta_t": 1.0}
+    data = tmp_path / "data"
+    assert cli_dispatch(["generate-data", "--config", _write_cfg(tmp_path, "gen.json", data_cfg), "--out", str(data)]) == 0
+    train_cfg = {"system": "sho", "model_kind": "mlp", "regime": "supervised", "epochs": 4, "hidden": 4}
+    out = tmp_path / "run"
+    cfg = _write_cfg(tmp_path, "train.json", {**train_cfg, "dataset_dir": str(data), "checkpoint_every": 2})
+    assert cli_dispatch(["train", "--config", cfg, "--out", str(out)]) == 0
+    assert (out / "model-000002.json").exists()
+    assert (out / "model-000004.json").read_bytes() == (out / "model.json").read_bytes()
+    assert len((out / "loss_history.csv").read_text().splitlines()) == 1 + 4
+    capsys.readouterr()
+    no_data = _write_cfg(tmp_path, "no_data.json", train_cfg)
+    assert cli_dispatch(["train", "--config", no_data, "--out", str(tmp_path / "other")]) == 1
+    assert "config is missing required keys: dataset_dir" in capsys.readouterr().err
 
 
 def test_cli_train_rollout_evaluate_poincare(tmp_path):

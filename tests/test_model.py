@@ -125,6 +125,13 @@ def test_forward_matches_manual_layer_application():
 def test_forward_rejects_bad_dimension(model2):
     with pytest.raises(DimensionError):
         sfm.forward(model2, 0.1, np.array([1.0, 2.0]))
+    with pytest.raises(DimensionError, match="single phase point"):
+        sfm.jacobian(model2, 0.5, np.zeros((2, 4)))
+    with pytest.raises(DimensionError, match="parameter vector must have length"):
+        sfm._model_over(model2, np.zeros(sfm.param_count(model2) - 1))
+    rng = np.random.default_rng(8)
+    with pytest.raises(DimensionError, match="share the model dimension"):
+        sfm.SympFlowModel(1, ((pot.random_potential_net(1, rng), pot.random_potential_net(2, rng)),))
 
 
 def test_time_derivative_zero_weights():

@@ -189,6 +189,8 @@ def test_damped_analytic_satisfies_ode():
 def test_overdamped_rejected():
     with pytest.raises(UnsupportedSystemError):
         sy.analytic_solution(sy.DampedAugmented(lam=2.5), (1.0, 0.0), 1.0)
+    with pytest.raises(UnsupportedSystemError, match="no analytic solution for HenonHeiles"):
+        sy.analytic_solution(sy.HenonHeiles(), np.zeros(4), 1.0)
 
 
 def test_system_from_name():

@@ -314,6 +314,11 @@ def test_adam_first_step_is_lr():
     assert new[0] == pytest.approx(-0.05, rel=1e-7)
 
 
+def test_adam_rejects_mismatched_shapes():
+    with pytest.raises(DimensionError, match="matching shapes"):
+        tr.adam_step(np.zeros(2), np.zeros(3), tr.AdamState.zeros(2))
+
+
 def test_adam_converges_on_quadratic():
     theta = np.array([1.0])
     state = tr.AdamState.zeros(1)
@@ -351,6 +356,8 @@ def test_adam_converges_on_quadratic():
         {"seed": 1.5},
         {"seed": -1},
         {"seed": True},
+        {"model_kind": "bogus"},
+        {"regime": "bogus"},
     ],
 )
 def test_config_rejects_bad_batches_and_box(kwargs):
@@ -398,6 +405,13 @@ def test_train_rejects_a_model_of_another_kind(model, kind):
     cfg = tr.TrainConfig(model_kind=kind, regime="residual_only", epochs=2, batch_collocation=4)
     with pytest.raises(ConfigError, match="model_kind"):
         tr.train(model, cfg, sys=Sho())
+
+
+@pytest.mark.parametrize("regime, match", [("supervised", "needs a dataset"), ("residual_only", "needs a system")])
+def test_train_rejects_a_run_without_its_data(regime, match):
+    cfg = tr.TrainConfig(regime=regime, epochs=2, batch_collocation=4)
+    with pytest.raises(ConfigError, match=match):
+        tr.train(tiny_sympflow(22), cfg)
 
 
 def test_train_deterministic_under_seed():
