@@ -44,17 +44,26 @@ arenas, and each tanh rule as a list of NumPy calls on those arrays, with
 the terms of absent components already dropped.  Running a sweep is then,
 layer by layer, the affine map's products and bias, which read the
 caller's weights, and that layer's list.  A value-only sweep, the case of
-window maps, rollouts and the MLP's forward pass and parameter pullback,
-so runs its matrix products, bias adds, ``tanh`` and ``1 - a^2`` products
-and nothing else: no check of a missing component, no sum-of-products loop
-and no buffer lookup per array.  The arithmetic is the same, call for
-call, as running the rules directly on fresh arrays: each ufunc and
-product receives its output array as its last positional argument, and a
-tanh pullback updates the cotangent it is given in place.  The products
-are ``ndarray.dot`` rather than ``np.matmul``: at 2-22 rows ``dot`` costs
-about 0.45 us a call against 1.1 us, and over 3,240 shapes (1-12 by 1-12
-by 1-2048, either operand transposed) the two agreed bit for bit.  Nets of
-one shape share a plan; a thread keeps at most ``_MAX_PLANS`` of them.
+window maps and rollouts, so runs its matrix products, bias adds, ``tanh``
+and ``1 - a^2`` products and nothing else: no check of a missing
+component, no sum-of-products loop and no buffer lookup per array.  The
+arithmetic is the same, call for call, as running the rules directly on
+fresh arrays: each ufunc and product receives its output array as its last
+positional argument, and a tanh pullback updates the cotangent it is given
+in place.  The products are ``ndarray.dot`` rather than ``np.matmul``: at
+2-22 rows ``dot`` costs about 0.45 us a call against 1.1 us, and over 3,240
+shapes (1-12 by 1-12 by 1-2048, either operand transposed) the two agreed
+bit for bit.  Nets of one shape share a plan; a thread keeps at most
+``_MAX_PLANS`` of them.
+
+Bound programs.  The MLP's supervised term sweeps one chain at one batch
+size every epoch, on a :class:`_ValueProgram` that :func:`sympflow.mlp._bind`
+binds once per ``train()`` or loss entry call: the value-only plan's calls,
+made by the same tanh rules on operands of the same layout, bound once to
+the weights and to buffers the program owns.  A sweep then makes only its
+arithmetic's NumPy calls (no plan lookup, ``Jet``, tape stamp,
+:func:`flatten` or input gradient), bit for bit: at the benchmark's 64 rows
+an MLP epoch went from about 71 to 50 us (2-core x86-64 VM, one BLAS thread).
 
 Arenas.  Each thread has four flat arenas: the tape, two work arenas and
 the input arena.  A plan lays its arrays out from the start of each arena,
@@ -491,6 +500,50 @@ def chain_backward(weights, jets, g_out: Jet, with_params: bool = True):
             gA = np.zeros_like(A)
         g_params.append((gA, gs[0].dot(plan.ones) if has_value else np.zeros(A.shape[0])))
     return g_in, g_params
+
+
+class _ValueProgram:
+    """A chain's value-only sweep and parameter pullback at B rows, on buffers of its own.
+
+    The caller writes the input into ``x``, ``(B, n_in)`` column-major.
+    :meth:`forward` returns the output, valid until the next forward, and
+    :meth:`pullback` the flat gradient ``grad``, which the next overwrites.
+    """
+
+    def __init__(self, weights, B):
+        x = np.empty((weights[0][0].shape[1], B))
+        self.x, self.grad, ones = x.T, np.empty(sum(A.size + b.size for A, b in weights)), np.ones(B)
+        self._fwd, pieces, params, c_in = [], [], [], None
+        for k, ((A, b), (gA, gb)) in enumerate(zip(weights, unflatten(self.grad, weights))):
+            z = np.empty((len(A), B))
+            self._fwd += [(A.dot, (x, z)), (np.add, (z, b[:, None], z))]
+            if k == len(weights) - 1:
+                self._out, self._last = z.T, (A.T, x.T, ones, gA, gb, c_in)
+                break
+            _tanh_forward(self._fwd, [z] + [None] * 3, None, None)
+            c, ops = np.empty_like(z), []
+            _tanh_backward(ops, [z] + [None] * 3, z, [c] + [None] * 3, None, lambda: np.empty_like(z))
+            pieces.append(ops + ([(A.T.dot, (c, c_in))] if k else []))
+            params += [(c.dot, (x.T, gA)), (c.dot, (ones, gb))]
+            x, c_in = z, c
+        self._back = [op for ops in reversed(pieces) for op in ops] + params
+
+    def forward(self):
+        for f, args in self._fwd:
+            f(*args)
+        return self._out
+
+    def pullback(self, g):
+        """The parameter gradient of the cotangent g ``(B, n_out)`` on the latest forward's output."""
+        At, x, ones, gA, gb, c = self._last
+        g = g.T
+        if c is not None:
+            At.dot(g, c)
+        for f, args in self._back:
+            f(*args)
+        g.dot(x, gA)
+        g.dot(ones, gb)
+        return self.grad
 
 
 def flatten(pairs) -> np.ndarray:

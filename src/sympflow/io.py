@@ -98,8 +98,10 @@ def load_checkpoint(path, expect_kind: str | None = None):
     if expect_kind is not None and kind != expect_kind:
         raise KindMismatchError(f"expected a {expect_kind} checkpoint, found {kind}")
     try:
-        d, L, h = int(payload["d"]), int(payload["L"]), int(payload["h"])
-        vec = _decode(payload["params"])
+        d, L, h, blob = (payload[key] for key in ("d", "L", "h", "params"))
+        if not (all(type(v) is int for v in (d, L, h)) and isinstance(blob, str)):
+            raise ValueError(f"d, L and h must be integers and params a string, got {d!r}, {L!r}, {h!r}")
+        vec = _decode(blob)
     except (KeyError, ValueError) as exc:
         raise CheckpointError(f"malformed checkpoint {path}: {exc}") from exc
     kernels, zero = _KINDS[kind]
@@ -109,7 +111,10 @@ def load_checkpoint(path, expect_kind: str | None = None):
         raise CheckpointError(f"checkpoint header d={d}, L={L}, h={h} describes no model: {exc}") from exc
     if vec.size != kernels.param_count(skeleton):
         raise CheckpointError("parameter vector length does not match the header")
-    return kernels.model_with_params(skeleton, vec)
+    try:
+        return kernels.model_with_params(skeleton, vec)
+    except ValueError as exc:
+        raise CheckpointError(f"checkpoint {path} holds invalid parameters: {exc}") from exc
 
 
 def _cell(v) -> str:
@@ -162,7 +167,10 @@ def _read_table(path: Path, lead: list, prefix: str):
     with another column count or an unparsable entry raises
     :class:`ConfigError` naming the file and the line.
     """
-    lines = path.read_text().strip().split("\n")
+    try:
+        lines = path.read_text().strip().split("\n")
+    except OSError as exc:
+        raise ConfigError(f"{path}: cannot read: {exc}") from exc
     header = lines[0].split(",")
     n = len(header) - len(lead)
     if n < 1 or header != lead + [f"{prefix}_{i + 1}" for i in range(n)]:
@@ -182,7 +190,7 @@ def _read_table(path: Path, lead: list, prefix: str):
 
 
 def load_dataset(in_dir) -> TrajectoryDataset:
-    """Read a dataset written by :func:`save_dataset`; headers and row widths are checked."""
+    """Read a dataset written by :func:`save_dataset`; anything malformed raises ConfigError naming its file."""
     src = Path(in_dir)
     n_ics, _, ics = _read_table(src / "ics.csv", ["traj_id"], "x")
     n_samples, traj, samples = _read_table(src / "samples.csv", ["traj_id", "t"], "y")
@@ -192,16 +200,26 @@ def load_dataset(in_dir) -> TrajectoryDataset:
         )
     ts = samples[:, 0]
     meta_path = src / "meta.json"
-    meta = json.loads(meta_path.read_text()) if meta_path.exists() else {}
-    return TrajectoryDataset(
-        ics=ics,
-        sample_traj=np.array(traj, dtype=int),
-        sample_t=ts,
-        sample_y=samples[:, 1:],
-        delta_t=float(meta.get("delta_t", ts.max() if ts.size else 1.0)),
-        noise_std=float(meta.get("noise_std", 0.0)),
-        seed=meta.get("seed"),
-    )
+    try:
+        meta = json.loads(meta_path.read_text()) if meta_path.exists() else {}
+        if not isinstance(meta, dict):
+            raise ValueError(f"must hold a JSON object, got {type(meta).__name__}")
+        delta_t = float(meta.get("delta_t", ts.max() if ts.size else 1.0))
+        noise_std = float(meta.get("noise_std", 0.0))
+    except (OSError, ValueError, TypeError) as exc:
+        raise ConfigError(f"{meta_path}: {exc}") from exc
+    try:
+        return TrajectoryDataset(
+            ics=ics,
+            sample_traj=np.array(traj, dtype=int),
+            sample_t=ts,
+            sample_y=samples[:, 1:],
+            delta_t=delta_t,
+            noise_std=noise_std,
+            seed=meta.get("seed"),
+        )
+    except ValueError as exc:
+        raise ConfigError(f"{src}: {exc}") from exc
 
 
 # Every key a config file may carry; commands require the subset they need.

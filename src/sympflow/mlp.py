@@ -4,6 +4,13 @@ The multiplicative tanh(t) factor enforces the identity at t = 0 for any
 weights.  Layer widths are 2d+1 -> hidden -> ... -> hidden -> 2d with tanh
 between affine maps and none after the last.  The baseline is generally not
 symplectic; it exists as the comparison model.
+
+The net runs on the sweeps of :mod:`sympflow._jet`.  The supervised loss
+term's forward pass and parameter pullback run on a value-only program that
+:func:`_bind` binds to the weights at one batch size; its buffers belong to
+the caller that bound it (``train()`` and each loss entry bind one per
+call).  Everything else, window maps, the velocity residual and
+``energy_reg`` included, sweeps on the thread's plans (:func:`_taped`).
 """
 
 from __future__ import annotations
@@ -13,7 +20,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from ._jet import Jet, chain_backward, chain_forward, flatten, unflatten
+from ._jet import Jet, _ValueProgram, chain_backward, chain_forward, flatten, unflatten
 from ._jet import check_chain, random_chain, zero_chain
 from .errors import DimensionError
 from .validation import as_phase_points, check_time
@@ -111,9 +118,7 @@ def _taped(model: MlpFlowModel, t, x: np.ndarray, velocity: bool = False):
     """
     n, B = x.shape[1], x.shape[0]
     u0 = np.empty((n + 1, B)).T  # the column-major layout of the sweeps
-    u0[:, :n] = x
-    u0[:, n] = t
-    th = np.tanh(u0[:, n:])
+    th = _fill(u0, t, x)
     xa = None
     if velocity:
         xa = np.zeros((n + 1, B)).T
@@ -140,6 +145,30 @@ def _pullback(model: MlpFlowModel, t, tape, wx: np.ndarray, wv=None, job=None):
         g = Jet(x0=th * wx + (1.0 - th * th) * wv, xa=th * wv)
     gin, gp = chain_backward(model.weights, jets, g)
     return wx + gin.x0[:, :-1], flatten(gp)
+
+
+def _fill(u, t, x):
+    """Write [x; t] into the ``(B, 2d+1)`` array u; returns th = tanh(t), a ``(B, 1)`` column."""
+    n = x.shape[1]
+    u[:, :n] = x
+    u[:, n] = t
+    return np.tanh(u[:, n:])
+
+
+def _bind(model: MlpFlowModel, B: int) -> _ValueProgram:
+    """The net's value-only program at B rows; it reads the weight arrays in place."""
+    return _ValueProgram(model.weights, B)
+
+
+def _bound_taped(prog: _ValueProgram, t, x: np.ndarray):
+    """``_taped(model, t, x)`` on the model's program: ``(x_out, None, th)``, bit for bit."""
+    th = _fill(prog.x, t, x)
+    return x + th * prog.forward(), None, th
+
+
+def _bound_pullback(prog: _ValueProgram, t, th, wx: np.ndarray):
+    """``(None, prog.grad)``: ``_pullback(model, t, tape, wx)`` without gx, which no term reads."""
+    return None, prog.pullback(th * wx)
 
 
 def _forward_b(model: MlpFlowModel, t, x: np.ndarray) -> np.ndarray:

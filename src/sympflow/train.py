@@ -13,7 +13,10 @@ Each term is one function on the kernels that :mod:`sympflow.model` and
 :mod:`sympflow.mlp` share: ``_forward_b(m, t, x)``; ``_taped(m, t, x,
 velocity)``, which returns ``(x_out, v, tape)``; and ``_pullback(m, t, tape,
 wx, wv)``, which returns ``(gx, gtheta)``.  A term pulls its exact parameter
-gradient, when asked for it, back through the tape of its own forward pass.
+gradient, when asked for it, back through the tape of its own forward pass;
+the MLP's supervised term does so on the value-only program of
+:func:`sympflow.mlp._bind` (``_bound_taped``, ``_bound_pullback``), which
+:func:`train` binds once per call.
 :func:`_kind` is the one place that reads the model kind, and :func:`_loss`
 the one path behind :func:`loss_and_grad`, :func:`total_loss` and
 :func:`loss_supervised`.  Every derivative is exact, and every gradient is
@@ -225,15 +228,20 @@ def _mean_square(err):
     return float(np.add.reduce(sq) / len(sq))
 
 
-def _supervised(model_obj, samples, need_grad):
+def _supervised(model_obj, samples, need_grad, prog=None):
+    """The term on the kind's kernels; a kind with ``_bind`` runs it on ``prog``, or on one bound here."""
     t, x0, y = samples
     k = _kind(model_obj)[0]
-    pred, _, tape = k._taped(model_obj, t, x0)
+    m, taped, pullback = model_obj, k._taped, k._pullback
+    if hasattr(k, "_bind"):
+        m = k._bind(model_obj, len(x0)) if prog is None else prog
+        taped, pullback = k._bound_taped, k._bound_pullback
+    pred, _, tape = taped(m, t, x0)
     resid = pred - y
     value = _mean_square(resid)
     if not need_grad:
         return value, None
-    return value, k._pullback(model_obj, t, tape, (2.0 / len(x0)) * resid)[1]
+    return value, pullback(m, t, tape, (2.0 / len(x0)) * resid)[1]
 
 
 def _residual(model_obj, points, sys, need_grad, job=None):
@@ -272,18 +280,20 @@ def _energy_reg(model_obj, points, sys, need_grad):
     return value, k._pullback(model_obj, t, tape, w)[1]
 
 
-def _loss(model_obj, regime, sys, samples, residual_batch, matching_batch, need_grad, worker=None):
+def _loss(model_obj, regime, sys, samples, residual_batch, matching_batch, need_grad, worker=None, prog=None):
     """``(value, flat gradient or None, parts)`` of a regime; samples are ``(t, x0, y)``.
 
     The inputs are those :func:`_checked` returns, or batches drawn from a
-    checked box; nothing here checks them again.  With a :class:`_Worker`
+    checked box; nothing here checks them again.  ``prog`` is the MLP's
+    value-only program for the supervised term (see :func:`train`); without
+    one, the term binds its own for this call.  With a :class:`_Worker`
     the second term of a two-term regime runs there, on its batch handed
     over before the residual and collected after it, and so do the time-0
     sweeps of the residual's pullback that :func:`sympflow.model._pullback`
     hands to it; the sum is the same, in the same order.
     """
     if regime == "supervised":
-        value, g = _supervised(model_obj, samples, need_grad)
+        value, g = _supervised(model_obj, samples, need_grad, prog)
         return value, g, {"supervised": value}
     two_term = regime in ("regularized", "mixed")
     if two_term:
@@ -585,7 +595,10 @@ def train(
     into one buffer that this call allocates and drops when it returns.  Its
     ``(t, x0, y)`` are fixed views of it, and each epoch overwrites it, so
     they hold an epoch's rows only until its loss and gradient are computed;
-    nothing keeps them longer.
+    nothing keeps them longer.  Likewise the MLP's supervised term runs on one
+    value-only program, bound to the working model before the first epoch,
+    whose buffers and gradient slot belong to this call; nothing returned or
+    handed to ``checkpoint_fn`` shares them.
 
     In a two-term phase the second term (``matching`` for SympFlow,
     ``energy_reg`` for the MLP) runs in one worker process forked at the
@@ -650,6 +663,9 @@ def train(
         buf = np.empty((config.batch_collocation, stacked.shape[1]))
         cut = 1 + samples[1].shape[1]
         minibatch = (buf[:, 0], buf[:, 1:cut], buf[:, cut:])
+    prog = None
+    if samples is not None and hasattr(k, "_bind"):
+        prog = k._bind(current, len((minibatch or samples)[1]))
 
     def diverged(what):
         report.wall_clock_s = _time.perf_counter() - start
@@ -687,6 +703,7 @@ def train(
                     matching_batch,
                     True,
                     worker,
+                    prog,
                 )
                 if not math.isfinite(value) or not np.isfinite(grad).all():
                     raise diverged("loss")

@@ -6,7 +6,7 @@ import numpy as np
 
 from sympflow import potential as pot
 from sympflow import train as tr
-from sympflow._jet import Jet, chain_backward, chain_forward
+from sympflow._jet import Jet, chain_backward, chain_forward, flatten
 from sympflow.systems import HamiltonianSystem
 from sympflow.validation import as_box
 
@@ -363,13 +363,41 @@ def weight_arrays(model_obj):
     return [a for pair in pairs for a in pair]
 
 
-def train_rebuilding(model_obj, config, sys=None, dataset=None):
+def mlp_supervised_unbound(model, samples):
+    """The MLP's supervised ``(value, flat gradient)`` on ``chain_forward``, ``chain_backward`` and ``flatten``.
+
+    The package runs this term on a value-only program bound to buffers of
+    its own; this is the same arithmetic on the general sweeps, operand
+    layouts included: [x; t] column-major, the cotangent th * (2/B) resid on
+    the net's output, and the input gradient formed and dropped.
+    """
+    t, x0, y = samples
+    n, B = x0.shape[1], len(x0)
+    u = np.empty((n + 1, B)).T
+    u[:, :n], u[:, n] = x0, t
+    th = np.tanh(u[:, n:])
+    jets = chain_forward(model.weights, Jet(u))
+    resid = x0 + th * jets[-1].x0 - y
+    _, gp = chain_backward(model.weights, jets, Jet(th * ((2.0 / B) * resid)))
+    return tr._mean_square(resid), flatten(gp)
+
+
+def mlp_supervised_unbound_loss(model, regime, sys, samples, *batches_and_need_grad):
+    """:func:`mlp_supervised_unbound` in the place of ``train._loss``, for :func:`train_rebuilding`."""
+    assert regime == "supervised" and model.kind == "mlp"
+    value, grad = mlp_supervised_unbound(model, samples)
+    return value, grad, {"supervised": value}
+
+
+def train_rebuilding(model_obj, config, sys=None, dataset=None, loss=None):
     """The training loop that rebuilds the model from the parameter vector every epoch.
 
     Same batches, losses and Adam arithmetic as :func:`sympflow.train.train`,
-    with each minibatch gathered by one fancy index per sample array.
-    Returns ``(final parameter vector, loss history)``.
+    with each minibatch gathered by one fancy index per sample array.  The
+    loss is ``train._loss`` unless ``loss`` takes its place.  Returns
+    ``(final parameter vector, loss history)``.
     """
+    loss = tr._loss if loss is None else loss
     k = tr._kind(model_obj)[0]
     rng = np.random.default_rng(config.seed)
     params = k.params_to_vector(model_obj)
@@ -394,9 +422,7 @@ def train_rebuilding(model_obj, config, sys=None, dataset=None):
                 residual_batch = draw(config.batch_collocation)
                 if regime in ("regularized", "mixed"):
                     matching_batch = draw(config.batch_matching)
-            value, grad, parts = tr._loss(
-                current, regime, sys, batch, residual_batch, matching_batch, True,
-            )
+            value, grad, parts = loss(current, regime, sys, batch, residual_batch, matching_batch, True)
             for key, val in dict(total=value, **parts).items():
                 history.setdefault(key, []).append(float(val))
             params, state = tr.adam_step(params, grad, state, lr=config.learning_rate)

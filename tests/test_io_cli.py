@@ -77,14 +77,32 @@ def test_save_checkpoint_rejects_a_non_model(tmp_path):
 
 
 # Edits of a valid checkpoint's JSON text, each making it unloadable.
+def _with(**fields):
+    """An edit of a checkpoint's text that sets ``fields``; a callable value maps the old payload to the new value."""
+
+    def edit(text):
+        payload = json.loads(text)
+        return json.dumps({**payload, **{k: v(payload) if callable(v) else v for k, v in fields.items()}})
+
+    return edit
+
+
+def _nonfinite_params(payload):
+    vec = sio._decode(payload["params"]).copy()
+    vec[-1] = np.inf
+    return sio._encode(vec)
+
+
 BROKEN_CHECKPOINTS = {
     "invalid-json": (lambda text: text[:-2], "cannot read checkpoint"),
     "unknown-kind": (lambda text: text.replace('"sympflow"', '"rnn"'), "unknown checkpoint kind 'rnn'"),
     "missing-key": (lambda text: json.dumps({k: v for k, v in json.loads(text).items() if k != "h"}), "malformed"),
-    "short-params": (
-        lambda text: json.dumps({**json.loads(text), "params": sio._encode(np.zeros(3))}),
-        "parameter vector length does not match the header",
-    ),
+    "short-params": (_with(params=sio._encode(np.zeros(3))), "parameter vector length does not match the header"),
+    "null-d": (_with(d=None), "malformed checkpoint .*: d, L and h must be integers"),
+    "float-d": (_with(d=1.9), "malformed checkpoint .*: d, L and h must be integers"),
+    "bool-d": (_with(d=True), "malformed checkpoint .*: d, L and h must be integers"),
+    "int-params": (_with(params=5), "malformed checkpoint .*params a string"),
+    "nonfinite-params": (_with(params=_nonfinite_params), "holds invalid parameters: .*non-finite"),
 }
 
 
@@ -157,6 +175,34 @@ def test_dataset_column_counts_must_agree(tmp_path):
         row.append("0.5")
     (data / "ics.csv").write_text("\n".join(",".join(r) for r in rows) + "\n")
     with pytest.raises(ConfigError, match=r"samples\.csv:1: 2 state columns, but ics\.csv has 3"):
+        sio.load_dataset(data)
+
+
+def _last_cell_nan(data):
+    lines = (data / "samples.csv").read_text().splitlines()
+    lines[-1] = lines[-1].rsplit(",", 1)[0] + ",nan"
+    (data / "samples.csv").write_text("\n".join(lines) + "\n")
+
+
+BROKEN_DATASETS = {
+    "missing-ics": (lambda data: (data / "ics.csv").unlink(), r"ics\.csv: cannot read"),
+    "invalid-meta": (lambda data: (data / "meta.json").write_text("{"), r"meta\.json: "),
+    "list-meta": (lambda data: (data / "meta.json").write_text("[1.0]"), r"meta\.json: must hold a JSON object, got list"),
+    "null-delta-t": (lambda data: (data / "meta.json").write_text('{"delta_t": null}'), r"meta\.json: "),
+    "negative-delta-t": (
+        lambda data: (data / "meta.json").write_text('{"delta_t": -1.0}'),
+        r"data: sample times must lie in \[0, delta_t\]",
+    ),
+    "nonfinite-sample": (_last_cell_nan, r"data: sample_y contains non-finite entries"),
+}
+
+
+@pytest.mark.parametrize("broken", sorted(BROKEN_DATASETS))
+def test_load_dataset_names_the_file_of_a_broken_dataset(tmp_path, broken):
+    data = _saved_dataset(tmp_path)
+    edit, match = BROKEN_DATASETS[broken]
+    edit(data)
+    with pytest.raises(ConfigError, match=match):
         sio.load_dataset(data)
 
 
