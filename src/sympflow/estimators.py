@@ -23,13 +23,12 @@ from .train import TrainConfig, build_model, train as run_training
 from .errors import ConfigError, DimensionError
 from .integrate import TrajectoryDataset
 from .systems import HamiltonianSystem
+from .validation import as_float_array
 
 __all__ = ["SympFlowRegressor", "MlpFlowRegressor"]
 
 
 class _FlowRegressorBase:
-    _kind = "sympflow"
-
     def __init__(
         self,
         system: HamiltonianSystem | None = None,
@@ -75,13 +74,9 @@ class _FlowRegressorBase:
     # -- helpers ------------------------------------------------------------
 
     def _validate_X(self, X, d: int | None = None) -> np.ndarray:
-        X = np.asarray(X, dtype=float)
+        X = as_float_array(X, "X")
         if X.ndim != 2 or X.shape[1] < 3 or X.shape[1] % 2 == 0:
-            raise DimensionError(
-                "X must have shape (n_samples, 1 + 2d): time followed by the state"
-            )
-        if not np.all(np.isfinite(X)):
-            raise DimensionError("X contains non-finite entries")
+            raise DimensionError("X must have shape (n_samples, 1 + 2d): time followed by the state")
         if d is not None and X.shape[1] != 1 + 2 * d:
             raise DimensionError(f"X must have {1 + 2 * d} columns, got {X.shape[1]}")
         return X
@@ -118,7 +113,7 @@ class _FlowRegressorBase:
                 sample_traj=np.arange(X.shape[0]),
                 sample_t=X[:, 0],
                 sample_y=y,
-                delta_t=max(self.delta_t, float(X[:, 0].max())),
+                delta_t=float(np.max(X[:, 0], initial=self.delta_t)),
             )
             model = build_model(config, d)
             self.model_, self.report_ = run_training(model, config, dataset=dataset)

@@ -55,7 +55,11 @@ log = logging.getLogger(__name__)
 
 
 def _forward_b(model_obj, t, x):
-    """The window map of either model kind, looked up per call."""
+    """The window map of either model kind, looked up per call here, not in :func:`sympflow.train._kind`.
+
+    The benchmark's tracer counts a window map only through this module's
+    ``sfm`` and ``mlpmod``, and would book a ``train._kind`` call to train.
+    """
     return {"sympflow": sfm, "mlp": mlpmod}[model_obj.kind]._forward_b(model_obj, t, x)
 
 

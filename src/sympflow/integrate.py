@@ -602,7 +602,8 @@ class TrajectoryDataset:
 
     ``ics[n]`` is the exact initial condition of trajectory n; observation m
     of trajectory n is ``(sample_traj[i], sample_t[i], sample_y[i])`` rows
-    with ``sample_traj`` indexing into ``ics``.
+    with ``sample_traj`` indexing into ``ics``.  It holds at least one of
+    each, and ``seed`` is None or a nonnegative integer; else DimensionError.
     """
 
     ics: np.ndarray  # (N, 2d)
@@ -624,10 +625,12 @@ class TrajectoryDataset:
         S, n = self.sample_t.size, self.ics.shape[1]
         if self.sample_t.shape != (S,) or self.sample_traj.shape != (S,) or self.sample_y.shape != (S, n):
             raise DimensionError(f"sample_traj, sample_t and sample_y must have shapes (S,), (S,) and (S, {n})")
-        if self.n_samples and (
-            self.sample_traj.min() < 0 or self.sample_traj.max() >= len(self.ics)
-        ):
+        if not (self.n_trajectories and self.n_samples):
+            raise DimensionError(f"a dataset needs a trajectory and a sample, got {self.n_trajectories} and {S}")
+        if self.sample_traj.min() < 0 or self.sample_traj.max() >= len(self.ics):
             raise DimensionError("sample trajectory ids must index the initial conditions")
+        if self.seed is not None:
+            self.seed = check_positive_int(self.seed, "seed", minimum=0)
         if np.any(self.sample_t < 0) or np.any(self.sample_t > self.delta_t + 1e-12):
             raise DimensionError("sample times must lie in [0, delta_t]")
 

@@ -5,10 +5,10 @@ Checkpoint format: a JSON object with ``magic: "sympflow-ckpt-v1"``,
 ``seed``, and ``params``: base64 of the IEEE-754 little-endian float64
 parameter vector in canonical order (per net A1 row-major, b1, A2, b2, A3,
 b3; nets ordered Vq_1, Vp_1, ..., Vq_L, Vp_L; MLP affine layers in order).
-Saving reads the model's ``kind`` attribute and loading the stored one;
-either looks the kind's kernel module up in ``_KINDS``, whose
-``params_to_vector`` and ``model_with_params`` do the rest.  Round-trips
-are bit-exact.
+Saving reads the model's ``kind`` and loading the stored one; each takes
+the kind's kernel module (whose ``params_to_vector`` and
+``model_with_params`` do the rest), and loading its zero constructor, from
+:func:`sympflow.train._kind`.  Round-trips are bit-exact.
 
 :func:`write_csv` writes every CSV artifact, floats with 17 significant
 digits (they read back bit for bit): a dataset's ``ics.csv`` (header
@@ -33,11 +33,9 @@ from pathlib import Path
 
 import numpy as np
 
-from . import mlp as mlpmod
-from . import model as sfm
 from .errors import CheckpointError, ConfigError, KindMismatchError
 from .integrate import TrajectoryDataset
-from .train import TrainConfig
+from .train import MODEL_KINDS, TrainConfig, _kind
 
 __all__ = [
     "save_checkpoint",
@@ -52,12 +50,6 @@ __all__ = [
 
 MAGIC = "sympflow-ckpt-v1"
 
-# The kernel module and the zero-model constructor of each model kind.
-_KINDS = {
-    "sympflow": (sfm, sfm.zero_sympflow),
-    "mlp": (mlpmod, mlpmod.zero_mlp_flow),
-}
-
 
 def _encode(vec: np.ndarray) -> str:
     return base64.b64encode(np.ascontiguousarray(vec, dtype="<f8").tobytes()).decode("ascii")
@@ -70,7 +62,7 @@ def _decode(blob: str) -> np.ndarray:
 def save_checkpoint(model_obj, path, seed: int = 0) -> None:
     """Write the model to a JSON checkpoint (bit-exact round trip)."""
     kind = getattr(model_obj, "kind", None)
-    if kind not in _KINDS:
+    if kind not in MODEL_KINDS:
         raise CheckpointError(f"cannot checkpoint object of type {type(model_obj).__name__}")
     payload = {
         "magic": MAGIC,
@@ -79,7 +71,7 @@ def save_checkpoint(model_obj, path, seed: int = 0) -> None:
         "L": model_obj.n_layers,
         "h": model_obj.h,
         "seed": int(seed),
-        "params": _encode(_KINDS[kind][0].params_to_vector(model_obj)),
+        "params": _encode(_kind(kind)[0].params_to_vector(model_obj)),
     }
     Path(path).write_text(json.dumps(payload) + "\n")
 
@@ -93,7 +85,7 @@ def load_checkpoint(path, expect_kind: str | None = None):
     if not isinstance(payload, dict) or payload.get("magic") != MAGIC:
         raise CheckpointError(f"{path} is not a {MAGIC} checkpoint")
     kind = payload.get("kind")
-    if kind not in _KINDS:
+    if kind not in MODEL_KINDS:
         raise CheckpointError(f"unknown checkpoint kind {kind!r}")
     if expect_kind is not None and kind != expect_kind:
         raise KindMismatchError(f"expected a {expect_kind} checkpoint, found {kind}")
@@ -104,7 +96,7 @@ def load_checkpoint(path, expect_kind: str | None = None):
         vec = _decode(blob)
     except (KeyError, ValueError) as exc:
         raise CheckpointError(f"malformed checkpoint {path}: {exc}") from exc
-    kernels, zero = _KINDS[kind]
+    kernels, _, zero, *_ = _kind(kind)
     try:
         skeleton = zero(d, L, h)
     except ValueError as exc:

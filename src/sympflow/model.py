@@ -49,6 +49,7 @@ from typing import ClassVar
 import numpy as np
 
 from . import potential as pot
+from ._jet import flatten, unflatten
 from .errors import DimensionError
 from .potential import PotentialNet
 from .validation import as_phase_points, check_finite_scalar, check_time
@@ -108,27 +109,26 @@ class SympFlowModel:
 
 
 def random_sympflow(d: int, n_layers: int, rng: np.random.Generator, h: int = 10) -> SympFlowModel:
-    layers = tuple(
-        (pot.random_potential_net(d, rng, h), pot.random_potential_net(d, rng, h))
-        for _ in range(n_layers)
-    )
-    return SympFlowModel(d, layers)
+    nets = [pot.random_potential_net(d, rng, h) for _ in range(2 * n_layers)]
+    return SympFlowModel(d, tuple(zip(nets[::2], nets[1::2])))
 
 
 def zero_sympflow(d: int, n_layers: int, h: int = 10) -> SympFlowModel:
-    layers = tuple(
-        (pot.zero_potential_net(d, h), pot.zero_potential_net(d, h))
-        for _ in range(n_layers)
-    )
-    return SympFlowModel(d, layers)
+    nets = [pot.zero_potential_net(d, h) for _ in range(2 * n_layers)]
+    return SympFlowModel(d, tuple(zip(nets[::2], nets[1::2])))
+
+
+def _pairs(model: SympFlowModel) -> list:
+    """Every net's ``(A, b)`` pairs, the nets in canonical order Vq_1, Vp_1, ..., Vq_L, Vp_L."""
+    return [w for pair in model.layers for net in pair for w in net.weights]
 
 
 def param_count(model: SympFlowModel) -> int:
-    return sum(vq.n_params + vp.n_params for vq, vp in model.layers)
+    return sum(A.size + b.size for A, b in _pairs(model))
 
 
 def params_to_vector(model: SympFlowModel) -> np.ndarray:
-    return np.concatenate([pot.params_to_vector(net) for pair in model.layers for net in pair])
+    return flatten(_pairs(model))
 
 
 def model_with_params(model: SympFlowModel, vec: np.ndarray) -> SympFlowModel:
@@ -142,14 +142,8 @@ def _model_over(model: SympFlowModel, buf: np.ndarray) -> SympFlowModel:
     A write to ``buf`` changes the model in place, unchecked: the caller
     keeps ``buf`` finite.
     """
-    if buf.shape != (param_count(model),):
-        raise DimensionError(
-            f"parameter vector must have length {param_count(model)}, got {buf.shape}"
-        )
-    nets, ofs = [], 0
-    for net in (n for pair in model.layers for n in pair):
-        nets.append(pot._net_over(net, buf[ofs : ofs + net.n_params]))
-        ofs += net.n_params
+    pairs = unflatten(buf, _pairs(model))
+    nets = [PotentialNet(net.d, net.h, tuple(pairs[3 * k : 3 * k + 3])) for k, net, _, _ in model._shears]
     return SympFlowModel(model.d, tuple(zip(nets[::2], nets[1::2])))
 
 

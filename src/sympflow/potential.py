@@ -11,8 +11,10 @@ derivatives, and exact parameter gradients of sums of these.  Two batched
 sweeps through :mod:`sympflow._jet` serve all of them: :func:`jet_grad_b`
 and :func:`jet_vjp`.  Nothing here uses finite differences.
 
-Parameter vectors use a fixed canonical order (A1 row-major, b1, A2
-row-major, b2, A3, b3) so checkpoints are bit-stable.
+A net holds its ``weights`` as the three ``(A, b)`` pairs of the chain, as
+:class:`sympflow.mlp.MlpFlowModel` holds its own, and its parameter vector
+is their :func:`sympflow._jet.flatten`, in the canonical order (A1
+row-major, b1, A2 row-major, b2, A3, b3) that keeps checkpoints bit-stable.
 """
 
 from __future__ import annotations
@@ -41,21 +43,15 @@ class PotentialNet:
 
     d: int
     h: int
-    A1: np.ndarray  # (h, d+1); last column multiplies the time input
-    b1: np.ndarray  # (h,)
-    A2: np.ndarray  # (h, h)
-    b2: np.ndarray  # (h,)
-    A3: np.ndarray  # (1, h)
-    b3: np.ndarray  # (1,)
+    weights: tuple[tuple[np.ndarray, np.ndarray], ...]  # (A1, b1), (A2, b2), (A3, b3); A1's last column multiplies t
 
     def __post_init__(self):
-        if self.d < 1 or self.h < 1:
-            raise DimensionError("d and h must be positive")
+        if self.d < 1 or self.h < 1 or len(self.weights) != 3:
+            raise DimensionError(
+                f"a potential net needs d and h of at least 1 and three affine maps, "
+                f"got d={self.d}, h={self.h} and {len(self.weights)} maps"
+            )
         check_chain(self.weights, _widths(self.d, self.h))
-
-    @property
-    def weights(self):
-        return ((self.A1, self.b1), (self.A2, self.b2), (self.A3, self.b3))
 
     @property
     def n_params(self) -> int:
@@ -71,18 +67,13 @@ def _widths(d: int, h: int):
     return (d + 1, h, h, 1)
 
 
-def _from_chain(d: int, h: int, pairs) -> PotentialNet:
-    (A1, b1), (A2, b2), (A3, b3) = pairs
-    return PotentialNet(d, h, A1, b1, A2, b2, A3, b3)
-
-
 def random_potential_net(d: int, rng: np.random.Generator, h: int = 10) -> PotentialNet:
     """Seeded init by the package's law, :func:`sympflow._jet.random_chain`."""
-    return _from_chain(d, h, random_chain(_widths(d, h), rng))
+    return PotentialNet(d, h, tuple(random_chain(_widths(d, h), rng)))
 
 
 def zero_potential_net(d: int, h: int = 10) -> PotentialNet:
-    return _from_chain(d, h, zero_chain(_widths(d, h)))
+    return PotentialNet(d, h, tuple(zero_chain(_widths(d, h))))
 
 
 def params_to_vector(net: PotentialNet) -> np.ndarray:
@@ -91,12 +82,7 @@ def params_to_vector(net: PotentialNet) -> np.ndarray:
 
 def net_with_params(net: PotentialNet, vec: np.ndarray) -> PotentialNet:
     """A net of ``net``'s shape with the parameters of a copy of ``vec``."""
-    return _net_over(net, np.array(vec, dtype=float))
-
-
-def _net_over(net: PotentialNet, buf: np.ndarray) -> PotentialNet:
-    """A net of ``net``'s shape whose weights are views of the flat float vector ``buf``."""
-    return _from_chain(net.d, net.h, unflatten(buf, net.weights))
+    return PotentialNet(net.d, net.h, tuple(unflatten(np.array(vec, dtype=float), net.weights)))
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,9 @@ gradient, when asked for it, back through the tape of its own forward pass;
 the MLP's supervised term does so on the value-only program of
 :func:`sympflow.mlp._bind` (``_bound_taped``, ``_bound_pullback``), which
 :func:`train` binds once per call.
-:func:`_kind` is the one place that reads the model kind, and :func:`_loss`
+:func:`_kind` is the one table of model kinds, keyed by the kind's name:
+this module, :mod:`sympflow.io` and :func:`build_model` take a kind's
+kernel module, constructors and second term from it.  :func:`_loss` is
 the one path behind :func:`loss_and_grad`, :func:`total_loss` and
 :func:`loss_supervised`.  Every derivative is exact, and every gradient is
 checked against finite differences in the tests.
@@ -136,10 +138,7 @@ class TrainReport:
 
 def build_model(config: TrainConfig, d: int):
     """Seeded model construction matching the configured kind and size."""
-    rng = np.random.default_rng(config.seed)
-    if config.model_kind == "sympflow":
-        return sfm.random_sympflow(d, config.layers, rng, h=config.hidden)
-    return mlp.random_mlp_flow(d, config.layers, rng, hidden=config.hidden)
+    return _kind(config.model_kind)[1](d, config.layers, np.random.default_rng(config.seed), config.hidden)
 
 
 # ---------------------------------------------------------------------------
@@ -202,12 +201,18 @@ def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState, lr: float
 # ---------------------------------------------------------------------------
 
 
-def _kind(model_obj):
-    """(kernel module, second term's name, second term), looked up per call."""
+def _kind(kind):
+    """``(kernel module, seeded constructor, zero constructor, second term's name, second term)`` of a kind.
+
+    Built per call, so that it reads ``sfm`` and ``mlp`` as bound at the
+    call: the benchmark's tracer swaps them for proxies.
+    """
+    if kind not in MODEL_KINDS:
+        raise ConfigError(f"the model kind must be one of {MODEL_KINDS}, got {kind!r}")
     return {
-        "sympflow": (sfm, "matching", _matching),
-        "mlp": (mlp, "energy_reg", _energy_reg),
-    }[model_obj.kind]
+        "sympflow": (sfm, sfm.random_sympflow, sfm.zero_sympflow, "matching", _matching),
+        "mlp": (mlp, mlp.random_mlp_flow, mlp.zero_mlp_flow, "energy_reg", _energy_reg),
+    }[kind]
 
 
 def _batch(model_obj, points, what):
@@ -231,7 +236,7 @@ def _mean_square(err):
 def _supervised(model_obj, samples, need_grad, prog=None):
     """The term on the kind's kernels; a kind with ``_bind`` runs it on ``prog``, or on one bound here."""
     t, x0, y = samples
-    k = _kind(model_obj)[0]
+    k = _kind(model_obj.kind)[0]
     m, taped, pullback = model_obj, k._taped, k._pullback
     if hasattr(k, "_bind"):
         m = k._bind(model_obj, len(x0)) if prog is None else prog
@@ -246,7 +251,7 @@ def _supervised(model_obj, samples, need_grad, prog=None):
 
 def _residual(model_obj, points, sys, need_grad, job=None):
     t, x = points
-    k = _kind(model_obj)[0]
+    k = _kind(model_obj.kind)[0]
     x_out, v, tape = k._taped(model_obj, t, x, velocity=True)
     resid = v - sys.vector_field(x_out)
     value = _mean_square(resid)
@@ -270,7 +275,7 @@ def _matching(model_obj, points, sys, need_grad):
 
 def _energy_reg(model_obj, points, sys, need_grad):
     t, x = points
-    k = _kind(model_obj)[0]
+    k = _kind(model_obj.kind)[0]
     pred, _, tape = k._taped(model_obj, t, x)
     err = sys.hamiltonian(pred) - sys.hamiltonian(x)
     value = _mean_square(err)
@@ -297,7 +302,7 @@ def _loss(model_obj, regime, sys, samples, residual_batch, matching_batch, need_
         return value, g, {"supervised": value}
     two_term = regime in ("regularized", "mixed")
     if two_term:
-        _, name, term = _kind(model_obj)
+        *_, name, term = _kind(model_obj.kind)
         batch = residual_batch if matching_batch is None else matching_batch
         if worker is not None:
             worker.submit(batch)
@@ -430,7 +435,7 @@ class _Worker:
         import multiprocessing
         from multiprocessing.connection import wait
 
-        k, _, term = _kind(model_obj)
+        k, *_, term = _kind(model_obj.kind)
         n, d = k.param_count(model_obj), model_obj.d
         # params | busy | t | x | value | gradient | y, vy, wv, w | gy, gv, gtheta of a sweep
         sizes = [n, 1, rows, rows * 2 * d, 1, n] + [sweep_rows * d] * 4
@@ -644,7 +649,7 @@ def train(
     else:
         HamiltonianSystem.check(sys)
 
-    k = _kind(model_obj)[0]
+    k = _kind(model_obj.kind)[0]
     rng = np.random.default_rng(config.seed)
     report = TrainReport(seed=config.seed)
     start = _time.perf_counter()

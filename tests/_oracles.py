@@ -59,7 +59,8 @@ def init_law(widths, rng):
 def potential_value(net, t, q):
     """V(t, q) = A3 tanh(A2 tanh(A1 [q; t] + b1) + b2) + b3 at one point, written out in NumPy."""
     u = np.concatenate([np.atleast_1d(q), [t]])
-    return float((net.A3 @ np.tanh(net.A2 @ np.tanh(net.A1 @ u + net.b1) + net.b2) + net.b3)[0])
+    (A1, b1), (A2, b2), (A3, b3) = net.weights
+    return float((A3 @ np.tanh(A2 @ np.tanh(A1 @ u + b1) + b2) + b3)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -398,7 +399,7 @@ def train_rebuilding(model_obj, config, sys=None, dataset=None, loss=None):
     ``(final parameter vector, loss history)``.
     """
     loss = tr._loss if loss is None else loss
-    k = tr._kind(model_obj)[0]
+    k = tr._kind(model_obj.kind)[0]
     rng = np.random.default_rng(config.seed)
     params = k.params_to_vector(model_obj)
     state = tr.AdamState.zeros(params.size)

@@ -53,6 +53,8 @@ def test_supervised_fit_shape_checks():
         est.fit(np.zeros((4, 3)), np.zeros((3, 2)))  # mismatched rows
     with pytest.raises(DimensionError, match="non-finite"):
         est.fit(np.array([[0.1, np.nan, 0.2]]), np.zeros((1, 2)))
+    with pytest.raises(DimensionError, match="needs a trajectory and a sample, got 0 and 0"):
+        est.fit(np.zeros((0, 3)), np.zeros((0, 2)))
     with pytest.raises(ConfigError, match="requires regime='supervised'"):
         SympFlowRegressor(regime="residual_only").fit(np.zeros((4, 3)), np.zeros((4, 2)))
     fitted = SympFlowRegressor(layers=1, hidden=2, epochs=1).fit(np.zeros((4, 3)), np.zeros((4, 2)))

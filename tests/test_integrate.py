@@ -161,6 +161,10 @@ def test_generate_dataset_rejects_bad_args():
         ("sample_traj", [0, 2], "must index the initial conditions"),
         ("sample_t", [0.1, 1.5], r"must lie in \[0, delta_t\]"),
         ("sample_t", [-0.1, 0.2], r"must lie in \[0, delta_t\]"),
+        ("ics", np.zeros((0, 2)), "needs a trajectory and a sample, got 0 and 2"),
+        ("seed", "abc", "seed must be an integer of at least 0, got 'abc'"),
+        ("seed", -1, "seed must be an integer of at least 0"),
+        ("seed", 1.0, "seed must be an integer of at least 0"),
     ],
 )
 def test_a_dataset_is_checked_when_it_is_built(field, value, match):

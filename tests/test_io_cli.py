@@ -45,6 +45,19 @@ def test_checkpoint_roundtrip_mlp(tmp_path):
     assert np.array_equal(mlp.params_to_vector(loaded), mlp.params_to_vector(model))
 
 
+@pytest.mark.parametrize("kind", tr.MODEL_KINDS)
+def test_every_kind_is_built_checkpointed_loaded_and_trained(tmp_path, kind):
+    cfg = tr.TrainConfig(model_kind=kind, regime="residual_only", epochs=1, layers=2, hidden=3, batch_collocation=4)
+    built = tr.build_model(cfg, 1)
+    path = tmp_path / "model.json"
+    sio.save_checkpoint(built, path)
+    loaded = sio.load_checkpoint(path, expect_kind=kind)
+    kernels = tr._kind(kind)[0]
+    assert kernels.params_to_vector(loaded).tobytes() == kernels.params_to_vector(built).tobytes()
+    _, report = tr.train(loaded, cfg, sys=Sho())
+    assert report.epochs_run == 1
+
+
 def test_checkpoint_bytes_survive_a_round_trip(tmp_path):
     payload = json.loads(HH_CHECKPOINT.read_text())
     path = tmp_path / "model.json"
@@ -194,6 +207,14 @@ BROKEN_DATASETS = {
         r"data: sample times must lie in \[0, delta_t\]",
     ),
     "nonfinite-sample": (_last_cell_nan, r"data: sample_y contains non-finite entries"),
+    "string-seed": (
+        lambda data: (data / "meta.json").write_text('{"delta_t": 1.0, "seed": "abc"}'),
+        r"data: seed must be an integer of at least 0, got 'abc'",
+    ),
+    "header-only-samples": (
+        lambda data: (data / "samples.csv").write_text((data / "samples.csv").read_text().splitlines()[0] + "\n"),
+        r"data: a dataset needs a trajectory and a sample, got \d+ and 0",
+    ),
 }
 
 

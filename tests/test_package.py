@@ -225,13 +225,11 @@ def test_a_net_checks_the_shape_and_finiteness_of_each_map(kind, corrupt, match)
     rng = np.random.default_rng(3)
     if kind == "sympflow":
         net = pot.random_potential_net(1, rng, h=4)
-        make = lambda: dataclasses.replace(net, A2=corrupt(net.A2))  # noqa: E731
     else:
-        baseline = mlp.random_mlp_flow(1, 3, rng, hidden=4)
-        (A0, b0), (A1, b1), last = baseline.weights
-        make = lambda: dataclasses.replace(baseline, weights=((A0, b0), (corrupt(A1), b1), last))  # noqa: E731
+        net = mlp.random_mlp_flow(1, 3, rng, hidden=4)
+    (A0, b0), (A1, b1), last = net.weights
     with pytest.raises(DimensionError, match=match):
-        make()
+        dataclasses.replace(net, weights=((A0, b0), (corrupt(A1), b1), last))
 
 
 # Each entry that takes a system, given a callable in its place.

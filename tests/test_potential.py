@@ -88,10 +88,15 @@ def test_time_partial_fd(net1):
     assert_close(got, want, rtol=1e-6, floor=1e-10, label="time_partial")
 
 
+def _with_A1(net, A1):
+    """``net`` with A1, the first map's matrix, replaced."""
+    return PotentialNet(net.d, net.h, ((A1, net.weights[0][1]), *net.weights[1:]))
+
+
 def test_time_partial_zero_when_time_column_zeroed(net1):
-    A1 = net1.A1.copy()
+    A1 = net1.weights[0][0].copy()
     A1[:, -1] = 0.0
-    net = PotentialNet(net1.d, net1.h, A1, net1.b1, net1.A2, net1.b2, net1.A3, net1.b3)
+    net = _with_A1(net1, A1)
     for t in (0.0, 0.4, -2.0):
         assert sweep(net, t, [0.3])[0][-1] == 0.0
 
@@ -110,11 +115,9 @@ def test_grad_input_fd(net2):
 
 def test_grad_input_negation_symmetry(net1):
     # Negating the q-columns of A1 and the point reproduces the negated gradient.
-    A1 = net1.A1.copy()
+    A1 = net1.weights[0][0].copy()
     A1[:, :-1] *= -1.0
-    flipped = PotentialNet(
-        net1.d, net1.h, A1, net1.b1, net1.A2, net1.b2, net1.A3, net1.b3
-    )
+    flipped = _with_A1(net1, A1)
     q = np.array([0.35])
     g = sweep(net1, 0.2, q)[0][:-1]
     g_flipped = sweep(flipped, 0.2, -q)[0][:-1]
@@ -134,9 +137,9 @@ def test_mixed_gradient_fd(net2):
 
 
 def test_mixed_gradient_zero_without_time_column(net2):
-    A1 = net2.A1.copy()
+    A1 = net2.weights[0][0].copy()
     A1[:, -1] = 0.0
-    net = PotentialNet(net2.d, net2.h, A1, net2.b1, net2.A2, net2.b2, net2.A3, net2.b3)
+    net = _with_A1(net2, A1)
     assert np.all(sweep(net, 0.9, [0.1, 0.2], dt=1.0)[1][:-1] == 0.0)
 
 
@@ -229,6 +232,14 @@ def test_param_count_formula():
             assert net.n_params == h * (d + 1) + h + h * h + h + h + 1
             assert pot.params_to_vector(net).size == net.n_params
     assert pot.zero_potential_net(1, h=10).n_params == 151
+
+
+@pytest.mark.parametrize("n_maps", [2, 4])
+def test_a_potential_net_is_a_chain_of_three_maps(n_maps):
+    weights = pot.random_potential_net(1, np.random.default_rng(0), h=4).weights
+    weights = weights[:2] if n_maps == 2 else (*weights, (np.zeros((1, 1)), np.zeros(1)))
+    with pytest.raises(DimensionError, match=f"three affine maps, got d=1, h=4 and {n_maps} maps"):
+        PotentialNet(1, 4, weights)
 
 
 def test_net_with_params_shares_no_memory_with_the_vector(net2):

@@ -81,12 +81,10 @@ def test_supervised_loss_matches_resummation():
 
 
 def test_supervised_loss_empty_dataset_rejected():
-    model = tiny_sympflow()
-    ds = TrajectoryDataset(
-        np.zeros((1, 2)), np.zeros(0, dtype=int), np.zeros(0), np.zeros((0, 2)), 1.0
-    )
-    with pytest.raises(DimensionError):
-        tr.loss_supervised(model, ds)
+    with pytest.raises(DimensionError, match="needs a trajectory and a sample, got 1 and 0"):
+        TrajectoryDataset(np.zeros((1, 2)), np.zeros(0, dtype=int), np.zeros(0), np.zeros((0, 2)), 1.0)
+    with pytest.raises(DimensionError, match="empty supervised batch"):
+        tr.loss_supervised(tiny_sympflow(), _dataset_of(np.zeros(0), np.zeros((0, 2))))
 
 
 def test_residual_loss_zero_weight_model_on_sho():
@@ -405,6 +403,35 @@ def test_train_rejects_a_model_of_another_kind(model, kind):
     cfg = tr.TrainConfig(model_kind=kind, regime="residual_only", epochs=2, batch_collocation=4)
     with pytest.raises(ConfigError, match="model_kind"):
         tr.train(model, cfg, sys=Sho())
+
+
+class _FixedStep:
+    """A model of a kind the package does not have."""
+
+    kind = "fixed_step"
+    d = 1
+
+
+def _train_fixed_step():
+    cfg = tr.TrainConfig(regime="residual_only", epochs=1, batch_collocation=4)
+    cfg.model_kind = "fixed_step"  # past the config's own check, so that the model's kind is looked up
+    tr.train(_FixedStep(), cfg, sys=Sho())
+
+
+UNKNOWN_KIND_ENTRIES = {
+    "_kind": lambda: tr._kind("fixed_step"),
+    "loss_and_grad": lambda: tr.loss_and_grad(
+        _FixedStep(), "residual_only", sys=Sho(), residual_batch=(np.zeros(2), np.zeros((2, 2)))
+    ),
+    "total_loss": lambda: tr.total_loss(_FixedStep(), "supervised", dataset=make_dataset()),
+    "train": _train_fixed_step,
+}
+
+
+@pytest.mark.parametrize("entry", sorted(UNKNOWN_KIND_ENTRIES))
+def test_an_unknown_model_kind_raises_config_error_naming_the_kinds(entry):
+    with pytest.raises(ConfigError, match=r"model kind must be one of \('sympflow', 'mlp'\), got 'fixed_step'"):
+        UNKNOWN_KIND_ENTRIES[entry]()
 
 
 @pytest.mark.parametrize("regime, match", [("supervised", "needs a dataset"), ("residual_only", "needs a system")])
